@@ -7,9 +7,9 @@
 // analytic response time / fairness of the allocation. Three further
 // sections exercise the observability layer end-to-end:
 //
-//   * a per-iteration convergence trace of the NASH dynamics (the
-//     Figure 2 experiment, now recorded by the library itself through
-//     obs::TraceSink instead of a bespoke bench loop);
+//   * a per-round convergence trace of the NASH dynamics (the Figure 2
+//     experiment, recorded by the library itself through an
+//     obs::ConvergenceProbe instead of a bespoke bench loop);
 //   * a per-replication timing trace of the DES system simulation, with
 //     aggregate job throughput;
 //   * the DES kernel + facility counters for a canonical M/M/1 run.
@@ -23,8 +23,8 @@
 //
 // Outputs (all under bench_results/):
 //   profile_baseline.csv      one row per scheme (the headline artifact)
-//   profile_nash_trace.csv    per-iteration NASH_P and NASH_0 traces
-//   profile_nash_trace.jsonl  the NASH_P trace as JSON-lines
+//   profile_nash_trace.csv    per-round NASH_P and NASH_0 probe rows
+//   profile_nash_trace.jsonl  the NASH_P probe rows as JSON-lines
 //   profile_nash_spans.json   NASH_P round/reply spans (Chrome trace JSON)
 //   profile_replications.csv  per-replication wall/sim time and jobs
 //   profile_des_counters.csv  DES kernel/facility counters and timers
@@ -38,6 +38,7 @@
 #include "core/equilibrium.hpp"
 #include "des/facility.hpp"
 #include "des/simulator.hpp"
+#include "obs/convergence.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "schemes/metrics.hpp"
@@ -132,44 +133,45 @@ int main() {
 
   // --- Section 2: NASH convergence trace via the obs layer ---------------
   // The same experiment as Figure 2 (eps = 1e-9 so the full decay is
-  // visible), but the per-iteration records now come from the dynamics
-  // itself through a TraceSink: norm, equilibrium certificates, cut
-  // indices and wall time per round.
+  // visible), but the per-round records now come from the dynamics itself
+  // through a ConvergenceProbe: norm, eps-Nash gap, potential, overall
+  // cost, active-set churn and utilization spread per round.
   core::DynamicsOptions dyn_opts;
   dyn_opts.tolerance = 1e-9;
   dyn_opts.max_iterations = 500;
 
-  obs::TraceSink trace_p(core::dynamics_trace_columns());
+  obs::ConvergenceProbe probe_p;
   obs::SpanTracer spans_p;
   dyn_opts.init = core::Initialization::Proportional;
-  dyn_opts.trace = &trace_p;
+  dyn_opts.probe = &probe_p;
   dyn_opts.spans = &spans_p;
   const core::DynamicsResult rp = core::best_reply_dynamics(inst, dyn_opts);
   dyn_opts.spans = nullptr;
 
-  obs::TraceSink trace_0(core::dynamics_trace_columns());
+  obs::ConvergenceProbe probe_0;
   dyn_opts.init = core::Initialization::Zero;
-  dyn_opts.trace = &trace_0;
+  dyn_opts.probe = &probe_0;
   const core::DynamicsResult r0 = core::best_reply_dynamics(inst, dyn_opts);
 
-  auto trace_csv = bench::csv("profile_nash_trace",
-                              {"variant", "iteration", "norm",
-                               "best_reply_gap", "max_kkt_residual",
-                               "min_cut", "max_cut", "wall_seconds"});
+  std::vector<std::string> trace_columns = obs::convergence_trace_columns();
+  trace_columns.insert(trace_columns.begin(), "variant");
+  auto trace_csv = bench::csv("profile_nash_trace", trace_columns);
   if (trace_csv) {
-    const auto mirror = [&](const char* variant, const obs::TraceSink& t) {
-      for (const std::vector<obs::Cell>& row : t.rows()) {
-        std::vector<std::string> cells{variant};
-        for (const obs::Cell& cell : row) {
-          cells.push_back(obs::cell_to_string(cell));
-        }
-        trace_csv->add_row(cells);
+    const auto mirror = [&](const char* variant,
+                            const obs::ConvergenceProbe& probe) {
+      for (const auto& row : probe.rows()) {
+        trace_csv->add_row(
+            {variant, std::to_string(row.round), bench::num(row.norm),
+             bench::num(row.eps_nash_gap), bench::num(row.potential),
+             bench::num(row.overall_cost),
+             std::to_string(row.active_set_churn),
+             bench::num(row.util_spread)});
       }
     };
-    mirror("NASH_P", trace_p);
-    mirror("NASH_0", trace_0);
+    mirror("NASH_P", probe_p);
+    mirror("NASH_0", probe_0);
   }
-  trace_p.write_jsonl("bench_results/profile_nash_trace.jsonl");
+  probe_p.write_jsonl("bench_results/profile_nash_trace.jsonl");
   if (obs::kEnabled) {
     spans_p.write_chrome_trace("bench_results/profile_nash_spans.json");
     std::printf(
@@ -178,21 +180,15 @@ int main() {
         spans_p.size());
   }
 
-  // Read the norms back out of the traces (falls back to the in-result
-  // history in an obs-disabled build, where the sink records nothing).
-  std::vector<double> norm_p = trace_p.column_as_doubles("norm");
-  std::vector<double> norm_0 = trace_0.column_as_doubles("norm");
-  if (norm_p.empty()) norm_p = rp.norm_history;
-  if (norm_0.empty()) norm_0 = r0.norm_history;
-
   util::PlotOptions plot_opts;
   plot_opts.log_y = true;
   plot_opts.height = 12;
   std::printf(
       "NASH convergence trace (library-recorded; log norm vs iteration):\n"
       "%s\n",
-      util::render_plot(
-          {{"0 NASH_0", norm_0}, {"P NASH_P", norm_p}}, plot_opts)
+      util::render_plot({{"0 NASH_0", r0.norm_history},
+                         {"P NASH_P", rp.norm_history}},
+                        plot_opts)
           .c_str());
   std::printf(
       "NASH_P: %zu rounds, final gap %s s; NASH_0: %zu rounds "

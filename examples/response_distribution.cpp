@@ -10,11 +10,11 @@
 // sharply in the tail — the p99 a user actually experiences.
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "schemes/registry.hpp"
 #include "simmodel/system_sim.hpp"
-#include "stats/histogram.hpp"
 #include "util/cli.hpp"
 #include "workload/configs.hpp"
 
@@ -23,8 +23,7 @@ namespace {
 using namespace nashlb;
 
 struct DistributionReport {
-  stats::Histogram histogram{0.0, 0.5, 25};
-  std::vector<double> samples;  // for exact percentiles
+  std::vector<double> samples;  // sorted: percentiles and histogram bars
   double mean = 0.0;
 };
 
@@ -36,14 +35,39 @@ DistributionReport run(const core::Instance& inst, const std::string& name,
   simmodel::SimConfig cfg;
   cfg.horizon = horizon;
   cfg.warmup = horizon * 0.05;
-  cfg.on_sample = [&](std::size_t, double r) {
-    report.histogram.add(r);
-    report.samples.push_back(r);
-  };
+  cfg.on_sample = [&](std::size_t, double r) { report.samples.push_back(r); };
   const simmodel::SimRunResult res = simmodel::simulate(inst, profile, cfg);
   report.mean = res.overall_mean_response;
   std::sort(report.samples.begin(), report.samples.end());
   return report;
+}
+
+/// One line per equal-width bin over [lo, hi) with a bar of '#' scaled to
+/// the fullest bin; counts come from binary searches in the sorted
+/// samples.
+std::string histogram(const std::vector<double>& sorted, double lo, double hi,
+                      std::size_t bins, std::size_t max_width) {
+  const double width = (hi - lo) / static_cast<double>(bins);
+  std::vector<std::size_t> counts(bins);
+  for (std::size_t b = 0; b < bins; ++b) {
+    const double left = lo + width * static_cast<double>(b);
+    counts[b] = static_cast<std::size_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), left + width) -
+        std::lower_bound(sorted.begin(), sorted.end(), left));
+  }
+  const std::size_t peak =
+      std::max<std::size_t>(1, *std::max_element(counts.begin(), counts.end()));
+  std::string out;
+  char line[160];
+  for (std::size_t b = 0; b < bins; ++b) {
+    const double left = lo + width * static_cast<double>(b);
+    std::snprintf(line, sizeof line, "[%9.4f, %9.4f) %8zu ", left,
+                  left + width, counts[b]);
+    out += line;
+    out.append(counts[b] * max_width / peak, '#');
+    out += '\n';
+  }
+  return out;
 }
 
 double percentile(const std::vector<double>& sorted, double p) {
@@ -73,10 +97,10 @@ int main(int argc, char** argv) {
 
   std::printf("%s response-time distribution (%zu jobs):\n%s\n",
               scheme_a.c_str(), a.samples.size(),
-              a.histogram.ascii(40).c_str());
+              histogram(a.samples, 0.0, 0.5, 25, 40).c_str());
   std::printf("%s response-time distribution (%zu jobs):\n%s\n",
               scheme_b.c_str(), b.samples.size(),
-              b.histogram.ascii(40).c_str());
+              histogram(b.samples, 0.0, 0.5, 25, 40).c_str());
 
   std::printf("           %10s  %10s\n", scheme_a.c_str(), scheme_b.c_str());
   std::printf("mean       %10.4f  %10.4f\n", a.mean, b.mean);

@@ -1,11 +1,9 @@
 #include "core/dynamics.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 
 #include "core/best_reply.hpp"
@@ -20,20 +18,24 @@
 
 namespace nashlb::core {
 
-std::vector<std::string> dynamics_trace_columns() {
-  return {"iteration",    "norm",    "best_reply_gap", "max_kkt_residual",
-          "min_cut",      "max_cut", "wall_seconds"};
-}
-
-ConvergenceProbeDriver::ConvergenceProbeDriver(obs::ConvergenceProbe& probe,
-                                               const Instance& inst,
-                                               const StrategyProfile& start)
-    : probe_(&probe) {
+RoundRecorder::RoundRecorder(obs::ConvergenceProbe* probe,
+                             obs::Journal* journal, const std::string& source,
+                             const Instance& inst,
+                             const StrategyProfile& start)
+    : probe_(obs::kEnabled ? probe : nullptr),
+      journal_(obs::kEnabled ? journal : nullptr) {
   NASHLB_EXPECT(start.num_users() == inst.num_users() &&
                     start.num_computers() == inst.num_computers(),
-                "probe driver start profile is %zux%zu, instance %zux%zu",
+                "round recorder start profile is %zux%zu, instance %zux%zu",
                 start.num_users(), start.num_computers(), inst.num_users(),
                 inst.num_computers());
+  if (journal_ != nullptr) {
+    round_event_ =
+        journal_->register_event(source + ".round", {"round", "norm"});
+    stop_event_ = journal_->register_event(
+        source + ".stop", {"round", "norm", "converged", "diverged"});
+  }
+  if (probe_ == nullptr) return;
   const std::size_t m = start.num_users();
   const std::size_t n = inst.num_computers();
   prev_support_.assign(m * n, 0);
@@ -44,26 +46,26 @@ ConvergenceProbeDriver::ConvergenceProbeDriver(obs::ConvergenceProbe& probe,
   }
 }
 
-void ConvergenceProbeDriver::record_round(const Instance& inst,
-                                          const StrategyProfile& s,
-                                          std::span<const double> loads,
-                                          std::size_t round, double norm,
-                                          bool certificates) {
+void RoundRecorder::end_round(const Instance& inst, const StrategyProfile& s,
+                              std::span<const double> loads,
+                              std::size_t round, double norm) {
+  if (journal_ != nullptr) {
+    journal_->emit(round_event_, {static_cast<double>(round), norm});
+  }
+  if (probe_ == nullptr) return;
   NASHLB_EXPECT(loads.size() == inst.num_computers() &&
                     prev_support_.size() ==
                         s.num_users() * s.num_computers(),
-                "probe round %zu: %zu loads / %zux%zu profile against the "
-                "driver's %zu support bits",
+                "recorded round %zu: %zu loads / %zux%zu profile against "
+                "the recorder's %zu support bits",
                 round, loads.size(), s.num_users(), s.num_computers(),
                 prev_support_.size());
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   double gap = kNaN;
-  if (certificates) {
-    try {
-      gap = max_best_reply_gain(inst, s, loads);
-    } catch (const std::exception&) {
-      // infeasible intermediate profile (Jacobi divergence): leave NaN
-    }
+  try {
+    gap = max_best_reply_gain(inst, s, loads);
+  } catch (const std::exception&) {
+    // infeasible intermediate profile (Jacobi divergence): leave NaN
   }
   double potential = kNaN;
   try {
@@ -95,52 +97,14 @@ void ConvergenceProbeDriver::record_round(const Instance& inst,
                        overall, churn, max_util - min_util);
 }
 
+void RoundRecorder::stop(std::size_t round, double norm, bool converged,
+                         bool diverged) {
+  if (journal_ == nullptr) return;
+  journal_->emit(stop_event_, {static_cast<double>(round), norm,
+                               converged ? 1.0 : 0.0, diverged ? 1.0 : 0.0});
+}
+
 namespace {
-
-/// Appends one row of the convergence trace. The certificates reuse the
-/// dynamics' incrementally-carried loads (O(m·n log n) per recorded round
-/// instead of the old O(m²·n)) and are computed only on rounds selected
-/// by `certificates` — see DynamicsOptions::certificate_stride. They can
-/// throw on an infeasible intermediate profile (Jacobi divergence), in
-/// which case their cells record NaN rather than aborting the dynamics.
-void record_round(obs::TraceSink& sink, const Instance& inst,
-                  const StrategyProfile& s, std::span<const double> loads,
-                  bool certificates, std::size_t round, double norm,
-                  double wall_seconds) {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  double gap = kNaN;
-  double kkt = kNaN;
-  if (certificates) {
-    try {
-      gap = max_best_reply_gain(inst, s, loads);
-      kkt = 0.0;
-      for (std::size_t j = 0; j < inst.num_users(); ++j) {
-        kkt = std::max(kkt, kkt_residual(inst, s, j, loads));
-      }
-    } catch (const std::exception&) {
-      // leave the certificates as NaN
-    }
-  }
-  std::size_t min_cut = inst.num_computers();
-  std::size_t max_cut = 0;
-  for (std::size_t j = 0; j < inst.num_users(); ++j) {
-    std::size_t cut = 0;
-    for (std::size_t i = 0; i < inst.num_computers(); ++i) {
-      if (s.at(j, i) > 0.0) ++cut;
-    }
-    min_cut = std::min(min_cut, cut);
-    max_cut = std::max(max_cut, cut);
-  }
-  sink.record({static_cast<std::int64_t>(round), norm, gap, kkt,
-               static_cast<std::int64_t>(min_cut),
-               static_cast<std::int64_t>(max_cut), wall_seconds});
-}
-
-/// True on the rounds whose trace row gets the certificate columns.
-bool certificates_due(const DynamicsOptions& options, std::size_t round) {
-  return options.certificate_stride != 0 &&
-         (round - 1) % options.certificate_stride == 0;
-}
 
 /// True if every computer still has spare capacity for `user` to target.
 /// `demand` is the mover's full contribution to the loads — the user's
@@ -169,7 +133,6 @@ bool replies_computable(const LoadState& state, const StrategyProfile& s,
 DynamicsResult run(const Instance& inst, StrategyProfile profile,
                    std::vector<double> last_times,
                    const DynamicsOptions& options,
-                   const RoundObserver& observer,
                    const UserClassPartition* classes) {
   // Stability (assumption A2): best replies only exist while the total
   // demand leaves spare capacity. inst.validate() enforces this with an
@@ -189,36 +152,11 @@ DynamicsResult run(const Instance& inst, StrategyProfile profile,
   const std::span<const double> norm_weight =
       class_mode ? classes->member_counts() : std::span<const double>();
   DynamicsResult result{std::move(profile), false, false, 0, {}, {}};
-  // Wall clock feeds the obs trace's elapsed-seconds column only; no
-  // iterate, tolerance, or ordering ever reads it, so determinism of
-  // the solve is unaffected.
-  // nashlb-analyzer: allow(nondeterminism-sources) -- trace-only timing
-  const auto wall_start = std::chrono::steady_clock::now();
-  const auto wall_seconds = [&wall_start] {
-    // nashlb-analyzer: allow(nondeterminism-sources) -- trace-only timing
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         wall_start)
-        .count();
-  };
   stats::Xoshiro256 order_rng(options.order_seed);
   std::vector<std::size_t> order(m);
   std::iota(order.begin(), order.end(), std::size_t{0});
-
-  // Convergence telemetry and the event journal ride the same per-round
-  // sites as the trace; both are nullptr-gated and compiled out with the
-  // obs layer (kEnabled is constexpr false under -DNASHLB_OBS=OFF).
-  std::optional<ConvergenceProbeDriver> probe_driver;
-  if (obs::kEnabled && options.probe != nullptr) {
-    probe_driver.emplace(*options.probe, inst, result.profile);
-  }
-  obs::EventId round_event{};
-  obs::EventId stop_event{};
-  if (obs::kEnabled && options.journal != nullptr) {
-    round_event =
-        options.journal->register_event("dynamics.round", {"round", "norm"});
-    stop_event = options.journal->register_event(
-        "dynamics.stop", {"round", "norm", "converged", "diverged"});
-  }
+  RoundRecorder recorder(options.probe, options.journal, "dynamics", inst,
+                         result.profile);
 
   // The incremental core: the aggregate loads ride along with the profile
   // and every per-move quantity (available rates, D_j) derives from them
@@ -235,8 +173,8 @@ DynamicsResult run(const Instance& inst, StrategyProfile profile,
   // Parallel execution is a Jacobi-only option: a sequential order is
   // *defined* by user j reading users 1..j-1's round-l moves, so running
   // it on a pool would silently compute a different (Jacobi-ish) round.
-  // The contract catches the misconfiguration in checked builds; the
-  // fallback below keeps unchecked builds on the correct serial path.
+  // The contract catches the misconfiguration in checked builds; unchecked
+  // builds ignore `threads` and stay on the correct sequential path.
   const std::size_t threads =
       options.threads == 1 ? 1 : util::resolve_threads(options.threads);
   NASHLB_EXPECT(threads <= 1 || !sequential,
@@ -244,17 +182,27 @@ DynamicsResult run(const Instance& inst, StrategyProfile profile,
                 "order: only UpdateOrder::Simultaneous (Jacobi) rounds are "
                 "order-free; use threads=1 for RoundRobin/RandomOrder",
                 threads);
+  // Jacobi-only state: every Jacobi round runs on the pool (one worker
+  // is a plain loop), each worker replying from its own workspace.
   std::unique_ptr<util::ThreadPool> pool;
   std::vector<BestReplyWorkspace> worker_ws;
-  std::vector<double> round_times;      // d_j of the pooled Jacobi round
-  std::vector<char> round_computable;   // replies_computable per user
-  if (!sequential && threads > 1) {
+  std::vector<double> round_times;     // D_j^(l) per user
+  std::vector<char> round_computable;  // replies_computable per user
+  if (!sequential) {
     pool = std::make_unique<util::ThreadPool>(threads);
     worker_ws.resize(pool->size());
     for (BestReplyWorkspace& w : worker_ws) w.resize(inst.num_computers());
     round_times.resize(m);
     round_computable.assign(m, 1);
   }
+
+  // The stopping norm, folded in move order: mover j adds its weighted
+  // |D_j^(l) - D_j^(l-1)|. The fold order fixes the norm's bits.
+  double norm = 0.0;
+  const auto fold_norm = [&](std::size_t j, double d) {
+    norm += (class_mode ? norm_weight[j] : 1.0) * std::fabs(d - last_times[j]);
+    last_times[j] = d;
+  };
   for (std::size_t round = 1; round <= options.max_iterations; ++round) {
     if (round > 1 && sequential) state.rebuild(result.profile);
     obs::SpanId round_span{};
@@ -262,7 +210,8 @@ DynamicsResult run(const Instance& inst, StrategyProfile profile,
       round_span = options.spans->begin("round", "dynamics", 0,
                                         static_cast<std::int64_t>(round));
     }
-    double norm = 0.0;
+    norm = 0.0;
+    bool ok = true;
     if (sequential) {
       if (options.order == UpdateOrder::RandomOrder) {
         // Fisher–Yates with the dynamics' own RNG: deterministic per seed.
@@ -285,10 +234,7 @@ DynamicsResult run(const Instance& inst, StrategyProfile profile,
                 : best_reply_into(inst, result.profile, state, j, reply_phi[j],
                                   ws);
         state.commit_row(result.profile, j, reply);
-        const double d = state.user_response_time(result.profile, j);
-        norm += (class_mode ? norm_weight[j] : 1.0) *
-                std::fabs(d - last_times[j]);
-        last_times[j] = d;
+        fold_norm(j, state.user_response_time(result.profile, j));
         if (obs::kEnabled && options.spans) options.spans->end(reply_span);
       }
     } else {
@@ -300,96 +246,42 @@ DynamicsResult run(const Instance& inst, StrategyProfile profile,
       // loads and row j, and writes only row j, so the pooled loop
       // touches disjoint rows and each reply is bit-identical to its
       // serial counterpart regardless of scheduling.
-      if (pool) {
-        pool->parallel_for(0, m, 1, [&](std::size_t j, std::size_t w) {
-          result.profile.set_row(
-              j, class_mode
-                     ? class_reply_into(inst, result.profile, state, j,
-                                        *classes, worker_ws[w])
-                     : best_reply_into(inst, result.profile, state, j,
-                                       reply_phi[j], worker_ws[w]));
-        });
-      } else {
-        for (std::size_t j = 0; j < m; ++j) {
-          obs::SpanId reply_span{};
-          if (obs::kEnabled && options.spans) {
-            reply_span = options.spans->begin("reply", "dynamics", 0,
-                                              static_cast<std::int64_t>(j));
-          }
-          result.profile.set_row(
-              j, class_mode
-                     ? class_reply_into(inst, result.profile, state, j,
-                                        *classes, ws)
-                     : best_reply_into(inst, result.profile, state, j,
-                                       reply_phi[j], ws));
-          if (obs::kEnabled && options.spans) options.spans->end(reply_span);
-        }
-      }
+      pool->parallel_for(0, m, 1, [&](std::size_t j, std::size_t w) {
+        result.profile.set_row(
+            j, class_mode ? class_reply_into(inst, result.profile, state, j,
+                                             *classes, worker_ws[w])
+                          : best_reply_into(inst, result.profile, state, j,
+                                            reply_phi[j], worker_ws[w]));
+      });
       state.rebuild(result.profile);
-      // The combined move can overload computers; detect and stop.
-      bool ok = true;
-      if (pool) {
-        // Per-user feasibility and response times fan out over the pool
-        // (each user writes its own slot); the norm and the ok flag then
-        // reduce serially in user order, so the fold order — and the
-        // resulting bits — match the serial path exactly.
-        pool->parallel_for(0, m, 1, [&](std::size_t j, std::size_t w) {
-          round_computable[j] = replies_computable(state, result.profile, j,
-                                                   inst.phi[j],
-                                                   worker_ws[w].avail)
-                                    ? 1
-                                    : 0;
-          round_times[j] = state.user_response_time(result.profile, j);
-        });
-        for (std::size_t j = 0; j < m; ++j) {
-          if (round_computable[j] == 0) ok = false;
-          const double d = round_times[j];
-          if (!std::isfinite(d)) ok = false;
-          norm += (class_mode ? norm_weight[j] : 1.0) *
-                  std::fabs(d - last_times[j]);
-          last_times[j] = d;
+      // The combined move can overload computers. Per-user feasibility
+      // and response times fan out over the pool (each user writes its
+      // own slot); the ok flag and the norm then reduce in user order,
+      // so the bits are independent of the thread count.
+      pool->parallel_for(0, m, 1, [&](std::size_t j, std::size_t w) {
+        round_computable[j] = replies_computable(state, result.profile, j,
+                                                 inst.phi[j],
+                                                 worker_ws[w].avail)
+                                  ? 1
+                                  : 0;
+        round_times[j] = state.user_response_time(result.profile, j);
+      });
+      for (std::size_t j = 0; j < m; ++j) {
+        if (round_computable[j] == 0 || !std::isfinite(round_times[j])) {
+          ok = false;
         }
-      } else {
-        for (std::size_t j = 0; j < m && ok; ++j) {
-          ok = replies_computable(state, result.profile, j, inst.phi[j],
-                                  ws.avail);
-        }
-        for (std::size_t j = 0; j < m; ++j) {
-          const double d = state.user_response_time(result.profile, j);
-          if (!std::isfinite(d)) ok = false;
-          norm += (class_mode ? norm_weight[j] : 1.0) *
-                  std::fabs(d - last_times[j]);
-          last_times[j] = d;
-        }
-      }
-      if (!ok) {
-        result.iterations = round;
-        result.norm_history.push_back(norm);
-        result.diverged = true;
-        result.user_times = std::move(last_times);
-        if (obs::kEnabled && options.trace) {
-          record_round(*options.trace, inst, result.profile, state.loads(),
-                       certificates_due(options, round), round, norm,
-                       wall_seconds());
-        }
-        if (probe_driver) {
-          probe_driver->record_round(inst, result.profile, state.loads(),
-                                     round, norm,
-                                     certificates_due(options, round));
-        }
-        if (obs::kEnabled && options.journal) {
-          options.journal->emit(round_event,
-                                {static_cast<double>(round), norm});
-          options.journal->emit(stop_event, {static_cast<double>(round), norm,
-                                             0.0, 1.0});
-        }
-        if (obs::kEnabled && options.spans) options.spans->end(round_span);
-        return result;
+        fold_norm(j, round_times[j]);
       }
     }
 
     result.iterations = round;
     result.norm_history.push_back(norm);
+    recorder.end_round(inst, result.profile, state.loads(), round, norm);
+    if (obs::kEnabled && options.spans) options.spans->end(round_span);
+    if (!ok) {  // a diverged Jacobi round: stop
+      result.diverged = true;
+      break;
+    }
 #if NASHLB_CHECK_ENABLED
     // Class-weight invariant (alongside LoadState's stride-64 audit):
     // the aggregated instance's demands are the class weights, and their
@@ -406,42 +298,23 @@ DynamicsResult run(const Instance& inst, StrategyProfile profile,
           round, weight_sum, classes->total_weight());
     }
 #endif
-    if (obs::kEnabled && options.trace) {
-      record_round(*options.trace, inst, result.profile, state.loads(),
-                   certificates_due(options, round), round, norm,
-                   wall_seconds());
-    }
-    if (probe_driver) {
-      probe_driver->record_round(inst, result.profile, state.loads(), round,
-                                 norm, certificates_due(options, round));
-    }
-    if (obs::kEnabled && options.journal) {
-      options.journal->emit(round_event, {static_cast<double>(round), norm});
-    }
-    if (obs::kEnabled && options.spans) options.spans->end(round_span);
-    if (observer) observer(round, result.profile, norm);
     if (norm <= options.tolerance) {
       result.converged = true;
       break;
     }
   }
-  if (obs::kEnabled && options.journal) {
-    options.journal->emit(
-        stop_event,
-        {static_cast<double>(result.iterations),
-         result.norm_history.empty() ? 0.0 : result.norm_history.back(),
-         result.converged ? 1.0 : 0.0, 0.0});
+  recorder.stop(result.iterations, norm, result.converged, result.diverged);
+  if (result.diverged) {
+    result.user_times = std::move(last_times);
+    return result;
   }
 
   // A converged profile must be feasible in the paper's sense — every
   // row on the simplex and every computer strictly stable. A violation
   // here means the incremental state and the profile disagreed.
   NASHLB_ENSURE(!result.converged || result.profile.is_feasible(inst, 1e-6),
-                "converged profile infeasible after %zu rounds (norm history "
-                "tail %.17g)",
-                result.iterations,
-                result.norm_history.empty() ? -1.0
-                                            : result.norm_history.back());
+                "converged profile infeasible after %zu rounds (norm %.17g)",
+                result.iterations, norm);
   result.user_times = user_response_times(inst, result.profile);
   return result;
 }
@@ -455,8 +328,7 @@ namespace {
 /// must be class-level) or from the configured initialization.
 DynamicsResult run_over_classes(const Instance& inst,
                                 const StrategyProfile* start,
-                                const DynamicsOptions& options,
-                                const RoundObserver& observer) {
+                                const DynamicsOptions& options) {
   const UserClassPartition& part = *options.classes;
   if (part.num_users() != inst.num_users()) {
     throw std::invalid_argument(
@@ -470,8 +342,7 @@ DynamicsResult run_over_classes(const Instance& inst,
   if (start == nullptr && options.init == Initialization::Zero) {
     StrategyProfile zero(agg.num_users(), agg.num_computers());
     std::vector<double> last_times(agg.num_users(), 0.0);
-    return run(agg, std::move(zero), std::move(last_times), options, observer,
-               &part);
+    return run(agg, std::move(zero), std::move(last_times), options, &part);
   }
   StrategyProfile from = start != nullptr
                              ? *start
@@ -486,40 +357,36 @@ DynamicsResult run_over_classes(const Instance& inst,
   for (double& d : last_times) {
     if (!std::isfinite(d)) d = 0.0;  // e.g. an all-zero start row
   }
-  return run(agg, std::move(from), std::move(last_times), options, observer,
-             &part);
+  return run(agg, std::move(from), std::move(last_times), options, &part);
 }
 
 }  // namespace
 
 DynamicsResult best_reply_dynamics(const Instance& inst,
-                                   const DynamicsOptions& options,
-                                   const RoundObserver& observer) {
+                                   const DynamicsOptions& options) {
   inst.validate();
   if (options.classes != nullptr) {
-    return run_over_classes(inst, nullptr, options, observer);
+    return run_over_classes(inst, nullptr, options);
   }
   const std::size_t m = inst.num_users();
   const std::size_t n = inst.num_computers();
   if (options.init == Initialization::Proportional) {
-    return best_reply_dynamics_from(
-        inst, StrategyProfile::proportional(inst), options, observer);
+    return best_reply_dynamics_from(inst, StrategyProfile::proportional(inst),
+                                    options);
   }
   // NASH_0: start from the empty profile with D_j^(0) := 0 — the first
   // round's norm is then simply sum_j D_j^(1).
   StrategyProfile zero(m, n);
   std::vector<double> last_times(m, 0.0);
-  return run(inst, std::move(zero), std::move(last_times), options, observer,
-             nullptr);
+  return run(inst, std::move(zero), std::move(last_times), options, nullptr);
 }
 
 DynamicsResult best_reply_dynamics_from(const Instance& inst,
                                         const StrategyProfile& start,
-                                        const DynamicsOptions& options,
-                                        const RoundObserver& observer) {
+                                        const DynamicsOptions& options) {
   inst.validate();
   if (options.classes != nullptr) {
-    return run_over_classes(inst, &start, options, observer);
+    return run_over_classes(inst, &start, options);
   }
   if (start.num_users() != inst.num_users() ||
       start.num_computers() != inst.num_computers()) {
@@ -530,7 +397,7 @@ DynamicsResult best_reply_dynamics_from(const Instance& inst,
   for (double& d : last_times) {
     if (!std::isfinite(d)) d = 0.0;  // e.g. an all-zero start row
   }
-  return run(inst, start, std::move(last_times), options, observer, nullptr);
+  return run(inst, start, std::move(last_times), options, nullptr);
 }
 
 }  // namespace nashlb::core

@@ -21,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,7 +29,6 @@
 #include "obs/convergence.hpp"
 #include "obs/journal.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 namespace nashlb::core {
 
@@ -60,29 +58,16 @@ struct DynamicsOptions {
   std::size_t max_iterations = 1000;
   /// Seed for the RandomOrder permutations (ignored otherwise).
   std::uint64_t order_seed = 0x0badcafeULL;
-  /// Optional per-round trace (not owned, may be null): one row per round
-  /// under the `dynamics_trace_columns()` schema. Tracing computes the
-  /// equilibrium certificates each round — O(m n log n) extra work — so
-  /// leave it null on hot paths. See docs/OBSERVABILITY.md.
-  obs::TraceSink* trace = nullptr;
-  /// Cadence of the trace's certificate columns (best_reply_gap,
-  /// max_kkt_residual): they are computed on rounds 1, 1+k, 1+2k, … and
-  /// recorded as NaN in between; 0 disables them entirely (the other
-  /// columns are still recorded every round). The default 1 preserves the
-  /// full per-round trace; raise the stride (or set 0) when tracing a
-  /// large system, where the certificates cost more than the round they
-  /// certify. Ignored when `trace` is null.
-  std::size_t certificate_stride = 1;
   /// Optional span tracer (not owned, may be null): each round becomes a
-  /// "round" span (id = round index) enclosing one "reply" span per user
-  /// update (id = user index). Export with
-  /// SpanTracer::write_chrome_trace for chrome://tracing / Perfetto. A
-  /// no-op when the obs layer is compiled out. The tracer is not
-  /// thread-safe, so a pooled Jacobi run (threads != 1) records only the
-  /// per-round spans; the per-reply spans require threads = 1.
+  /// wall-clock "round" span (id = round index); in the sequential orders
+  /// it encloses one "reply" span per user update (id = user index).
+  /// Jacobi rounds run their replies on the pool and record only the
+  /// round span. Export with SpanTracer::write_chrome_trace for
+  /// chrome://tracing / Perfetto. A no-op when the obs layer is compiled
+  /// out.
   obs::SpanTracer* spans = nullptr;
   /// Worker threads for the Jacobi (Simultaneous) round: 1 = serial (the
-  /// default — byte-for-byte the pre-parallel code path), 0 = auto
+  /// default; a one-worker pool is a plain loop), 0 = auto
   /// (NASHLB_THREADS env, else hardware concurrency — see
   /// util::resolve_threads), k > 1 = exactly k workers. Each worker
   /// replies from its own BestReplyWorkspace against the frozen
@@ -93,7 +78,7 @@ struct DynamicsOptions {
   /// (RoundRobin, RandomOrder) are inherently ordered — user j's reply
   /// reads users 1..j-1's round-l moves — so threads > 1 with them is a
   /// contract violation (NASHLB_EXPECT aborts under -DNASHLB_CHECK=ON);
-  /// unchecked builds fall back to the serial path.
+  /// unchecked builds ignore `threads` and run the sequential round.
   std::size_t threads = 1;
   /// Optional user-class aggregation (not owned, may be null; must
   /// outlive the call). When set, the dynamics runs over the partition's
@@ -116,16 +101,15 @@ struct DynamicsOptions {
   /// Optional convergence probe (not owned, may be null): one row per
   /// round under the `convergence_trace_columns()` schema — stopping
   /// norm, eps-Nash gap, potential, overall cost, active-set churn and
-  /// utilization spread. The eps-Nash gap shares `certificate_stride`
-  /// with the trace (NaN on strided-off rounds); the other columns are
-  /// O(m·n) per round. Works in all three orders and in class mode
-  /// (rows are then class-level). See docs/OBSERVABILITY.md.
+  /// utilization spread. The gap is an O(m·n log n) certificate computed
+  /// every round, so leave the probe null on timed runs. Works in all
+  /// three orders and in class mode (rows are then class-level). See
+  /// RoundRecorder and docs/OBSERVABILITY.md.
   obs::ConvergenceProbe* probe = nullptr;
-  /// Optional event journal (not owned, may be null): the dynamics
-  /// registers `dynamics.round` {round, norm} and `dynamics.stop`
-  /// {round, norm, converged, diverged} and emits one round event per
-  /// round plus one stop event at termination — cheap enough to leave
-  /// on anywhere a TraceSink would be too heavy.
+  /// Optional event journal (not owned, may be null): the dynamics emits
+  /// `dynamics.round` {round, norm} per round and one `dynamics.stop`
+  /// {round, norm, converged, diverged} at termination — cheap enough to
+  /// leave on anywhere.
   obs::Journal* journal = nullptr;
 };
 
@@ -142,59 +126,50 @@ struct DynamicsResult {
   std::vector<double> user_times;
 };
 
-/// Schema of the per-round convergence trace, in column order:
-/// iteration (1-based round), norm (sum_j |D_j^(l) - D_j^(l-1)|, seconds),
-/// best_reply_gap (max unilateral improvement, seconds), max_kkt_residual
-/// (worst user's normalized first-order residual), min_cut / max_cut
-/// (smallest and largest per-user cut index c_j — how many computers a
-/// user's OPTIMAL reply spreads over), wall_seconds (cumulative wall time
-/// since the dynamics started).
-[[nodiscard]] std::vector<std::string> dynamics_trace_columns();
-
-/// Derives one obs::ConvergenceProbe row per round from solver state —
-/// the bridge between the core (which owns the profile, loads and
-/// certificates) and the obs probe (which only stores numbers). The
-/// driver carries the previous round's best-reply supports so it can
-/// report active-set churn; construct it from the starting profile, then
-/// call record_round once per completed round. Shared by the in-memory
-/// dynamics (all orders, class mode) and the distributed ring protocol.
-class ConvergenceProbeDriver {
+/// The one way a solver records a round. The in-memory dynamics (all
+/// orders, class mode) and the distributed ring protocol each call
+/// end_round once per completed round and stop once at termination; the
+/// recorder turns those calls into an obs::ConvergenceProbe row and
+/// `<source>.round` / `<source>.stop` journal events. Either sink may be
+/// null, and both are ignored when the obs layer is compiled out, so a
+/// recorder without sinks costs two pointer tests per round.
+class RoundRecorder {
  public:
-  /// `start` is the profile the dynamics begins from (class-level in
-  /// class mode); its supports seed the churn baseline, so round 1's
-  /// churn counts movers relative to the initialization.
-  ConvergenceProbeDriver(obs::ConvergenceProbe& probe, const Instance& inst,
-                         const StrategyProfile& start);
+  /// `source` prefixes the journal event names ("dynamics", "ring").
+  /// `start` is the profile the solver begins from (class-level in class
+  /// mode); its supports seed the churn baseline, so round 1's churn
+  /// counts movers relative to the initialization.
+  RoundRecorder(obs::ConvergenceProbe* probe, obs::Journal* journal,
+                const std::string& source, const Instance& inst,
+                const StrategyProfile& start);
 
-  /// Appends the round's row. `loads` are the instance's per-computer
-  /// arrival rates at `s` (e.g. LoadState::loads()); `certificates`
-  /// gates the O(m·n log n) eps-Nash gap (NaN when false or when the
-  /// profile is infeasible, e.g. a diverged Jacobi round).
-  void record_round(const Instance& inst, const StrategyProfile& s,
-                    std::span<const double> loads, std::size_t round,
-                    double norm, bool certificates);
+  /// Records a completed round: the probe row derived from `s` and its
+  /// per-computer arrival rates `loads` (e.g. LoadState::loads()), and
+  /// the `<source>.round` {round, norm} event. The row's eps-Nash gap is
+  /// NaN when the profile is infeasible (a diverged Jacobi round).
+  void end_round(const Instance& inst, const StrategyProfile& s,
+                 std::span<const double> loads, std::size_t round,
+                 double norm);
+
+  /// Emits `<source>.stop` {round, norm, converged, diverged}.
+  void stop(std::size_t round, double norm, bool converged, bool diverged);
 
  private:
   obs::ConvergenceProbe* probe_;
+  obs::Journal* journal_;
+  obs::EventId round_event_{};
+  obs::EventId stop_event_{};
   std::vector<char> prev_support_;  // m*n row-major support bits
 };
 
-/// Observer invoked after each round with (round index starting at 1,
-/// current profile, round norm). Used by the Figure 2 bench to record the
-/// convergence trace.
-using RoundObserver =
-    std::function<void(std::size_t, const StrategyProfile&, double)>;
-
 /// Runs the dynamics from the configured initialization.
 [[nodiscard]] DynamicsResult best_reply_dynamics(
-    const Instance& inst, const DynamicsOptions& options = {},
-    const RoundObserver& observer = nullptr);
+    const Instance& inst, const DynamicsOptions& options = {});
 
 /// Runs the dynamics from an explicit starting profile (the `init` option
 /// is ignored). `start` must have the instance's dimensions.
 [[nodiscard]] DynamicsResult best_reply_dynamics_from(
     const Instance& inst, const StrategyProfile& start,
-    const DynamicsOptions& options = {},
-    const RoundObserver& observer = nullptr);
+    const DynamicsOptions& options = {});
 
 }  // namespace nashlb::core

@@ -1,9 +1,7 @@
 #include "distributed/ring_protocol.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 
 #include "core/best_reply.hpp"
@@ -14,10 +12,6 @@
 #include "util/contracts.hpp"
 
 namespace nashlb::distributed {
-
-std::vector<std::string> ring_trace_columns() {
-  return {"round", "norm", "messages", "sim_time", "wall_seconds"};
-}
 
 namespace {
 
@@ -33,16 +27,7 @@ struct ProtocolState {
   std::vector<double> last_times;  // D_j at each user's previous update
   std::size_t round = 1;
   double norm = 0.0;
-  // Wall clock feeds the round trace's elapsed-seconds column only —
-  // protocol time is the DES simulator's `sim.now()`, never this.
-  // nashlb-analyzer: allow(nondeterminism-sources) -- trace-only timing
-  std::chrono::steady_clock::time_point wall_start =
-      std::chrono::steady_clock::now();
-  // Convergence telemetry (same driver as the in-memory dynamics) and
-  // the round event of the journal, both engaged only when the caller
-  // passes the instruments.
-  std::optional<core::ConvergenceProbeDriver> probe_driver;
-  obs::EventId round_event{};
+  core::RoundRecorder recorder;
   RingResult result;
 
   ProtocolState(const core::Instance& instance, const RingOptions& options,
@@ -53,6 +38,7 @@ struct ProtocolState {
         profile(std::move(start)),
         state(instance, profile),
         last_times(instance.num_users(), 0.0),
+        recorder(options.probe, options.journal, "ring", instance, profile),
         result{profile, false, 0, 0, 0.0, {}, {}} {
     ws.resize(instance.num_computers());
   }
@@ -63,28 +49,8 @@ struct ProtocolState {
 void deliver_token(const std::shared_ptr<ProtocolState>& st,
                    std::size_t user);
 
-/// Books one outgoing message for the node sending to `to`: per-node
-/// counter plus a hop span on the sender's track of the simulated
-/// timeline. `kind` is "hop" (token) or "stop" (STOP wave).
-void note_send(const std::shared_ptr<ProtocolState>& st, std::size_t to,
-               const char* kind) {
-  const std::size_t m = st->inst.num_users();
-  const std::size_t from = (to + m - 1) % m;
-  if (obs::kEnabled && st->opts.metrics) {
-    st->opts.metrics->counter("ring.node." + std::to_string(from) + ".sent")
-        .add();
-  }
-  if (obs::kEnabled && st->opts.spans) {
-    st->opts.spans->record_span(kind, "ring", st->sim.now(),
-                                st->opts.link_latency,
-                                static_cast<std::uint32_t>(from),
-                                static_cast<std::int64_t>(st->round));
-  }
-}
-
 void send_token(const std::shared_ptr<ProtocolState>& st, std::size_t to) {
   ++st->result.messages;
-  note_send(st, to, "hop");
   st->sim.schedule(st->opts.link_latency,
                    [st, to](des::SimTime) { deliver_token(st, to); });
 }
@@ -93,22 +59,9 @@ void send_token(const std::shared_ptr<ProtocolState>& st, std::size_t to) {
 void send_stop(const std::shared_ptr<ProtocolState>& st, std::size_t to) {
   if (to == 0) return;  // wave completed the ring
   ++st->result.messages;
-  note_send(st, to, "stop");
   st->sim.schedule(st->opts.link_latency, [st, to](des::SimTime) {
     send_stop(st, (to + 1) % st->inst.num_users());
   });
-}
-
-/// Books the compute window [now, now + compute_time] in which `user`
-/// inspects the queues and runs OPTIMAL.
-void note_compute(const std::shared_ptr<ProtocolState>& st,
-                  std::size_t user) {
-  if (obs::kEnabled && st->opts.spans) {
-    st->opts.spans->record_span("compute", "ring", st->sim.now(),
-                                st->opts.compute_time,
-                                static_cast<std::uint32_t>(user),
-                                static_cast<std::int64_t>(st->round));
-  }
 }
 
 void update_user(const std::shared_ptr<ProtocolState>& st, std::size_t user) {
@@ -134,6 +87,18 @@ void update_user(const std::shared_ptr<ProtocolState>& st, std::size_t user) {
   st->last_times[user] = d;
 }
 
+/// User 1 (index 0) opens every round with its own update and passes the
+/// token to its successor — itself when m = 1, so every round sends m
+/// token messages. The loads are rebuilt from the profile at each later
+/// round boundary, mirroring core::best_reply_dynamics' drift control.
+void start_round(const std::shared_ptr<ProtocolState>& st) {
+  st->sim.schedule(st->opts.compute_time, [st](des::SimTime) {
+    if (st->round > 1) st->state.rebuild(st->profile);
+    update_user(st, 0);
+    send_token(st, 1 % st->inst.num_users());
+  });
+}
+
 void close_round(const std::shared_ptr<ProtocolState>& st) {
   // The round norm is a sum of |D_j - D_j_prev| terms: nonnegative by
   // construction, and finite under exact monitoring (a noisy monitor can
@@ -146,25 +111,8 @@ void close_round(const std::shared_ptr<ProtocolState>& st) {
                    st->round, st->norm, st->opts.noise_sigma);
   st->result.norm_history.push_back(st->norm);
   st->result.rounds = st->round;
-  if (obs::kEnabled && st->opts.trace) {
-    st->opts.trace->record(
-        {static_cast<std::int64_t>(st->round), st->norm,
-         static_cast<std::int64_t>(st->result.messages), st->sim.now(),
-         // nashlb-analyzer: allow(nondeterminism-sources) -- trace-only
-         std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       st->wall_start)
-             .count()});
-  }
-  if (st->probe_driver) {
-    st->probe_driver->record_round(st->inst, st->profile, st->state.loads(),
-                                   st->round, st->norm, true);
-  }
-  if (obs::kEnabled && st->opts.journal) {
-    st->opts.journal->emit(
-        st->round_event,
-        {static_cast<double>(st->round), st->norm,
-         static_cast<double>(st->result.messages)});
-  }
+  st->recorder.end_round(st->inst, st->profile, st->state.loads(), st->round,
+                         st->norm);
   if (st->norm <= st->opts.tolerance) {
     st->result.converged = true;
     send_stop(st, 1 % st->inst.num_users());
@@ -173,15 +121,7 @@ void close_round(const std::shared_ptr<ProtocolState>& st) {
   if (st->round >= st->opts.max_rounds) return;  // give up, not converged
   ++st->round;
   st->norm = 0.0;
-  // User 1 (index 0) starts the next round with its own update. The
-  // loads are rebuilt from the profile at each round boundary, mirroring
-  // core::best_reply_dynamics' drift control exactly.
-  note_compute(st, 0);
-  st->sim.schedule(st->opts.compute_time, [st](des::SimTime) {
-    st->state.rebuild(st->profile);
-    update_user(st, 0);
-    send_token(st, 1 % st->inst.num_users());
-  });
+  start_round(st);
 }
 
 void deliver_token(const std::shared_ptr<ProtocolState>& st,
@@ -191,7 +131,6 @@ void deliver_token(const std::shared_ptr<ProtocolState>& st,
     close_round(st);
     return;
   }
-  note_compute(st, user);
   st->sim.schedule(st->opts.compute_time, [st, user](des::SimTime) {
     update_user(st, user);
     send_token(st, (user + 1) % st->inst.num_users());
@@ -208,7 +147,6 @@ RingResult run_ring_protocol(const core::Instance& inst,
         "run_ring_protocol: latencies must be >= 0");
   }
   const std::size_t m = inst.num_users();
-
   core::StrategyProfile start(m, inst.num_computers());
   std::vector<double> initial_times(m, 0.0);
   if (options.init == core::Initialization::Proportional) {
@@ -218,30 +156,9 @@ RingResult run_ring_protocol(const core::Instance& inst,
 
   auto st = std::make_shared<ProtocolState>(inst, options, std::move(start));
   st->last_times = std::move(initial_times);
-  if (obs::kEnabled && options.probe != nullptr) {
-    st->probe_driver.emplace(*options.probe, inst, st->profile);
-  }
-  if (obs::kEnabled && options.journal != nullptr) {
-    st->round_event = options.journal->register_event(
-        "ring.round", {"round", "norm", "messages"});
-  }
-
-  // Kick off round 1 at user 1 (index 0).
-  note_compute(st, 0);
-  st->sim.schedule(options.compute_time, [st, m](des::SimTime) {
-    update_user(st, 0);
-    if (m == 1) {
-      close_round(st);
-    } else {
-      send_token(st, 1);
-    }
-  });
-  // Single-user rings degenerate: each "round" is just user 0's update.
-  if (m == 1) {
-    // close_round above re-schedules user 0 directly; nothing extra to do.
-  }
-
+  start_round(st);
   st->sim.run();
+  st->recorder.stop(st->result.rounds, st->norm, st->result.converged, false);
   st->result.finish_time = st->sim.now();
   st->result.profile = st->profile;
   st->result.user_times =

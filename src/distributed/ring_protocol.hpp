@@ -21,16 +21,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/dynamics.hpp"
 #include "core/types.hpp"
 #include "obs/convergence.hpp"
 #include "obs/journal.hpp"
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 namespace nashlb::distributed {
 
@@ -49,34 +45,16 @@ struct RingOptions {
   double noise_sigma = 0.0;
   /// RNG seed for the estimation noise.
   std::uint64_t seed = 0x5eedULL;
-  /// Optional per-round trace (not owned, may be null): one row per round
-  /// close under the `ring_trace_columns()` schema.
-  obs::TraceSink* trace = nullptr;
-  /// Optional span tracer (not owned, may be null) on the *simulated*
-  /// timeline: every token/STOP hop becomes a "hop"/"stop" span on the
-  /// sending user's track and every local best-reply a "compute" span on
-  /// the updating user's track (id = round). A no-op when the obs layer
-  /// is compiled out.
-  obs::SpanTracer* spans = nullptr;
-  /// Optional metric registry (not owned, may be null): the protocol
-  /// counts messages sent per node under `ring.node.<j>.sent`.
-  obs::Registry* metrics = nullptr;
   /// Optional convergence probe (not owned, may be null): one row per
-  /// round close under the `convergence_trace_columns()` schema, driven
-  /// by the same core::ConvergenceProbeDriver as the in-memory dynamics
-  /// — so a protocol trajectory diffs directly against a dynamics one.
+  /// round close under the `convergence_trace_columns()` schema, recorded
+  /// by the same core::RoundRecorder as the in-memory dynamics — so a
+  /// protocol trajectory diffs directly against a dynamics one.
   obs::ConvergenceProbe* probe = nullptr;
-  /// Optional event journal (not owned, may be null): the protocol
-  /// registers `ring.round` {round, norm, messages} and emits one event
-  /// per round close.
+  /// Optional event journal (not owned, may be null): the protocol emits
+  /// `ring.round` {round, norm} per round close and one `ring.stop`
+  /// {round, norm, converged, diverged} when the run ends.
   obs::Journal* journal = nullptr;
 };
-
-/// Schema of the ring protocol's per-round trace, in column order:
-/// round (1-based), norm (seconds), messages (cumulative ring messages),
-/// sim_time (simulated seconds when user 1 closed the round),
-/// wall_seconds (cumulative host wall time).
-[[nodiscard]] std::vector<std::string> ring_trace_columns();
 
 /// Protocol outcome.
 struct RingResult {

@@ -8,8 +8,8 @@
 //
 //   round            — 1-based round number,
 //   norm             — the stopping norm sum_j |D_j - D_j_prev|,
-//   eps_nash_gap     — max_j best-reply gain (NaN on strided-off rounds
-//                      or when the gap is uncomputable, e.g. diverged),
+//   eps_nash_gap     — max_j best-reply gain (NaN when the gap is
+//                      uncomputable, e.g. a diverged Jacobi round),
 //   potential        — Beckmann potential at the round's loads (NaN if
 //                      a computer is overloaded),
 //   overall_cost     — expected response time D(s) from the loads,
@@ -18,10 +18,10 @@
 //   util_spread      — max_i lambda_i/mu_i - min_i lambda_i/mu_i.
 //
 // The probe itself is pure storage + export + summary over numbers the
-// solver layer computes (obs must not depend on core); the driver that
-// derives the quantities from solver state is core::ConvergenceProbeDriver
-// (core/dynamics.hpp), wired through all three dynamics orders,
-// class-mode rounds, and the distributed ring protocol.
+// solver layer computes (obs must not depend on core); the recorder that
+// derives the quantities from solver state is core::RoundRecorder
+// (core/dynamics.hpp), which the dynamics (all three orders, class mode)
+// and the distributed ring protocol call once per round.
 //
 // Build-time switch: `using ConvergenceProbe` aliases the enabled
 // implementation or an empty no-op twin under -DNASHLB_OBS=OFF.

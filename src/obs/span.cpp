@@ -60,20 +60,6 @@ void EnabledSpanTracer::end(SpanId span) {
   }
 }
 
-void EnabledSpanTracer::record_span(std::string name, std::string category,
-                                    double start_seconds,
-                                    double duration_seconds,
-                                    std::uint32_t track, std::int64_t id) {
-  SpanEvent event;
-  event.name = std::move(name);
-  event.category = std::move(category);
-  event.start_us = start_seconds * 1e6;
-  event.duration_us = duration_seconds > 0.0 ? duration_seconds * 1e6 : 0.0;
-  event.track = track;
-  event.id = id;
-  events_.push_back(std::move(event));
-}
-
 void EnabledSpanTracer::write_chrome_trace(const std::string& path) const {
   std::ofstream out(path);
   if (!out) {

@@ -1,22 +1,11 @@
 // Span tracing: nestable named intervals serialized as Chrome
 // trace-event JSON (loadable in chrome://tracing and Perfetto).
 //
-// Where the TraceSink answers "what were the per-round numbers", a span
-// trace answers "where did the time go": a dynamics round is a span
-// that *encloses* one best-reply span per user; a ring-protocol round
-// is a sequence of compute and hop spans laid out on per-node tracks.
-// Two recording styles:
-//
-//   * RAII / begin–end against the tracer's own wall clock
-//     (`begin`/`end`, `ScopedSpan`) — for host-time profiling of the
-//     in-memory solver;
-//   * explicit timestamps (`record_span`) — for DES events, whose
-//     timeline is *simulated* seconds and whose durations are known
-//     when the event is scheduled.
-//
-// One tracer is one timeline: do not mix wall-clock and simulated-time
-// spans in the same tracer. Timestamps are exported in microseconds
-// (the trace-event format's unit).
+// Where the convergence probe answers "what were the per-round numbers",
+// a span trace answers "where did the time go": a dynamics round is a
+// span that *encloses* one best-reply span per user. Spans are recorded
+// against the tracer's own wall clock (`begin`/`end`, `ScopedSpan`) and
+// exported in microseconds (the trace-event format's unit).
 //
 // The serialized schema is declared programmatically by
 // `span_trace_fields()`; the arity of every emitted event is checked
@@ -61,8 +50,7 @@ namespace detail {
 
 class EnabledSpanTracer {
  public:
-  /// The epoch (t = 0 of the exported timeline) is construction time
-  /// for wall-clock spans; record_span timestamps are relative to 0.
+  /// The epoch (t = 0 of the exported timeline) is construction time.
   EnabledSpanTracer() : epoch_(std::chrono::steady_clock::now()) {}
 
   /// Opens a wall-clock span; close it with end(). Spans may nest and
@@ -71,13 +59,6 @@ class EnabledSpanTracer {
                              std::uint32_t track = 0, std::int64_t id = 0);
   /// Closes an open span; unknown/already-closed ids are ignored.
   void end(SpanId span);
-
-  /// Records a complete span with explicit timestamps (seconds on the
-  /// caller's timeline, e.g. simulated time). Negative durations are
-  /// clamped to 0.
-  void record_span(std::string name, std::string category,
-                   double start_seconds, double duration_seconds,
-                   std::uint32_t track = 0, std::int64_t id = 0);
 
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
   [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
@@ -126,8 +107,6 @@ class NullSpanTracer {
     return {};
   }
   void end(SpanId) noexcept {}
-  void record_span(const std::string&, const std::string&, double, double,
-                   std::uint32_t = 0, std::int64_t = 0) noexcept {}
   [[nodiscard]] constexpr std::size_t size() const noexcept { return 0; }
   [[nodiscard]] constexpr bool empty() const noexcept { return true; }
   [[nodiscard]] const std::vector<SpanEvent>& events() const noexcept {

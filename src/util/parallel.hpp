@@ -40,14 +40,6 @@
 
 namespace nashlb::util {
 
-/// Thread-count knob shared by the pool's consumers (DynamicsOptions,
-/// ReplicationConfig embed the same semantics).
-struct ParallelOptions {
-  /// 1 = serial, 0 = auto (NASHLB_THREADS env, else hardware
-  /// concurrency), k > 1 = exactly k workers.
-  std::size_t threads = 1;
-};
-
 /// Resolves a thread-count request to a concrete worker count >= 1:
 /// `requested` itself when nonzero; otherwise the NASHLB_THREADS
 /// environment variable when it parses to a positive integer; otherwise

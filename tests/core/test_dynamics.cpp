@@ -85,21 +85,6 @@ TEST(Dynamics, NormHistoryIsRecordedAndDecays) {
             res.norm_history.front() * 1e-3 + 1e-12);
 }
 
-TEST(Dynamics, ObserverSeesEveryRound) {
-  const Instance inst = hetero_instance(3, 0.4);
-  std::size_t calls = 0;
-  std::size_t last_round = 0;
-  DynamicsOptions opts;
-  const DynamicsResult res = best_reply_dynamics(
-      inst, opts, [&](std::size_t round, const StrategyProfile& p, double) {
-        ++calls;
-        EXPECT_EQ(round, last_round + 1);
-        last_round = round;
-        EXPECT_EQ(p.num_users(), inst.num_users());
-      });
-  EXPECT_EQ(calls, res.iterations);
-}
-
 TEST(Dynamics, SingleUserConvergesInOneEffectiveRound) {
   // With one user, the first best reply is already optimal; the second
   // round only confirms it (norm 0).

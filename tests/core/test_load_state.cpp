@@ -376,53 +376,5 @@ TEST(DynamicsEquivalence, ZeroInitRandomizedInstances) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// certificate_stride.
-
-TEST(CertificateStride, DefaultRecordsEveryRoundStrideSkipsInBetween) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
-  const Instance inst = small_instance();
-
-  DynamicsOptions opts;
-  opts.tolerance = 1e-9;
-  opts.max_iterations = 40;
-
-  obs::TraceSink every(dynamics_trace_columns());
-  opts.trace = &every;
-  (void)best_reply_dynamics(inst, opts);
-  const std::vector<double> gaps_every = every.column_as_doubles(
-      "best_reply_gap");
-  ASSERT_FALSE(gaps_every.empty());
-  for (double g : gaps_every) EXPECT_TRUE(std::isfinite(g));
-
-  obs::TraceSink strided(dynamics_trace_columns());
-  opts.trace = &strided;
-  opts.certificate_stride = 3;
-  (void)best_reply_dynamics(inst, opts);
-  const std::vector<double> gaps = strided.column_as_doubles(
-      "best_reply_gap");
-  const std::vector<double> norms = strided.column_as_doubles("norm");
-  ASSERT_EQ(gaps.size(), norms.size());  // every round still gets a row
-  for (std::size_t r = 0; r < gaps.size(); ++r) {
-    if (r % 3 == 0) {
-      EXPECT_TRUE(std::isfinite(gaps[r])) << "round " << r + 1;
-      EXPECT_NEAR(gaps[r], gaps_every[r], 1e-9);
-    } else {
-      EXPECT_TRUE(std::isnan(gaps[r])) << "round " << r + 1;
-    }
-  }
-
-  obs::TraceSink off(dynamics_trace_columns());
-  opts.trace = &off;
-  opts.certificate_stride = 0;
-  (void)best_reply_dynamics(inst, opts);
-  for (double g : off.column_as_doubles("best_reply_gap")) {
-    EXPECT_TRUE(std::isnan(g));
-  }
-  for (double k : off.column_as_doubles("max_kkt_residual")) {
-    EXPECT_TRUE(std::isnan(k));
-  }
-}
-
 }  // namespace
 }  // namespace nashlb::core

@@ -71,14 +71,17 @@ TEST(RingProtocol, Nash0AlsoMatchesInMemory) {
 }
 
 TEST(RingProtocol, MessageCountIsRoundsTimesUsersPlusStopWave) {
-  const core::Instance inst = instance(5);
-  RingOptions opts;
-  opts.tolerance = 1e-6;
-  const RingResult res = run_ring_protocol(inst, opts);
-  ASSERT_TRUE(res.converged);
   // Each round passes the token m times (user 0 -> ... -> back to 0);
-  // the STOP wave adds m-1 forwards.
-  EXPECT_EQ(res.messages, res.rounds * 5 + 4);
+  // the STOP wave adds m-1 forwards. A single user passes the token to
+  // itself, so m = 1 follows the same count.
+  for (const std::size_t m : {std::size_t{5}, std::size_t{1}}) {
+    const core::Instance inst = instance(m);
+    RingOptions opts;
+    opts.tolerance = 1e-6;
+    const RingResult res = run_ring_protocol(inst, opts);
+    ASSERT_TRUE(res.converged) << "m=" << m;
+    EXPECT_EQ(res.messages, res.rounds * m + (m - 1)) << "m=" << m;
+  }
 }
 
 TEST(RingProtocol, FinishTimeScalesWithLatency) {

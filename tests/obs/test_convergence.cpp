@@ -1,11 +1,12 @@
 // Tests of the convergence telemetry layer: the obs::ConvergenceProbe
-// store/export/summary semantics, its no-op twin, the
-// core::ConvergenceProbeDriver wiring through all three dynamics orders,
-// class mode and the ring protocol, the journal events those solvers
-// emit, and the obs::RunManifest provenance record.
+// store/export/summary semantics, its no-op twin, the core::RoundRecorder
+// wiring through all three dynamics orders, class mode and the ring
+// protocol, the journal events those solvers emit, and the
+// obs::RunManifest provenance record.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -90,7 +91,7 @@ TEST(ConvergenceProbe, RoundsToTolFindsFirstQualifyingRound) {
 TEST(ConvergenceProbe, FinalEpsNashSkipsNonFiniteGaps) {
   obs::detail::EnabledConvergenceProbe probe;
   probe.record_round(1, 0.5, 0.125, 0, 0, 0, 0);
-  probe.record_round(2, 0.25, kNaN, 0, 0, 0, 0);  // strided-off round
+  probe.record_round(2, 0.25, kNaN, 0, 0, 0, 0);  // uncomputable gap
   EXPECT_EQ(probe.final_eps_nash(), 0.125);
   obs::detail::EnabledConvergenceProbe empty;
   EXPECT_TRUE(std::isnan(empty.final_eps_nash()));
@@ -181,18 +182,6 @@ TEST(ConvergenceWiring, AllThreeOrdersRecordOneRowPerRound) {
   }
 }
 
-TEST(ConvergenceWiring, CertificateStrideGatesTheGapColumn) {
-  const core::Instance inst = small_instance();
-  core::DynamicsOptions opts;
-  opts.certificate_stride = 2;
-  const obs::ConvergenceProbe probe = run_with_probe(inst, opts).probe;
-  if constexpr (obs::kEnabled) {
-    ASSERT_GE(probe.size(), 2u);
-    EXPECT_TRUE(std::isfinite(probe.rows()[0].eps_nash_gap));  // round 1
-    EXPECT_TRUE(std::isnan(probe.rows()[1].eps_nash_gap));     // round 2
-  }
-}
-
 TEST(ConvergenceWiring, SingletonClassRunMatchesPerUserRowForRow) {
   const core::Instance inst = small_instance();
   core::DynamicsOptions opts;
@@ -220,19 +209,37 @@ TEST(ConvergenceWiring, DivergedJacobiRecordsTheBlowUpRow) {
   // Table 1 at 60% utilization: the simultaneous (Jacobi) update is the
   // documented divergence case (bench P5, ablation A3). The probe must
   // record the blow-up round with non-finite certificates instead of
-  // aborting.
+  // aborting, and the pooled round must record the serial round's rows
+  // bit for bit.
   const core::Instance inst = workload::table1_instance(0.6);
   core::DynamicsOptions opts;
   opts.order = core::UpdateOrder::Simultaneous;
-  const ProbeRun run = run_with_probe(inst, opts);
-  const obs::ConvergenceProbe& probe = run.probe;
-  const core::DynamicsResult& res = run.result;
+  const ProbeRun serial = run_with_probe(inst, opts);
+  opts.threads = 4;
+  const ProbeRun pooled = run_with_probe(inst, opts);
   if constexpr (obs::kEnabled) {
-    ASSERT_TRUE(res.diverged);
-    ASSERT_EQ(probe.size(), res.iterations);
-    const auto& last = probe.rows().back();
-    EXPECT_TRUE(std::isnan(last.potential));  // overloaded computer
-    EXPECT_FALSE(std::isfinite(last.overall_cost));
+    for (const ProbeRun* run : {&serial, &pooled}) {
+      ASSERT_TRUE(run->result.diverged);
+      ASSERT_EQ(run->probe.size(), run->result.iterations);
+      const auto& last = run->probe.rows().back();
+      EXPECT_TRUE(std::isnan(last.potential));  // overloaded computer
+      EXPECT_FALSE(std::isfinite(last.overall_cost));
+    }
+    ASSERT_EQ(pooled.probe.size(), serial.probe.size());
+    const auto same_bits = [](double a, double b) {
+      return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    for (std::size_t k = 0; k < serial.probe.size(); ++k) {
+      const auto& a = serial.probe.rows()[k];
+      const auto& b = pooled.probe.rows()[k];
+      EXPECT_EQ(a.round, b.round);
+      EXPECT_TRUE(same_bits(a.norm, b.norm)) << "round " << a.round;
+      EXPECT_TRUE(same_bits(a.eps_nash_gap, b.eps_nash_gap));
+      EXPECT_TRUE(same_bits(a.potential, b.potential));
+      EXPECT_TRUE(same_bits(a.overall_cost, b.overall_cost));
+      EXPECT_EQ(a.active_set_churn, b.active_set_churn);
+      EXPECT_TRUE(same_bits(a.util_spread, b.util_spread));
+    }
   }
 }
 
@@ -276,7 +283,13 @@ TEST(ConvergenceWiring, RingProtocolRecordsOneRowPerRoundClose) {
     }
     EXPECT_EQ(probe.rounds_to_tol(opts.tolerance),
               static_cast<std::int64_t>(res.rounds));
-    EXPECT_EQ(journal.emitted(), res.rounds);
+    EXPECT_EQ(journal.emitted(), res.rounds + 1);  // rounds + stop
+    std::vector<obs::detail::EnabledJournal::Slot> window;
+    journal.snapshot(window);
+    ASSERT_FALSE(window.empty());
+    EXPECT_EQ(journal.event_name(obs::EventId{window.back().event}),
+              "ring.stop");
+    EXPECT_EQ(window.back().values[2], 1.0);  // converged flag
   } else {
     EXPECT_EQ(probe.size(), 0u);
   }

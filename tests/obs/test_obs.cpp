@@ -3,7 +3,7 @@
 // registry export round-trips through the CSV and JSON-lines writers,
 // span tracing and its Chrome trace-event serialization, the no-op
 // contract of the disabled twins, and the instrumentation points in
-// core/distributed/simmodel.
+// core/des/simmodel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "core/dynamics.hpp"
 #include "des/facility.hpp"
 #include "des/simulator.hpp"
-#include "distributed/ring_protocol.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -462,22 +461,10 @@ TEST(ObsSpan, BeginEndNestAndInterleave) {
   EXPECT_EQ(tracer.size(), 2u);
 }
 
-TEST(ObsSpan, RecordSpanUsesCallerTimeline) {
-  obs::detail::EnabledSpanTracer tracer;
-  tracer.record_span("hop", "ring", 2.5, 0.001, 3, 11);
-  tracer.record_span("clamped", "ring", 1.0, -5.0);
-  ASSERT_EQ(tracer.size(), 2u);
-  EXPECT_DOUBLE_EQ(tracer.events()[0].start_us, 2.5e6);
-  EXPECT_DOUBLE_EQ(tracer.events()[0].duration_us, 1e3);
-  EXPECT_EQ(tracer.events()[0].track, 3u);
-  EXPECT_EQ(tracer.events()[0].id, 11);
-  EXPECT_DOUBLE_EQ(tracer.events()[1].duration_us, 0.0);
-}
-
 TEST(ObsSpan, ChromeTraceJsonIsSchemaComplete) {
   obs::detail::EnabledSpanTracer tracer;
-  tracer.record_span("compute", "ring", 0.0, 0.5, 1, 1);
-  tracer.record_span("hop \"x\"", "ring", 0.5, 0.1, 1, 2);
+  tracer.end(tracer.begin("round", "dynamics", 1, 1));
+  tracer.end(tracer.begin("reply \"x\"", "dynamics", 1, 2));
   const obs::SpanId open = tracer.begin("dangling", "test");
   (void)open;  // left open: must not be exported
   TempFile f("spans.json");
@@ -502,7 +489,7 @@ TEST(ObsSpan, ChromeTraceJsonIsSchemaComplete) {
     }
     EXPECT_EQ(hits, tracer.size()) << "field " << field;
   }
-  EXPECT_NE(json.find("hop \\\"x\\\""), std::string::npos);  // escaping
+  EXPECT_NE(json.find("reply \\\"x\\\""), std::string::npos);  // escaping
   EXPECT_EQ(json.find("dangling"), std::string::npos);
   ASSERT_EQ(obs::span_trace_fields().size(), 8u);
 }
@@ -552,7 +539,6 @@ TEST(ObsDisabled, NullHistogramRecordsNothing) {
 TEST(ObsDisabled, NullSpanTracerDiscardsAndWritesNoFiles) {
   obs::detail::NullSpanTracer tracer;
   const obs::SpanId id = tracer.begin("round", "dynamics");
-  tracer.record_span("hop", "ring", 0.0, 1.0);
   tracer.end(id);
   {
     obs::detail::NullScopedSpan scope(tracer, "reply", "dynamics");
@@ -609,39 +595,6 @@ TEST(ObsDisabled, InstrumentedCallSiteCompilesAgainstBothTwins) {
 
 // --- instrumentation points in the stack --------------------------------
 
-TEST(ObsWiring, DynamicsEmitsOneRowPerRound) {
-  const core::Instance inst = small_instance();
-  obs::TraceSink sink(core::dynamics_trace_columns());
-  core::DynamicsOptions opts;
-  opts.tolerance = 1e-8;
-  opts.trace = &sink;
-  const core::DynamicsResult r = core::best_reply_dynamics(inst, opts);
-  ASSERT_TRUE(r.converged);
-  if constexpr (obs::kEnabled) {
-    ASSERT_EQ(sink.size(), r.iterations);
-    // The recorded norms are exactly the result's norm history...
-    const std::vector<double> norms = sink.column_as_doubles("norm");
-    for (std::size_t l = 0; l < r.iterations; ++l) {
-      EXPECT_DOUBLE_EQ(norms[l], r.norm_history[l]);
-    }
-    // ...the certificates decay to equilibrium quality...
-    EXPECT_LE(sink.column_as_doubles("best_reply_gap").back(), 1e-6);
-    EXPECT_LE(sink.column_as_doubles("max_kkt_residual").back(), 1e-6);
-    // ...cut indices are within [1, n], and wall time is nondecreasing.
-    const std::vector<double> wall = sink.column_as_doubles("wall_seconds");
-    for (std::size_t l = 0; l < r.iterations; ++l) {
-      EXPECT_GE(sink.column_as_doubles("min_cut")[l], 1.0);
-      EXPECT_LE(sink.column_as_doubles("max_cut")[l],
-                static_cast<double>(inst.num_computers()));
-      if (l > 0) {
-        EXPECT_GE(wall[l], wall[l - 1]);
-      }
-    }
-  } else {
-    EXPECT_EQ(sink.size(), 0u);
-  }
-}
-
 TEST(ObsWiring, DynamicsEmitsNestedRoundAndReplySpans) {
   const core::Instance inst = small_instance();
   obs::SpanTracer spans;
@@ -679,64 +632,6 @@ TEST(ObsWiring, DynamicsEmitsNestedRoundAndReplySpans) {
     }
   } else {
     EXPECT_TRUE(spans.empty());
-  }
-}
-
-TEST(ObsWiring, RingProtocolEmitsOneRowPerRound) {
-  const core::Instance inst = small_instance();
-  obs::TraceSink sink(distributed::ring_trace_columns());
-  distributed::RingOptions opts;
-  opts.trace = &sink;
-  const distributed::RingResult r = distributed::run_ring_protocol(inst, opts);
-  ASSERT_TRUE(r.converged);
-  if constexpr (obs::kEnabled) {
-    ASSERT_EQ(sink.size(), r.rounds);
-    EXPECT_DOUBLE_EQ(sink.column_as_doubles("norm").back(),
-                     r.norm_history.back());
-    // Messages accumulate monotonically; sim time advances.
-    const std::vector<double> msgs = sink.column_as_doubles("messages");
-    const std::vector<double> sim_t = sink.column_as_doubles("sim_time");
-    for (std::size_t l = 1; l < sink.size(); ++l) {
-      EXPECT_GE(msgs[l], msgs[l - 1]);
-      EXPECT_GT(sim_t[l], sim_t[l - 1]);
-    }
-  } else {
-    EXPECT_EQ(sink.size(), 0u);
-  }
-}
-
-TEST(ObsWiring, RingProtocolEmitsSpansAndPerNodeCounters) {
-  const core::Instance inst = small_instance();
-  const std::size_t m = inst.num_users();
-  obs::SpanTracer spans;
-  obs::Registry reg;
-  distributed::RingOptions opts;
-  opts.spans = &spans;
-  opts.metrics = &reg;
-  const distributed::RingResult r = distributed::run_ring_protocol(inst, opts);
-  ASSERT_TRUE(r.converged);
-  if constexpr (obs::kEnabled) {
-    std::size_t hops = 0;
-    std::size_t computes = 0;
-    for (const obs::SpanEvent& e : spans.events()) {
-      EXPECT_EQ(e.category, "ring");
-      EXPECT_LT(e.track, m);
-      EXPECT_GE(e.id, 1);  // tagged with the 1-based round
-      if (e.name == "hop" || e.name == "stop") ++hops;
-      if (e.name == "compute") ++computes;
-    }
-    // One hop/stop span per ring message, one compute span per update.
-    EXPECT_EQ(hops, r.messages);
-    EXPECT_EQ(computes, r.rounds * m);
-    // The per-node send counters partition the message total.
-    std::uint64_t sent = 0;
-    for (std::size_t j = 0; j < m; ++j) {
-      sent += reg.counter("ring.node." + std::to_string(j) + ".sent").value();
-    }
-    EXPECT_EQ(sent, r.messages);
-  } else {
-    EXPECT_TRUE(spans.empty());
-    EXPECT_EQ(reg.size(), 0u);
   }
 }
 

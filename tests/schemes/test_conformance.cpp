@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "schemes/metrics.hpp"
@@ -15,7 +16,10 @@
 namespace nashlb::schemes {
 namespace {
 
-using Param = std::tuple<const char*, double>;  // (scheme, utilization)
+// (scheme, utilization). The name is a std::string, not a const char*:
+// gtest prints a char pointer inside a tuple as its address, which would
+// put a per-process value into every registered test name.
+using Param = std::tuple<std::string, double>;
 
 class SchemeConformance : public ::testing::TestWithParam<Param> {};
 
@@ -68,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "GOS_UNIFORM", "IOS", "PS", "NBS"),
                        ::testing::Values(0.15, 0.5, 0.85)),
     [](const ::testing::TestParamInfo<Param>& param_info) {
-      return std::string(std::get<0>(param_info.param)) + "_u" +
+      return std::get<0>(param_info.param) + "_u" +
              std::to_string(
                  static_cast<int>(std::get<1>(param_info.param) * 100));
     });

@@ -15,12 +15,14 @@
 #    9. check_gcc_analyzer  GCC -fanalyzer over src/core + src/util
 #                           (SKIP if -fanalyzer unsupported; ~1 min)
 #   10. contract_suite      -DNASHLB_CHECK=ON + full ctest (build-check/)
-#   11. check_sanitize      ASan+UBSan with contracts on   (build-asan/)
-#   12. check_tsan          ThreadSanitizer, parallel layer
+#   11. obs_off_suite       -DNASHLB_OBS=OFF + ctest -LE slow
+#                           (build-obsoff/)
+#   12. check_sanitize      ASan+UBSan with contracts on   (build-asan/)
+#   13. check_tsan          ThreadSanitizer, parallel layer
 #                           (build-tsan/)     (SKIP if TSan unsupported)
 #
 # Unlike a plain `set -e` chain, every step runs even after a failure —
-# one broken gate must not hide the state of the other ten. The summary
+# one broken gate must not hide the state of the others. The summary
 # table at the end shows PASS/FAIL/SKIP and wall-clock per step; the
 # script exits non-zero iff at least one non-SKIP step failed. A step
 # exiting 77 is a SKIP (tool or baseline unavailable), matching the
@@ -76,6 +78,16 @@ contract_suite() {
     (cd "$root/build-check" && ctest --output-on-failure -j "$jobs")
 }
 
+# The observability layer compiled out: every instrument is its no-op
+# twin. `-LE slow` leaves out check_tsan and check_gcc_analyzer, which
+# rebuild from source whatever this tree's options are.
+obs_off_suite() {
+    cmake -B "$root/build-obsoff" -S "$root" \
+      -DNASHLB_OBS=OFF -DNASHLB_BUILD_BENCH=OFF &&
+    cmake --build "$root/build-obsoff" -j "$jobs" &&
+    (cd "$root/build-obsoff" && ctest --output-on-failure -j "$jobs" -LE slow)
+}
+
 all_start=$(date +%s)
 
 run_step check_docs "$root/tools/check_docs.sh" "$root"
@@ -88,6 +100,7 @@ run_step werror_build werror_build
 run_step check_tidy "$root/tools/check_tidy.sh" "$root" "$root/build-werror"
 run_step check_gcc_analyzer "$root/tools/check_gcc_analyzer.sh" "$root"
 run_step contract_suite contract_suite
+run_step obs_off_suite obs_off_suite
 run_step check_sanitize "$root/tools/check_sanitize.sh" "$root"
 run_step check_tsan "$root/tools/check_tsan.sh" "$root"
 
