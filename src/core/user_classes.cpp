@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "core/best_reply.hpp"
 #include "util/contracts.hpp"
@@ -12,6 +13,41 @@
 namespace nashlb::core {
 
 namespace {
+
+/// The class map's "unassigned" sentinel; it also caps m below 2^32 − 1.
+constexpr std::uint32_t kUnassigned = std::numeric_limits<std::uint32_t>::max();
+
+[[noreturn]] void reject(const char* factory, const std::string& why) {
+  throw std::invalid_argument(std::string("UserClassPartition::") + factory +
+                              ": " + why);
+}
+
+struct DemandRange {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = 0.0;
+};
+
+/// One pass over the demands, before anything sorts or indexes by phi:
+/// throws std::invalid_argument for no users, for too many users for the
+/// 32-bit class map, or for a demand that is not finite and > 0
+/// (Instance::validate's rule). Returns the smallest and largest demand.
+DemandRange checked_demand_range(const Instance& inst, const char* factory) {
+  const std::size_t m = inst.num_users();
+  if (m == 0 || m >= kUnassigned) {
+    reject(factory, "needs 1 to 2^32 - 2 users, got " + std::to_string(m));
+  }
+  DemandRange range;
+  for (std::size_t j = 0; j < m; ++j) {
+    const double demand = inst.phi[j];
+    if (!(demand > 0.0) || !std::isfinite(demand)) {
+      reject(factory, "demand of user " + std::to_string(j) +
+                          " must be finite and > 0");
+    }
+    range.lo = std::min(range.lo, demand);
+    range.hi = std::max(range.hi, demand);
+  }
+  return range;
+}
 
 /// Sorts user indices by (phi, index): equal demands become contiguous
 /// runs and members inside every run stay ascending.
@@ -28,37 +64,91 @@ std::vector<std::size_t> by_demand(const Instance& inst) {
   return order;
 }
 
+/// Stable LSD radix sort of the users 0..m-1 by `cell`, 16 bits a pass:
+/// users come out cell-major and ascending within each cell. The counts
+/// are sized by one digit, never by the cell range, and passes stop at
+/// the highest set bit of `max_cell`, so cells below 2^16 take one pass.
+std::vector<std::size_t> users_by_cell(const std::vector<std::uint64_t>& cell,
+                                       std::uint64_t max_cell) {
+  constexpr unsigned kDigitBits = 16;
+  constexpr std::uint64_t kDigitMask = (std::uint64_t{1} << kDigitBits) - 1;
+  const std::size_t m = cell.size();
+  std::vector<std::size_t> order(m);
+  std::vector<std::size_t> next;
+  std::vector<std::size_t> start;
+  unsigned shift = 0;
+  do {
+    const auto digit = [&cell, shift](std::size_t j) {
+      return static_cast<std::size_t>((cell[j] >> shift) & kDigitMask);
+    };
+    const bool first = shift == 0;  // reads users 0..m-1, not `order`
+    start.assign(
+        static_cast<std::size_t>(std::min(max_cell >> shift, kDigitMask)) + 1,
+        0);
+    for (std::size_t i = 0; i < m; ++i) ++start[digit(first ? i : order[i])];
+    std::exclusive_scan(start.begin(), start.end(), start.begin(),
+                        std::size_t{0});
+    if (first) {
+      for (std::size_t j = 0; j < m; ++j) order[start[digit(j)]++] = j;
+    } else {
+      next.resize(m);
+      for (std::size_t j : order) next[start[digit(j)]++] = j;
+      order.swap(next);
+    }
+    shift += kDigitBits;
+  } while (shift < 64 && (max_cell >> shift) != 0);
+  return order;
+}
+
+/// CSR bounds of the runs of `order` in which `same(prev, next)` holds:
+/// 0, the start of every later run, and order.size().
+template <class Same>
+std::vector<std::size_t> run_offsets(const std::vector<std::size_t>& order,
+                                     Same same) {
+  std::vector<std::size_t> offsets{0};
+  for (std::size_t pos = 1; pos < order.size(); ++pos) {
+    if (!same(order[pos - 1], order[pos])) offsets.push_back(pos);
+  }
+  offsets.push_back(order.size());
+  return offsets;
+}
+
 }  // namespace
 
-UserClassPartition UserClassPartition::build(
-    const Instance& inst, std::vector<std::vector<std::size_t>> groups) {
+UserClassPartition UserClassPartition::build(const Instance& inst,
+                                             std::vector<std::size_t> members,
+                                             std::vector<std::size_t> offsets) {
   const std::size_t m = inst.num_users();
+  const std::size_t groups = offsets.size() - 1;
   UserClassPartition part;
-  part.user_class_.assign(m, m);  // m = "unassigned" sentinel
-  part.classes_.reserve(groups.size());
-  part.rep_phi_.reserve(groups.size());
-  part.counts_.reserve(groups.size());
-  std::size_t assigned = 0;
-  for (std::vector<std::size_t>& members : groups) {
-    NASHLB_EXPECT(!members.empty(),
-                  "class %zu of the partition is empty", part.classes_.size());
-    if (members.empty()) continue;  // unchecked builds: drop, don't crash
+  part.user_class_.assign(m, kUnassigned);
+  part.classes_.reserve(groups);
+  part.offsets_.reserve(groups + 1);
+  part.offsets_.push_back(0);
+  part.rep_phi_.reserve(groups);
+  part.counts_.reserve(groups);
+  std::size_t kept = 0;  // members kept so far, compacted in place
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::size_t k = part.classes_.size();
+    NASHLB_EXPECT(offsets[g] < offsets[g + 1],
+                  "class %zu of the partition is empty", k);
     UserClass cls;
     cls.phi_min = std::numeric_limits<double>::infinity();
     cls.phi_max = -std::numeric_limits<double>::infinity();
-    std::size_t prev = 0;
-    bool first = true;
-    for (std::size_t j : members) {
+    const std::size_t first = kept;
+    for (std::size_t pos = offsets[g]; pos < offsets[g + 1]; ++pos) {
+      const std::size_t j = members[pos];
       NASHLB_EXPECT(j < m, "class %zu names user %zu but the instance has "
-                    "only %zu users", part.classes_.size(), j, m);
-      if (j >= m) continue;  // unchecked builds: skip, don't index OOB
-      NASHLB_EXPECT(first || j > prev,
+                    "only %zu users", k, j, m);
+      if (j >= m) continue;  // unchecked builds: drop, don't index OOB
+      NASHLB_EXPECT(kept == first || j > members[kept - 1],
                     "class %zu members not strictly ascending at user %zu",
-                    part.classes_.size(), j);
-      NASHLB_EXPECT(part.user_class_[j] == m,
+                    k, j);
+      NASHLB_EXPECT(part.user_class_[j] == kUnassigned,
                     "user %zu appears in classes %zu and %zu (overlap)", j,
-                    part.user_class_[j], part.classes_.size());
-      part.user_class_[j] = part.classes_.size();
+                    static_cast<std::size_t>(part.user_class_[j]), k);
+      part.user_class_[j] = static_cast<std::uint32_t>(k);
+      members[kept++] = j;
       cls.weight += inst.phi[j];
       if (inst.phi[j] < cls.phi_min) {
         cls.phi_min = inst.phi[j];
@@ -68,33 +158,33 @@ UserClassPartition UserClassPartition::build(
         cls.phi_max = inst.phi[j];
         cls.user_max = j;
       }
-      prev = j;
-      first = false;
-      ++assigned;
     }
-    cls.members = std::move(members);
+    if (kept == first) continue;  // unchecked builds: drop, don't crash
+    const std::size_t count = kept - first;
     // Homogeneous classes take the members' common demand verbatim so the
     // deviation is exactly zero; W/count would pick up summation rounding
     // (v + v + v need not equal 3v bitwise).
     cls.rep_phi = cls.phi_min == cls.phi_max
                       ? cls.phi_min
-                      : cls.weight / static_cast<double>(cls.members.size());
+                      : cls.weight / static_cast<double>(count);
+    // |phi_j − rep_phi| rounded is monotone on either side of rep_phi, so
+    // the class extremes carry every member's worst deviation.
+    const double dev = std::max(std::fabs(cls.phi_min - cls.rep_phi),
+                                std::fabs(cls.phi_max - cls.rep_phi));
+    part.max_abs_dev_ = std::max(part.max_abs_dev_, dev);
+    if (cls.rep_phi > 0.0) {
+      part.max_rel_dev_ = std::max(part.max_rel_dev_, dev / cls.rep_phi);
+    }
     part.total_weight_ += cls.weight;
     part.rep_phi_.push_back(cls.rep_phi);
-    part.counts_.push_back(static_cast<double>(cls.members.size()));
-    part.classes_.push_back(std::move(cls));
+    part.counts_.push_back(static_cast<double>(count));
+    part.offsets_.push_back(kept);
+    part.classes_.push_back(cls);
   }
-  NASHLB_EXPECT(assigned == m,
-                "partition covers %zu of %zu users (incomplete)", assigned, m);
-  for (const UserClass& cls : part.classes_) {
-    for (std::size_t j : cls.members) {
-      const double dev = std::fabs(inst.phi[j] - cls.rep_phi);
-      part.max_abs_dev_ = std::max(part.max_abs_dev_, dev);
-      if (cls.rep_phi > 0.0) {
-        part.max_rel_dev_ = std::max(part.max_rel_dev_, dev / cls.rep_phi);
-      }
-    }
-  }
+  NASHLB_EXPECT(kept == m,
+                "partition covers %zu of %zu users (incomplete)", kept, m);
+  members.resize(kept);
+  part.members_ = std::move(members);
   // The class-weight invariant at build time; re-checked by the dynamics
   // after every round (see core/dynamics.cpp).
   NASHLB_ENSURE(std::fabs(part.total_weight_ - inst.total_arrival_rate()) <=
@@ -105,34 +195,27 @@ UserClassPartition UserClassPartition::build(
 }
 
 UserClassPartition UserClassPartition::exact(const Instance& inst) {
-  const std::vector<std::size_t> order = by_demand(inst);
-  std::vector<std::vector<std::size_t>> groups;
-  for (std::size_t pos = 0; pos < order.size();) {
-    std::size_t end = pos;
-    while (end < order.size() &&
-           inst.phi[order[end]] == inst.phi[order[pos]]) {
-      ++end;
-    }
-    groups.emplace_back(order.begin() + static_cast<std::ptrdiff_t>(pos),
-                        order.begin() + static_cast<std::ptrdiff_t>(end));
-    pos = end;
-  }
-  return build(inst, std::move(groups));
+  static_cast<void>(checked_demand_range(inst, "exact"));
+  std::vector<std::size_t> members = by_demand(inst);
+  std::vector<std::size_t> offsets =
+      run_offsets(members, [&inst](std::size_t a, std::size_t b) {
+        return inst.phi[a] == inst.phi[b];
+      });
+  return build(inst, std::move(members), std::move(offsets));
 }
 
 UserClassPartition UserClassPartition::quantized(const Instance& inst,
                                                  double eps_phi,
                                                  std::size_t max_classes) {
   if (!(eps_phi > 0.0) || !std::isfinite(eps_phi)) {
-    throw std::invalid_argument(
-        "UserClassPartition::quantized: eps_phi must be finite and > 0");
+    reject("quantized", "eps_phi must be finite and > 0");
   }
-  const std::vector<std::size_t> order = by_demand(inst);
-  const double lo = inst.phi[order.front()];
-  const double hi = inst.phi[order.back()];
-  if (!(lo > 0.0)) {
-    throw std::invalid_argument(
-        "UserClassPartition::quantized: demands must be > 0");
+  if (1.0 + eps_phi == 1.0) {
+    reject("quantized", "eps_phi rounds away (1 + eps_phi == 1)");
+  }
+  const auto [lo, hi] = checked_demand_range(inst, "quantized");
+  if (!std::isfinite(hi / lo)) {
+    reject("quantized", "demand spread phi_max / phi_min overflows");
   }
   double ratio = 1.0 + eps_phi;
   if (max_classes > 0 && hi > lo) {
@@ -144,37 +227,57 @@ UserClassPartition UserClassPartition::quantized(const Instance& inst,
     ratio = std::max(ratio, needed);
   }
   const double log_ratio = std::log(ratio);
-  std::vector<std::vector<std::size_t>> groups;
-  long long current_cell = -1;
-  for (std::size_t j : order) {
-    long long cell =
-        hi > lo ? static_cast<long long>(
-                      std::floor(std::log(inst.phi[j] / lo) / log_ratio))
-                : 0;
-    if (max_classes > 0 && cell >= static_cast<long long>(max_classes)) {
-      cell = static_cast<long long>(max_classes) - 1;
+  // A user's cell depends on its own demand alone, and every step of the
+  // expression is monotone in phi, so cell order is demand order.
+  std::vector<std::uint64_t> cell(inst.num_users());
+  std::uint64_t max_cell = 0;
+  for (std::size_t j = 0; j < cell.size(); ++j) {
+    long long c = hi > lo ? static_cast<long long>(std::floor(
+                                std::log(inst.phi[j] / lo) / log_ratio))
+                          : 0;
+    if (max_classes > 0 && c >= static_cast<long long>(max_classes)) {
+      c = static_cast<long long>(max_classes) - 1;
     }
-    if (groups.empty() || cell != current_cell) {
-      groups.emplace_back();
-      current_cell = cell;
-    }
-    groups.back().push_back(j);
+    cell[j] = static_cast<std::uint64_t>(c);
+    max_cell = std::max(max_cell, cell[j]);
   }
-  // Cell members arrive in demand order; the partition contract wants
-  // them in ascending user order.
-  for (std::vector<std::size_t>& g : groups) std::sort(g.begin(), g.end());
-  return build(inst, std::move(groups));
+  std::vector<std::size_t> members = users_by_cell(cell, max_cell);
+  std::vector<std::size_t> offsets =
+      run_offsets(members, [&cell](std::size_t a, std::size_t b) {
+        return cell[a] == cell[b];
+      });
+  return build(inst, std::move(members), std::move(offsets));
 }
 
 UserClassPartition UserClassPartition::singletons(const Instance& inst) {
-  std::vector<std::vector<std::size_t>> groups(inst.num_users());
-  for (std::size_t j = 0; j < inst.num_users(); ++j) groups[j] = {j};
-  return build(inst, std::move(groups));
+  static_cast<void>(checked_demand_range(inst, "singletons"));
+  std::vector<std::size_t> members(inst.num_users());
+  std::iota(members.begin(), members.end(), std::size_t{0});
+  std::vector<std::size_t> offsets(inst.num_users() + 1);
+  std::iota(offsets.begin(), offsets.end(), std::size_t{0});
+  return build(inst, std::move(members), std::move(offsets));
 }
 
 UserClassPartition UserClassPartition::from_members(
-    const Instance& inst, std::vector<std::vector<std::size_t>> members) {
-  return build(inst, std::move(members));
+    const Instance& inst,
+    const std::vector<std::vector<std::size_t>>& members) {
+  static_cast<void>(checked_demand_range(inst, "from_members"));
+  std::vector<std::size_t> flat;
+  std::vector<std::size_t> offsets{0};
+  offsets.reserve(members.size() + 1);
+  for (const std::vector<std::size_t>& group : members) {
+    flat.insert(flat.end(), group.begin(), group.end());
+    offsets.push_back(flat.size());
+  }
+  return build(inst, std::move(flat), std::move(offsets));
+}
+
+std::span<const std::size_t> UserClassPartition::members(std::size_t k) const {
+  if (k >= classes_.size()) {
+    throw std::out_of_range("UserClassPartition::members: class out of range");
+  }
+  return std::span<const std::size_t>(members_).subspan(
+      offsets_[k], offsets_[k + 1] - offsets_[k]);
 }
 
 std::size_t UserClassPartition::class_of(std::size_t user) const {
@@ -207,7 +310,7 @@ StrategyProfile UserClassPartition::expand(
   StrategyProfile full(user_class_.size(), class_profile.num_computers());
   for (std::size_t k = 0; k < classes_.size(); ++k) {
     const std::span<const double> row = class_profile.row(k);
-    for (std::size_t j : classes_[k].members) full.set_row(j, row);
+    for (std::size_t j : members(k)) full.set_row(j, row);
   }
   // Every user belongs to exactly one class (ctor invariant), so the
   // expansion writes each of the m rows exactly once; a partition with
@@ -228,7 +331,7 @@ StrategyProfile UserClassPartition::collapse(
   }
   StrategyProfile cls(classes_.size(), full_profile.num_computers());
   for (std::size_t k = 0; k < classes_.size(); ++k) {
-    cls.set_row(k, full_profile.row(classes_[k].members.front()));
+    cls.set_row(k, full_profile.row(members(k).front()));
   }
   NASHLB_ENSURE(cls.num_users() == num_classes(),
                 "collapsed to %zu rows for %zu classes", cls.num_users(),

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -40,9 +41,8 @@
 namespace nashlb::core {
 
 /// One weighted class of interchangeable (or near-interchangeable) users.
+/// Its member list lives in the partition: `UserClassPartition::members`.
 struct UserClass {
-  /// Member user indices, strictly ascending.
-  std::vector<std::size_t> members;
   /// W_k = sum of member phi_j — the class's contribution weight in the
   /// aggregate loads lambda_i = sum_k W_k s_ki.
   double weight = 0.0;
@@ -61,6 +61,11 @@ struct UserClass {
 /// are ordered by ascending representative demand (except `singletons`,
 /// which preserves user order so singleton runs stay bitwise identical
 /// to the per-user solver).
+///
+/// Every factory builds in O(m) memory and O(m) time (plus one value sort
+/// in `exact`), and throws std::invalid_argument for an instance with no
+/// users, with a demand that is not finite and > 0, or with 2^32 − 1 or
+/// more users.
 class UserClassPartition {
  public:
   /// Groups users whose phi_j compare exactly equal.
@@ -71,7 +76,9 @@ class UserClassPartition {
   /// If `max_classes` > 0 and the widths would produce more cells, the
   /// ratio widens to span [phi_min, phi_max] in `max_classes` cells —
   /// the realized width is reported by `max_rel_deviation()`, never
-  /// assumed. Throws std::invalid_argument unless eps_phi > 0.
+  /// assumed. No sort: users are bucketed by cell with a stable counting
+  /// sort. Throws std::invalid_argument unless eps_phi is finite, > 0
+  /// and survives 1 + eps_phi > 1, and when phi_max / phi_min overflows.
   [[nodiscard]] static UserClassPartition quantized(
       const Instance& inst, double eps_phi, std::size_t max_classes = 0);
 
@@ -83,7 +90,8 @@ class UserClassPartition {
   /// class non-empty, members strictly ascending, classes disjoint, and
   /// together covering exactly the instance's users.
   [[nodiscard]] static UserClassPartition from_members(
-      const Instance& inst, std::vector<std::vector<std::size_t>> members);
+      const Instance& inst,
+      const std::vector<std::vector<std::size_t>>& members);
 
   [[nodiscard]] std::size_t num_users() const noexcept {
     return user_class_.size();
@@ -94,6 +102,9 @@ class UserClassPartition {
   [[nodiscard]] const std::vector<UserClass>& classes() const noexcept {
     return classes_;
   }
+  /// Member user indices of class `k`, strictly ascending: a view into
+  /// the partition's one class-major member array.
+  [[nodiscard]] std::span<const std::size_t> members(std::size_t k) const;
   /// Class index of `user`.
   [[nodiscard]] std::size_t class_of(std::size_t user) const;
 
@@ -153,15 +164,19 @@ class UserClassPartition {
 
  private:
   UserClassPartition() = default;
-  /// Shared tail of every factory: weights, representatives, deviation
-  /// stats, the user→class map, and the structural contract.
+  /// Shared tail of every factory, one walk over the members: weights,
+  /// representatives, deviation stats, the user→class map, and the
+  /// structural contract. Class k is members[offsets[k], offsets[k+1]).
   static UserClassPartition build(const Instance& inst,
-                                  std::vector<std::vector<std::size_t>> groups);
+                                  std::vector<std::size_t> members,
+                                  std::vector<std::size_t> offsets);
 
   std::vector<UserClass> classes_;
-  std::vector<std::size_t> user_class_;  // user -> class index
-  std::vector<double> rep_phi_;          // per class
-  std::vector<double> counts_;           // per class, |members| as double
+  std::vector<std::size_t> members_;       // class-major, CSR
+  std::vector<std::size_t> offsets_;       // num_classes + 1 bounds
+  std::vector<std::uint32_t> user_class_;  // user -> class index
+  std::vector<double> rep_phi_;            // per class
+  std::vector<double> counts_;             // per class, |members| as double
   double total_weight_ = 0.0;
   double max_abs_dev_ = 0.0;
   double max_rel_dev_ = 0.0;

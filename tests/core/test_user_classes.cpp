@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "core/best_reply.hpp"
@@ -67,12 +71,13 @@ TEST(UserClasses, ExactGroupsEqualDemandsAndKeepsWeightInvariant) {
   EXPECT_EQ(part.max_rel_deviation(), 0.0);
   const double phi_total = inst.total_arrival_rate();
   EXPECT_NEAR(part.total_weight(), phi_total, 1e-9 * phi_total);
-  for (const UserClass& cls : part.classes()) {
-    EXPECT_EQ(cls.members.size(), 10u);
+  for (std::size_t k = 0; k < part.num_classes(); ++k) {
+    const UserClass& cls = part.classes()[k];
+    EXPECT_EQ(part.members(k).size(), 10u);
     EXPECT_DOUBLE_EQ(cls.phi_min, cls.phi_max);
     EXPECT_DOUBLE_EQ(cls.rep_phi, cls.phi_min);
     // Every member maps back to its class.
-    for (std::size_t j : cls.members) {
+    for (std::size_t j : part.members(k)) {
       EXPECT_EQ(&part.classes()[part.class_of(j)], &cls);
     }
   }
@@ -100,6 +105,180 @@ TEST(UserClasses, QuantizedRejectsBadWidth) {
                std::invalid_argument);
   EXPECT_THROW(static_cast<void>(UserClassPartition::quantized(inst, -1.0)),
                std::invalid_argument);
+  // 1 + 1e-17 == 1: the width rounds away, so no cell ratio exists.
+  EXPECT_THROW(static_cast<void>(UserClassPartition::quantized(inst, 1e-17)),
+               std::invalid_argument);
+  // phi_max / phi_min overflows to inf: the cells cannot be counted.
+  Instance spread;
+  spread.mu = {1e12};
+  spread.phi = {5e-324, 1e10};
+  EXPECT_THROW(static_cast<void>(UserClassPartition::quantized(spread, 0.1)),
+               std::invalid_argument);
+}
+
+TEST(UserClasses, FactoriesRejectInvalidDemands) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> bad = {
+      {},
+      {1.0, std::numeric_limits<double>::quiet_NaN(), 2.0},
+      {1.0, kInf, 2.0},
+      {1.0, -2.0, 3.0},
+      {1.0, 0.0, 3.0},
+  };
+  for (std::size_t c = 0; c < bad.size(); ++c) {
+    Instance inst;
+    inst.mu = {10.0, 20.0};
+    inst.phi = bad[c];
+    SCOPED_TRACE(testing::Message() << "case " << c);
+    EXPECT_THROW(static_cast<void>(UserClassPartition::exact(inst)),
+                 std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(UserClassPartition::quantized(inst, 0.1)),
+                 std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(UserClassPartition::singletons(inst)),
+                 std::invalid_argument);
+  }
+}
+
+/// The sorting construction `quantized` replaced, kept as the reference:
+/// order users by (phi, index), split wherever the cell changes, re-sort
+/// each group by user index, then walk every member for the class stats.
+struct ReferencePartition {
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<UserClass> classes;
+  std::vector<std::size_t> class_of;
+  double total_weight = 0.0;
+  double max_abs_dev = 0.0;
+  double max_rel_dev = 0.0;
+};
+
+ReferencePartition sorted_reference(const Instance& inst, double eps_phi,
+                                    std::size_t max_classes) {
+  std::vector<std::size_t> order(inst.num_users());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&inst](std::size_t a, std::size_t b) {
+    if (inst.phi[a] != inst.phi[b]) return inst.phi[a] < inst.phi[b];
+    return a < b;
+  });
+  const double lo = inst.phi[order.front()];
+  const double hi = inst.phi[order.back()];
+  double ratio = 1.0 + eps_phi;
+  if (max_classes > 0 && hi > lo) {
+    ratio = std::max(ratio, std::pow(hi / lo, 1.0 / static_cast<double>(
+                                                   max_classes)) *
+                                (1.0 + 1e-12));
+  }
+  const double log_ratio = std::log(ratio);
+  ReferencePartition ref;
+  long long current = -1;
+  for (std::size_t j : order) {
+    long long cell = hi > lo ? static_cast<long long>(std::floor(
+                                   std::log(inst.phi[j] / lo) / log_ratio))
+                             : 0;
+    if (max_classes > 0 && cell >= static_cast<long long>(max_classes)) {
+      cell = static_cast<long long>(max_classes) - 1;
+    }
+    if (ref.groups.empty() || cell != current) {
+      ref.groups.emplace_back();
+      current = cell;
+    }
+    ref.groups.back().push_back(j);
+  }
+  ref.class_of.resize(inst.num_users());
+  for (std::vector<std::size_t>& g : ref.groups) {
+    std::sort(g.begin(), g.end());
+    UserClass cls;
+    cls.phi_min = std::numeric_limits<double>::infinity();
+    cls.phi_max = -std::numeric_limits<double>::infinity();
+    for (std::size_t j : g) {
+      ref.class_of[j] = ref.classes.size();
+      cls.weight += inst.phi[j];
+      if (inst.phi[j] < cls.phi_min) {
+        cls.phi_min = inst.phi[j];
+        cls.user_min = j;
+      }
+      if (inst.phi[j] > cls.phi_max) {
+        cls.phi_max = inst.phi[j];
+        cls.user_max = j;
+      }
+    }
+    cls.rep_phi = cls.phi_min == cls.phi_max
+                      ? cls.phi_min
+                      : cls.weight / static_cast<double>(g.size());
+    for (std::size_t j : g) {
+      const double dev = std::fabs(inst.phi[j] - cls.rep_phi);
+      ref.max_abs_dev = std::max(ref.max_abs_dev, dev);
+      ref.max_rel_dev = std::max(ref.max_rel_dev, dev / cls.rep_phi);
+    }
+    ref.total_weight += cls.weight;
+    ref.classes.push_back(cls);
+  }
+  return ref;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(UserClasses, QuantizedMatchesSortedReference) {
+  struct Width {
+    double eps_phi;
+    std::size_t max_classes;
+  };
+  // 1e-12 uncapped spans up to ~1.4e13 cells: the multi-pass counting sort.
+  const Width widths[] = {{0.1, 0}, {1e-3, 0}, {1e-3, 512}, {1e-6, 8},
+                          {1e-12, 0}};
+  for (const std::size_t m : {1u, 2u, 400u, 5000u}) {
+    for (const double spread : {1.0, 20.0, 1e6}) {
+      for (const bool ties : {false, true}) {
+        Instance inst;
+        inst.mu = {1e12};
+        inst.phi.resize(m);
+        stats::Xoshiro256 rng(m * 31 + static_cast<std::size_t>(ties));
+        // With ties, users past the first m/8 repeat an earlier demand.
+        const std::size_t distinct = ties ? std::max<std::size_t>(1, m / 8)
+                                          : m;
+        for (std::size_t j = 0; j < m; ++j) {
+          inst.phi[j] =
+              j < distinct
+                  ? std::exp(rng.next_double() * std::log(spread))
+                  : inst.phi[j % distinct];
+        }
+        for (const Width& w : widths) {
+          SCOPED_TRACE(testing::Message()
+                       << "m=" << m << " spread=" << spread << " ties="
+                       << ties << " eps=" << w.eps_phi
+                       << " K=" << w.max_classes);
+          const UserClassPartition part =
+              UserClassPartition::quantized(inst, w.eps_phi, w.max_classes);
+          const ReferencePartition ref =
+              sorted_reference(inst, w.eps_phi, w.max_classes);
+          ASSERT_EQ(part.num_classes(), ref.groups.size());
+          for (std::size_t k = 0; k < ref.groups.size(); ++k) {
+            const std::span<const std::size_t> members = part.members(k);
+            ASSERT_TRUE(std::equal(members.begin(), members.end(),
+                                   ref.groups[k].begin(),
+                                   ref.groups[k].end()))
+                << "class " << k;
+            const UserClass& got = part.classes()[k];
+            const UserClass& want = ref.classes[k];
+            EXPECT_EQ(bits(got.weight), bits(want.weight)) << "class " << k;
+            EXPECT_EQ(bits(got.rep_phi), bits(want.rep_phi)) << "class " << k;
+            EXPECT_EQ(bits(got.phi_min), bits(want.phi_min)) << "class " << k;
+            EXPECT_EQ(bits(got.phi_max), bits(want.phi_max)) << "class " << k;
+            EXPECT_EQ(got.user_min, want.user_min) << "class " << k;
+            EXPECT_EQ(got.user_max, want.user_max) << "class " << k;
+            EXPECT_EQ(bits(part.rep_phi()[k]), bits(want.rep_phi));
+            EXPECT_EQ(part.member_counts()[k],
+                      static_cast<double>(ref.groups[k].size()));
+          }
+          for (std::size_t j = 0; j < m; ++j) {
+            ASSERT_EQ(part.class_of(j), ref.class_of[j]) << "user " << j;
+          }
+          EXPECT_EQ(bits(part.total_weight()), bits(ref.total_weight));
+          EXPECT_EQ(bits(part.max_abs_deviation()), bits(ref.max_abs_dev));
+          EXPECT_EQ(bits(part.max_rel_deviation()), bits(ref.max_rel_dev));
+        }
+      }
+    }
+  }
 }
 
 TEST(UserClasses, ExpandCollapseRoundTrip) {

@@ -20,6 +20,9 @@
 #   12. check_sanitize      ASan+UBSan with contracts on   (build-asan/)
 #   13. check_tsan          ThreadSanitizer, parallel layer
 #                           (build-tsan/)     (SKIP if TSan unsupported)
+#   14. nashbench_selftest  builds the benchmark (nashbench/) against
+#                           this tree in Release and runs its selftests
+#                           (.bench_build/)
 #
 # Unlike a plain `set -e` chain, every step runs even after a failure —
 # one broken gate must not hide the state of the others. The summary
@@ -103,6 +106,7 @@ run_step contract_suite contract_suite
 run_step obs_off_suite obs_off_suite
 run_step check_sanitize "$root/tools/check_sanitize.sh" "$root"
 run_step check_tsan "$root/tools/check_tsan.sh" "$root"
+run_step nashbench_selftest python3 "$root/nashbench/run.py" --selftest
 
 total_secs=$(( $(date +%s) - all_start ))
 printf '\n== check_all: summary ==\n'
