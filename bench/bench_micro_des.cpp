@@ -25,7 +25,10 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     for (std::size_t i = 0; i < batch; ++i) {
       q.push(rng.next_double(), [](des::SimTime) {});
     }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
+    while (!q.empty()) {
+      des::Event ev = q.pop();
+      benchmark::DoNotOptimize(ev.time);
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(batch) *
                           state.iterations());

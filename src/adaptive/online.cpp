@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 
@@ -92,9 +93,12 @@ OnlineResult simulate_online(const std::vector<double>& mu,
           "simulate_online: initial profile rows must sum to 1");
     }
   }
-  if (!(options.horizon > 0.0) || !(options.update_period > 0.0) ||
-      !(options.window > 0.0) || !(options.report_period > 0.0)) {
-    throw std::invalid_argument("simulate_online: periods must be > 0");
+  // A non-finite horizon would never stop generating jobs.
+  if (!(options.horizon > 0.0) || !std::isfinite(options.horizon) ||
+      !(options.update_period > 0.0) || !(options.window > 0.0) ||
+      !(options.report_period > 0.0)) {
+    throw std::invalid_argument(
+        "simulate_online: need a finite horizon > 0 and periods > 0");
   }
   double capacity = 0.0;
   for (double rate : mu) {

@@ -1,105 +1,60 @@
 #include "des/event_queue.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace nashlb::des {
+namespace {
 
-EventHandle EventQueue::push(SimTime time, EventFn fn) {
-  auto rec = std::make_shared<EventRecord>();
-  rec->time = time;
-  rec->seq = next_seq_++;
-  rec->fn = std::move(fn);
-  rec->live_counter = live_;
-  heap_.push_back(rec);
-  sift_up(heap_.size() - 1);
-  ++*live_;
-  return EventHandle{rec};
+// Heap order for std::push_heap/pop_heap (a max-heap of "later"): earlier
+// time first, FIFO among simultaneous events. (time, seq) is a total
+// order, so the firing sequence does not depend on the heap algorithm.
+struct Later {
+  template <class Entry>
+  bool operator()(const Entry& a, const Entry& b) const noexcept {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+};
+
+}  // namespace
+
+void EventQueue::push(SimTime time, EventFn&& fn) {
+  std::size_t slot = slots_.size();
+  if (free_.empty()) {
+    slots_.push_back(std::move(fn));
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = std::move(fn);
+  }
+  heap_.push_back({time, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 SimTime EventQueue::next_time() const {
-  const_cast<EventQueue*>(this)->drop_cancelled_top();
   if (heap_.empty()) {
     throw std::logic_error("EventQueue::next_time: queue is empty");
   }
-  return heap_.front()->time;
+  return heap_.front().time;
 }
 
-std::shared_ptr<EventRecord> EventQueue::pop() {
-  drop_cancelled_top();
+Event EventQueue::pop() {
   if (heap_.empty()) {
     throw std::logic_error("EventQueue::pop: queue is empty");
   }
-  auto top = heap_.front();
-  remove_top();
-  top->fired = true;
-  --*live_;
-  return top;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Entry top = heap_.back();
+  heap_.pop_back();
+  Event event{top.time, std::move(slots_[top.slot])};
+  free_.push_back(top.slot);
+  return event;
 }
 
 void EventQueue::clear() noexcept {
-  for (auto& rec : heap_) {
-    if (!rec->cancelled && !rec->fired) rec->cancelled = true;
-  }
   heap_.clear();
-  *live_ = 0;
-}
-
-bool EventQueue::before(const EventRecord& a, const EventRecord& b) noexcept {
-  // Strict weak ordering: earlier time first; FIFO among simultaneous
-  // events (deterministic replay depends on this tie-break).
-  if (a.time != b.time) return a.time < b.time;
-  return a.seq < b.seq;
-}
-
-void EventQueue::drop_cancelled_top() {
-  while (!heap_.empty() && heap_.front()->cancelled) {
-    remove_top();
-  }
-}
-
-void EventQueue::remove_top() {
-  heap_.front() = std::move(heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-}
-
-void EventQueue::sift_up(std::size_t i) {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!before(*heap_[i], *heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-void EventQueue::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  for (;;) {
-    const std::size_t left = 2 * i + 1;
-    const std::size_t right = left + 1;
-    std::size_t smallest = i;
-    if (left < n && before(*heap_[left], *heap_[smallest])) smallest = left;
-    if (right < n && before(*heap_[right], *heap_[smallest])) {
-      smallest = right;
-    }
-    if (smallest == i) return;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
-  }
-}
-
-bool EventHandle::cancel() noexcept {
-  auto rec = rec_.lock();
-  if (!rec || rec->cancelled || rec->fired) return false;
-  rec->cancelled = true;
-  rec->fn = nullptr;  // release any captured resources promptly
-  if (rec->live_counter) --*rec->live_counter;
-  return true;
-}
-
-bool EventHandle::pending() const noexcept {
-  auto rec = rec_.lock();
-  return rec && !rec->cancelled && !rec->fired;
+  slots_.clear();
+  free_.clear();
 }
 
 }  // namespace nashlb::des

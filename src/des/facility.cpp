@@ -1,138 +1,90 @@
 #include "des/facility.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace nashlb::des {
 
 Facility::Facility(Simulator& sim, std::string name, unsigned servers,
-                   PreemptPolicy policy)
-    : sim_(sim), name_(std::move(name)), policy_(policy) {
+                   PreemptPolicy /*policy*/)
+    : sim_(sim), name_(std::move(name)) {
   if (servers == 0) {
     throw std::invalid_argument("Facility: need at least one server");
   }
-  running_.resize(servers);
+  servers_.resize(servers);
 }
 
-std::uint64_t Facility::request(double service_time, int priority,
-                                CompletionFn on_complete) {
+void Facility::request(double service_time, CompletionFn on_complete) {
   if (!(service_time > 0.0) || !std::isfinite(service_time)) {
     throw std::invalid_argument(
         "Facility::request: service_time must be finite and > 0");
   }
-  Job job;
-  job.id = next_id_++;
-  job.priority = priority;
-  job.seq = next_seq_++;
-  job.remaining = service_time;
-  job.submitted = sim_.now();
-  job.on_complete = std::move(on_complete);
-  const std::uint64_t id = job.id;
-
-  if (auto server = idle_server()) {
-    start_service(*server, std::move(job));
-    return id;
-  }
-  if (policy_ == PreemptPolicy::Resume) {
-    if (auto server = preemptable_server(priority)) {
-      Running& slot = running_[*server];
-      Job displaced = std::move(*slot.job);
-      // Preemptive-resume: bank the service already received.
-      displaced.remaining -= sim_.now() - slot.started;
-      if (displaced.remaining < 0.0) displaced.remaining = 0.0;
-      slot.completion.cancel();
-      slot.job.reset();
-      --busy_;
-      ++preemptions_;
-      note_busy_change();
-      // Original seq keeps the displaced job ahead of later arrivals of
-      // its class (head-of-class resume).
-      waiting_.emplace(QueueKey{displaced.priority, displaced.seq},
-                       std::move(displaced));
-      note_queue_change();
-      start_service(*server, std::move(job));
-      return id;
+  ++requests_;
+  Job job{service_time, sim_.now(), std::move(on_complete)};
+  for (unsigned i = 0; i < servers_.size(); ++i) {
+    if (!servers_[i].busy) {
+      start_service(i, std::move(job));
+      return;
     }
   }
-  waiting_.emplace(QueueKey{job.priority, job.seq}, std::move(job));
+  push_waiting(std::move(job));
   note_queue_change();
-  return id;
 }
 
-void Facility::start_service(unsigned server, Job job) {
-  Running& slot = running_[server];
-  if (slot.job) {
-    throw std::logic_error("Facility: starting service on a busy server");
-  }
-  if (!job.ever_started) {
-    wait_stats_.add(sim_.now() - job.submitted);
-    job.ever_started = true;
-  }
-  slot.started = sim_.now();
-  const double quantum = job.remaining;
+void Facility::start_service(unsigned server, Job&& job) {
+  wait_stats_.add(sim_.now() - job.submitted);
+  Server& slot = servers_[server];
   slot.job = std::move(job);
+  slot.busy = true;
   ++busy_;
   note_busy_change();
-  slot.completion = sim_.schedule(
-      quantum, [this, server](SimTime t) { finish_service(server, t); });
+  auto done = [this, server](SimTime t) { finish_service(server, t); };
+  static_assert(EventFn::fits_inline<decltype(done)>);
+  sim_.schedule(slot.job.service, done);
 }
 
 void Facility::finish_service(unsigned server, SimTime t) {
-  Running& slot = running_[server];
-  if (!slot.job) {
-    throw std::logic_error("Facility: completion on an idle server");
-  }
-  Job job = std::move(*slot.job);
-  slot.job.reset();
+  Server& slot = servers_[server];
+  Job job = std::move(slot.job);
+  slot.busy = false;
   --busy_;
   ++completed_;
   sojourn_hist_.record(t - job.submitted);
   note_busy_change();
-  // Dispatch the next waiting job before running the completion callback:
+  // Start the next waiting job before running the completion callback:
   // the callback may submit new work and must observe a settled facility.
-  try_dispatch();
+  // A job waits only while every server is busy, so the server just freed
+  // is the lowest-index idle one.
+  if (waiting_count_ > 0) {
+    Job next = pop_waiting();
+    note_queue_change();
+    start_service(server, std::move(next));
+  }
   if (job.on_complete) job.on_complete(t);
 }
 
-void Facility::try_dispatch() {
-  while (!waiting_.empty()) {
-    const auto server = idle_server();
-    if (!server) return;
-    auto first = waiting_.begin();
-    Job job = std::move(first->second);
-    waiting_.erase(first);
-    note_queue_change();
-    start_service(*server, std::move(job));
+void Facility::push_waiting(Job&& job) {
+  if (waiting_count_ == waiting_.size()) {
+    std::vector<Job> grown(std::max<std::size_t>(8, 2 * waiting_.size()));
+    for (std::size_t k = 0; k < waiting_count_; ++k) {
+      grown[k] =
+          std::move(waiting_[(waiting_head_ + k) & (waiting_.size() - 1)]);
+    }
+    waiting_.swap(grown);
+    waiting_head_ = 0;
   }
+  waiting_[(waiting_head_ + waiting_count_) & (waiting_.size() - 1)] =
+      std::move(job);
+  ++waiting_count_;
 }
 
-std::optional<unsigned> Facility::idle_server() const noexcept {
-  for (unsigned i = 0; i < running_.size(); ++i) {
-    if (!running_[i].job) return i;
-  }
-  return std::nullopt;
-}
-
-std::optional<unsigned> Facility::preemptable_server(
-    int priority) const noexcept {
-  // Choose the busy server with the lowest priority job; break ties toward
-  // the most recently admitted job (smallest banked service investment on
-  // average). Only strictly lower priority work may be displaced.
-  std::optional<unsigned> victim;
-  for (unsigned i = 0; i < running_.size(); ++i) {
-    const auto& job = running_[i].job;
-    if (!job || job->priority >= priority) continue;
-    if (!victim) {
-      victim = i;
-      continue;
-    }
-    const auto& best = running_[*victim].job;
-    if (job->priority < best->priority ||
-        (job->priority == best->priority && job->seq > best->seq)) {
-      victim = i;
-    }
-  }
-  return victim;
+Facility::Job Facility::pop_waiting() {
+  Job job = std::move(waiting_[waiting_head_]);
+  waiting_head_ = (waiting_head_ + 1) & (waiting_.size() - 1);
+  --waiting_count_;
+  return job;
 }
 
 void Facility::note_busy_change() {
@@ -140,12 +92,12 @@ void Facility::note_busy_change() {
 }
 
 void Facility::note_queue_change() {
-  queue_tw_.update(sim_.now(), static_cast<double>(waiting_.size()));
+  queue_tw_.update(sim_.now(), static_cast<double>(waiting_count_));
 }
 
 double Facility::utilization(SimTime now) const noexcept {
   const double avg_busy = busy_tw_.average(now);
-  return avg_busy / static_cast<double>(running_.size());
+  return avg_busy / static_cast<double>(servers_.size());
 }
 
 double Facility::mean_queue_length(SimTime now) const noexcept {
@@ -153,9 +105,8 @@ double Facility::mean_queue_length(SimTime now) const noexcept {
 }
 
 void Facility::publish_metrics(obs::Registry& reg, SimTime now) const {
-  reg.counter(name_ + ".requests").add(next_id_);
+  reg.counter(name_ + ".requests").add(requests_);
   reg.counter(name_ + ".completed").add(completed_);
-  reg.counter(name_ + ".preemptions").add(preemptions_);
   reg.timer(name_ + ".busy_time").add_batch(busy_tw_.average(now) * now,
                                             completed_);
   reg.timer(name_ + ".waiting")

@@ -1,23 +1,14 @@
 // Service facility: the queueing-station abstraction of the DES substrate.
 //
-// Mirrors the "facility" concept of Sim++ [4]: a station with one or more
-// servers, a queue, and optional preemptive-priority service. The paper's
-// computers are the simplest configuration — a single server, FCFS,
-// run-to-completion (no preemption) — but the substrate implements the full
-// facility semantics so it stands alone as a simulation library:
-//
-//   * FCFS within a priority class, higher priority classes served first;
-//   * optional preemptive-resume: an arrival whose priority strictly
-//     exceeds an in-service job's may displace it; the displaced job keeps
-//     its remaining service time and re-enters at the head of its class;
-//   * per-facility statistics: utilization, queue length (time-weighted),
-//     waiting times, completions, preemptions.
+// Mirrors the "facility" concept of Sim++ [4] in the configuration the
+// paper's computers use: one or more servers fed from one FCFS queue,
+// every job run to completion (§4.1). A job goes to the lowest-index idle
+// server, or waits in a FIFO ring buffer. Per-facility statistics:
+// utilization and queue length (time-weighted), waiting times, sojourn
+// times and completions.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,15 +19,15 @@
 namespace nashlb::des {
 
 /// Called when a job's service completes, with the completion time.
-using CompletionFn = std::function<void(SimTime)>;
+using CompletionFn = EventFn;
 
-/// Preemption behaviour of a Facility.
+/// Service discipline of a Facility: run-to-completion, the paper's model
+/// and the only one.
 enum class PreemptPolicy {
-  None,    ///< run-to-completion regardless of priorities (paper's model)
-  Resume,  ///< preemptive-resume on strictly higher priority arrivals
+  None,
 };
 
-/// A multi-server queueing station with priority scheduling.
+/// A multi-server FCFS queueing station.
 class Facility {
  public:
   /// `servers >= 1`. The name appears in diagnostics only.
@@ -46,33 +37,23 @@ class Facility {
   Facility(const Facility&) = delete;
   Facility& operator=(const Facility&) = delete;
 
-  /// Submits a job needing `service_time > 0` units of service at the
-  /// given priority (higher = more urgent). `on_complete` fires when the
-  /// job's service finishes. Returns a job id unique within this facility.
-  std::uint64_t request(double service_time, int priority,
-                        CompletionFn on_complete);
-
-  /// FCFS convenience overload (priority 0).
-  std::uint64_t request(double service_time, CompletionFn on_complete) {
-    return request(service_time, 0, std::move(on_complete));
-  }
+  /// Submits a job needing `service_time > 0` units of service.
+  /// `on_complete` fires when the job's service finishes.
+  void request(double service_time, CompletionFn on_complete);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] unsigned servers() const noexcept {
-    return static_cast<unsigned>(running_.size());
+    return static_cast<unsigned>(servers_.size());
   }
 
   /// Jobs currently waiting (not in service).
   [[nodiscard]] std::size_t queue_length() const noexcept {
-    return waiting_.size();
+    return waiting_count_;
   }
   /// Servers currently serving a job.
   [[nodiscard]] unsigned busy_servers() const noexcept { return busy_; }
 
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
-  [[nodiscard]] std::uint64_t preemptions() const noexcept {
-    return preemptions_;
-  }
 
   /// Time-average utilization (busy server-fraction) up to `now`.
   [[nodiscard]] double utilization(SimTime now) const noexcept;
@@ -80,7 +61,7 @@ class Facility {
   /// Time-average number waiting up to `now`.
   [[nodiscard]] double mean_queue_length(SimTime now) const noexcept;
 
-  /// Per-job waiting time statistics (request to first service start).
+  /// Per-job waiting time statistics (request to service start).
   [[nodiscard]] const stats::RunningStats& waiting_times() const noexcept {
     return wait_stats_;
   }
@@ -95,59 +76,43 @@ class Facility {
   }
 
   /// Publishes this facility's counters and accumulated times into `reg`
-  /// under `<name>.*`: requests, completed, preemptions (counters);
-  /// busy_time (timer: busy server-seconds over [0, now], one observation
-  /// per completed job), waiting (timer: total queueing delay over all
-  /// jobs that ever started service), and sojourn (histogram: per-job
-  /// response times). A no-op when the obs layer is compiled out.
+  /// under `<name>.*`: requests, completed (counters); busy_time (timer:
+  /// busy server-seconds over [0, now], one observation per completed
+  /// job), waiting (timer: total queueing delay over all jobs that ever
+  /// started service), and sojourn (histogram: per-job response times).
+  /// A no-op when the obs layer is compiled out.
   void publish_metrics(obs::Registry& reg, SimTime now) const;
 
  private:
   struct Job {
-    std::uint64_t id = 0;
-    int priority = 0;
-    std::uint64_t seq = 0;          // admission order within the facility
-    double remaining = 0.0;          // remaining service requirement
+    double service = 0.0;
     SimTime submitted = 0.0;
-    bool ever_started = false;
     CompletionFn on_complete;
   };
 
-  struct Running {
-    std::optional<Job> job;
-    EventHandle completion;
-    SimTime started = 0.0;
+  struct Server {
+    Job job;
+    bool busy = false;
   };
 
-  // Ordering of the waiting queue: higher priority first, then FIFO.
-  struct QueueKey {
-    int priority;
-    std::uint64_t seq;
-    bool operator<(const QueueKey& o) const noexcept {
-      if (priority != o.priority) return priority > o.priority;
-      return seq < o.seq;
-    }
-  };
-
-  void start_service(unsigned server, Job job);
+  void start_service(unsigned server, Job&& job);
   void finish_service(unsigned server, SimTime t);
-  void try_dispatch();
-  [[nodiscard]] std::optional<unsigned> idle_server() const noexcept;
-  [[nodiscard]] std::optional<unsigned> preemptable_server(
-      int priority) const noexcept;
+  void push_waiting(Job&& job);
+  Job pop_waiting();
   void note_busy_change();
   void note_queue_change();
 
   Simulator& sim_;
   std::string name_;
-  PreemptPolicy policy_;
-  std::map<QueueKey, Job> waiting_;
-  std::vector<Running> running_;
+  std::vector<Server> servers_;
+  // FIFO ring buffer: waiting_count_ jobs from waiting_head_, wrapping;
+  // the capacity is zero or a power of two.
+  std::vector<Job> waiting_;
+  std::size_t waiting_head_ = 0;
+  std::size_t waiting_count_ = 0;
   unsigned busy_ = 0;
-  std::uint64_t next_id_ = 0;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t requests_ = 0;
   std::uint64_t completed_ = 0;
-  std::uint64_t preemptions_ = 0;
   stats::TimeWeighted busy_tw_;
   stats::TimeWeighted queue_tw_;
   stats::RunningStats wait_stats_;

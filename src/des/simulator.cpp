@@ -4,22 +4,22 @@
 
 namespace nashlb::des {
 
-EventHandle Simulator::schedule(SimTime delay, EventFn fn) {
+void Simulator::schedule(SimTime delay, EventFn fn) {
   if (!(delay >= 0.0) || !std::isfinite(delay)) {
     throw std::invalid_argument(
         "Simulator::schedule: delay must be finite and >= 0");
   }
   ++events_scheduled_;
-  return queue_.push(now_ + delay, std::move(fn));
+  queue_.push(now_ + delay, std::move(fn));
 }
 
-EventHandle Simulator::schedule_at(SimTime t, EventFn fn) {
+void Simulator::schedule_at(SimTime t, EventFn fn) {
   if (!(t >= now_) || !std::isfinite(t)) {
     throw std::invalid_argument(
         "Simulator::schedule_at: time must be finite and >= now()");
   }
   ++events_scheduled_;
-  return queue_.push(t, std::move(fn));
+  queue_.push(t, std::move(fn));
 }
 
 StopReason Simulator::run(std::uint64_t max_events) {
@@ -55,8 +55,9 @@ StopReason Simulator::run_until(SimTime horizon, std::uint64_t max_events) {
     dispatch(queue_.pop());
     ++executed;
   }
+  if (stop_requested_) return StopReason::Stopped;
   now_ = horizon;
-  return stop_requested_ ? StopReason::Stopped : StopReason::Exhausted;
+  return StopReason::Exhausted;
 }
 
 bool Simulator::step() {
@@ -71,10 +72,10 @@ void Simulator::reset(SimTime t0) noexcept {
   stop_requested_ = false;
 }
 
-void Simulator::dispatch(const std::shared_ptr<EventRecord>& rec) {
-  now_ = rec->time;
+void Simulator::dispatch(Event event) {
+  now_ = event.time;
   ++events_executed_;
-  if (rec->fn) rec->fn(now_);
+  if (event.fn) event.fn(now_);
 }
 
 void Simulator::publish_metrics(obs::Registry& reg,

@@ -29,8 +29,8 @@ class Simulator {
  public:
   Simulator() = default;
 
-  // The kernel hands out `this` to facilities/processes; moving it would
-  // silently dangle them.
+  // The kernel hands out `this` to facilities and closures; moving it
+  // would silently dangle them.
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -39,17 +39,19 @@ class Simulator {
 
   /// Schedules `fn` to fire `delay >= 0` time units from now.
   /// Throws std::invalid_argument on negative or non-finite delay.
-  EventHandle schedule(SimTime delay, EventFn fn);
+  void schedule(SimTime delay, EventFn fn);
 
   /// Schedules `fn` at absolute time `t >= now()`.
-  EventHandle schedule_at(SimTime t, EventFn fn);
+  void schedule_at(SimTime t, EventFn fn);
 
   /// Runs until the calendar is empty, an event calls stop(), or the
   /// event budget (0 = unlimited) is exhausted.
   StopReason run(std::uint64_t max_events = 0);
 
   /// Runs until the clock would pass `horizon`. Events at exactly
-  /// `horizon` still fire; the clock never exceeds it.
+  /// `horizon` still fire; the clock never exceeds it. The clock moves to
+  /// `horizon` on TimeLimit and Exhausted; on Stopped and EventLimit it
+  /// stays at the last event fired.
   StopReason run_until(SimTime horizon, std::uint64_t max_events = 0);
 
   /// Executes exactly one event if any is pending; returns whether it did.
@@ -64,7 +66,7 @@ class Simulator {
     return events_executed_;
   }
 
-  /// Total events ever scheduled (including cancelled ones).
+  /// Total events ever scheduled.
   [[nodiscard]] std::uint64_t events_scheduled() const noexcept {
     return events_scheduled_;
   }
@@ -75,7 +77,7 @@ class Simulator {
   void publish_metrics(obs::Registry& reg,
                        const std::string& prefix = "des") const;
 
-  /// Number of live pending events.
+  /// Number of pending events.
   [[nodiscard]] std::size_t pending_events() const noexcept {
     return queue_.size();
   }
@@ -85,7 +87,7 @@ class Simulator {
   void reset(SimTime t0 = 0.0) noexcept;
 
  private:
-  void dispatch(const std::shared_ptr<EventRecord>& rec);
+  void dispatch(Event event);
 
   EventQueue queue_;
   SimTime now_ = 0.0;

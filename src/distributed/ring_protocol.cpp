@@ -1,8 +1,8 @@
 #include "distributed/ring_protocol.hpp"
 
 #include <cmath>
-#include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "core/best_reply.hpp"
 #include "core/cost.hpp"
@@ -15,7 +15,9 @@ namespace nashlb::distributed {
 
 namespace {
 
-/// All mutable protocol state, shared by the event closures.
+/// All mutable protocol state. The event closures carry a pointer to it
+/// (it owns the simulator, so it outlives every pending event) plus at
+/// most a user index, which keeps them inside EventFn's inline storage.
 struct ProtocolState {
   const core::Instance& inst;
   RingOptions opts;
@@ -46,25 +48,27 @@ struct ProtocolState {
 
 /// Token arrival at `user`: update strategy, forward. Declared up front so
 /// the closures can recurse.
-void deliver_token(const std::shared_ptr<ProtocolState>& st,
-                   std::size_t user);
+void deliver_token(ProtocolState* st, std::size_t user);
 
-void send_token(const std::shared_ptr<ProtocolState>& st, std::size_t to) {
+void send_token(ProtocolState* st, std::size_t to) {
   ++st->result.messages;
-  st->sim.schedule(st->opts.link_latency,
-                   [st, to](des::SimTime) { deliver_token(st, to); });
+  auto token = [st, to](des::SimTime) { deliver_token(st, to); };
+  static_assert(des::EventFn::fits_inline<decltype(token)>);
+  st->sim.schedule(st->opts.link_latency, token);
 }
 
 /// The STOP wave: each user forwards it once, then exits (§3 pseudocode).
-void send_stop(const std::shared_ptr<ProtocolState>& st, std::size_t to) {
+void send_stop(ProtocolState* st, std::size_t to) {
   if (to == 0) return;  // wave completed the ring
   ++st->result.messages;
-  st->sim.schedule(st->opts.link_latency, [st, to](des::SimTime) {
+  auto stop = [st, to](des::SimTime) {
     send_stop(st, (to + 1) % st->inst.num_users());
-  });
+  };
+  static_assert(des::EventFn::fits_inline<decltype(stop)>);
+  st->sim.schedule(st->opts.link_latency, stop);
 }
 
-void update_user(const std::shared_ptr<ProtocolState>& st, std::size_t user) {
+void update_user(ProtocolState* st, std::size_t user) {
   // Token sanity: a token addressed past the ring means the forwarding
   // arithmetic broke; an update after the STOP wave would double-count.
   NASHLB_EXPECT(user < st->inst.num_users(),
@@ -91,15 +95,17 @@ void update_user(const std::shared_ptr<ProtocolState>& st, std::size_t user) {
 /// token to its successor — itself when m = 1, so every round sends m
 /// token messages. The loads are rebuilt from the profile at each later
 /// round boundary, mirroring core::best_reply_dynamics' drift control.
-void start_round(const std::shared_ptr<ProtocolState>& st) {
-  st->sim.schedule(st->opts.compute_time, [st](des::SimTime) {
+void start_round(ProtocolState* st) {
+  auto open = [st](des::SimTime) {
     if (st->round > 1) st->state.rebuild(st->profile);
     update_user(st, 0);
     send_token(st, 1 % st->inst.num_users());
-  });
+  };
+  static_assert(des::EventFn::fits_inline<decltype(open)>);
+  st->sim.schedule(st->opts.compute_time, open);
 }
 
-void close_round(const std::shared_ptr<ProtocolState>& st) {
+void close_round(ProtocolState* st) {
   // The round norm is a sum of |D_j - D_j_prev| terms: nonnegative by
   // construction, and finite under exact monitoring (a noisy monitor can
   // legitimately overload a computer for a round, so only NaN — order of
@@ -124,17 +130,18 @@ void close_round(const std::shared_ptr<ProtocolState>& st) {
   start_round(st);
 }
 
-void deliver_token(const std::shared_ptr<ProtocolState>& st,
-                   std::size_t user) {
+void deliver_token(ProtocolState* st, std::size_t user) {
   if (user == 0) {
     // Token back at user 1: the round is complete.
     close_round(st);
     return;
   }
-  st->sim.schedule(st->opts.compute_time, [st, user](des::SimTime) {
+  auto update = [st, user](des::SimTime) {
     update_user(st, user);
     send_token(st, (user + 1) % st->inst.num_users());
-  });
+  };
+  static_assert(des::EventFn::fits_inline<decltype(update)>);
+  st->sim.schedule(st->opts.compute_time, update);
 }
 
 }  // namespace
@@ -154,16 +161,15 @@ RingResult run_ring_protocol(const core::Instance& inst,
     initial_times = core::user_response_times(inst, start);
   }
 
-  auto st = std::make_shared<ProtocolState>(inst, options, std::move(start));
-  st->last_times = std::move(initial_times);
-  start_round(st);
-  st->sim.run();
-  st->recorder.stop(st->result.rounds, st->norm, st->result.converged, false);
-  st->result.finish_time = st->sim.now();
-  st->result.profile = st->profile;
-  st->result.user_times =
-      core::user_response_times(inst, st->profile);
-  return st->result;
+  ProtocolState st(inst, options, std::move(start));
+  st.last_times = std::move(initial_times);
+  start_round(&st);
+  st.sim.run();
+  st.recorder.stop(st.result.rounds, st.norm, st.result.converged, false);
+  st.result.finish_time = st.sim.now();
+  st.result.profile = st.profile;
+  st.result.user_times = core::user_response_times(inst, st.profile);
+  return std::move(st.result);
 }
 
 }  // namespace nashlb::distributed

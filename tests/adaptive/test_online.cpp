@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -57,6 +58,17 @@ TEST(Online, RejectsBadInputs) {
   // All-zero rows violate conservation: rejected up front, not sampled.
   core::StrategyProfile zeros(2, 2);
   EXPECT_THROW((void)simulate_online(mu, sched, zeros),
+               std::invalid_argument);
+  // A non-finite horizon would never stop generating jobs.
+  core::StrategyProfile split(2, 2);
+  split.set_row(0, std::vector<double>{0.5, 0.5});
+  split.set_row(1, std::vector<double>{0.5, 0.5});
+  OnlineOptions opts;
+  opts.horizon = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)simulate_online(mu, sched, split, opts),
+               std::invalid_argument);
+  opts.horizon = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)simulate_online(mu, sched, split, opts),
                std::invalid_argument);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -23,8 +25,8 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.push(1.0, [&](SimTime t) { fired.push_back(t); });
   q.push(2.0, [&](SimTime t) { fired.push_back(t); });
   while (!q.empty()) {
-    auto rec = q.pop();
-    rec->fn(rec->time);
+    Event ev = q.pop();
+    ev.fn(ev.time);
   }
   EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 3.0}));
 }
@@ -36,8 +38,8 @@ TEST(EventQueue, SimultaneousEventsAreFifo) {
     q.push(5.0, [&order, i](SimTime) { order.push_back(i); });
   }
   while (!q.empty()) {
-    auto rec = q.pop();
-    rec->fn(rec->time);
+    Event ev = q.pop();
+    ev.fn(ev.time);
   }
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(order[i], static_cast<int>(i));
@@ -52,54 +54,12 @@ TEST(EventQueue, NextTimePeeksWithoutPopping) {
   EXPECT_EQ(q.size(), 2u);
 }
 
-TEST(EventQueue, CancelPreventsDelivery) {
-  EventQueue q;
-  bool fired = false;
-  EventHandle h = q.push(1.0, [&](SimTime) { fired = true; });
-  EXPECT_TRUE(h.pending());
-  EXPECT_TRUE(h.cancel());
-  EXPECT_FALSE(h.pending());
-  EXPECT_TRUE(q.empty());  // live count reflects the cancellation
-  EXPECT_FALSE(h.cancel());  // double cancel is a no-op
-  EXPECT_FALSE(fired);
-}
-
-TEST(EventQueue, CancelledEventSkippedOnPop) {
-  EventQueue q;
-  std::vector<int> fired;
-  EventHandle h = q.push(1.0, [&](SimTime) { fired.push_back(1); });
-  q.push(2.0, [&](SimTime) { fired.push_back(2); });
-  h.cancel();
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
-  auto rec = q.pop();
-  rec->fn(rec->time);
-  EXPECT_EQ(fired, std::vector<int>{2});
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, HandleExpiresAfterPop) {
-  EventQueue q;
-  EventHandle h = q.push(1.0, [](SimTime) {});
-  auto rec = q.pop();
-  (void)rec;
-  EXPECT_FALSE(h.pending());
-  EXPECT_FALSE(h.cancel());  // already fired
-}
-
 TEST(EventQueue, ClearDropsEverything) {
   EventQueue q;
-  EventHandle h = q.push(1.0, [](SimTime) {});
+  q.push(1.0, [](SimTime) {});
   q.push(2.0, [](SimTime) {});
   q.clear();
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(h.pending());
-}
-
-TEST(EventQueue, DefaultHandleIsInert) {
-  EventHandle h;
-  EXPECT_FALSE(h.pending());
-  EXPECT_FALSE(h.cancel());
 }
 
 TEST(EventQueue, HeapStressRandomOrder) {
@@ -117,10 +77,42 @@ TEST(EventQueue, HeapStressRandomOrder) {
   }
   double prev = -1.0;
   while (!q.empty()) {
-    auto rec = q.pop();
-    EXPECT_GE(rec->time, prev);
-    prev = rec->time;
+    const Event ev = q.pop();
+    EXPECT_GE(ev.time, prev);
+    prev = ev.time;
   }
+}
+
+TEST(EventQueue, InterleavedPushPopReusesSlots) {
+  // Pops interleaved with pushes recycle callable slots; each event must
+  // still fire its own body, in (time, push order) against a sorted
+  // reference.
+  EventQueue q;
+  std::multimap<double, int> reference;  // equal keys keep insertion order
+  std::vector<int> fired;
+  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+  int next_id = 0;
+  double now = 0.0;
+  for (int round = 0; round < 500; ++round) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    for (std::uint64_t k = 0; k < x % 4; ++k) {
+      const double t = now + static_cast<double>((x >> (8 * k)) % 8);
+      const int id = next_id++;
+      reference.emplace(t, id);
+      q.push(t, [&fired, id](SimTime) { fired.push_back(id); });
+    }
+    if (!q.empty()) {
+      Event ev = q.pop();
+      ASSERT_EQ(ev.time, reference.begin()->first);
+      ev.fn(ev.time);
+      EXPECT_EQ(fired.back(), reference.begin()->second);
+      reference.erase(reference.begin());
+      now = ev.time;
+    }
+  }
+  EXPECT_EQ(q.size(), reference.size());
 }
 
 }  // namespace

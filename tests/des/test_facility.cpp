@@ -4,7 +4,6 @@
 
 #include <functional>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "stats/distributions.hpp"
@@ -57,60 +56,17 @@ TEST(Facility, QueueAndBusyCounts) {
   EXPECT_EQ(f.completed(), 3u);
 }
 
-TEST(Facility, HigherPriorityJumpsQueue) {
-  Simulator sim;
-  Facility f(sim, "cpu");
-  std::vector<char> done;
-  f.request(1.0, 0, [&](SimTime) { done.push_back('a'); });  // in service
-  f.request(1.0, 0, [&](SimTime) { done.push_back('b'); });
-  f.request(1.0, 5, [&](SimTime) { done.push_back('c'); });  // jumps b
-  sim.run();
-  EXPECT_EQ(done, (std::vector<char>{'a', 'c', 'b'}));
-}
-
 TEST(Facility, NoPreemptionUnderNonePolicy) {
   Simulator sim;
   Facility f(sim, "cpu", 1, PreemptPolicy::None);
   std::vector<char> done;
-  f.request(10.0, 0, [&](SimTime) { done.push_back('l'); });
+  f.request(10.0, [&](SimTime) { done.push_back('l'); });
   sim.schedule(1.0, [&](SimTime) {
-    f.request(1.0, 99, [&](SimTime) { done.push_back('h'); });
+    f.request(1.0, [&](SimTime) { done.push_back('h'); });
   });
   sim.run();
-  // Low-priority job runs to completion (the paper's model).
+  // The long job runs to completion (the paper's model).
   EXPECT_EQ(done, (std::vector<char>{'l', 'h'}));
-  EXPECT_EQ(f.preemptions(), 0u);
-}
-
-TEST(Facility, PreemptiveResumeDisplacesAndResumes) {
-  Simulator sim;
-  Facility f(sim, "cpu", 1, PreemptPolicy::Resume);
-  std::vector<std::pair<char, double>> done;
-  f.request(10.0, 0, [&](SimTime t) { done.push_back({'l', t}); });
-  sim.schedule(4.0, [&](SimTime) {
-    f.request(2.0, 1, [&](SimTime t) { done.push_back({'h', t}); });
-  });
-  sim.run();
-  ASSERT_EQ(done.size(), 2u);
-  // High finishes at 6; low resumes with 6 remaining, finishes at 12.
-  EXPECT_EQ(done[0].first, 'h');
-  EXPECT_DOUBLE_EQ(done[0].second, 6.0);
-  EXPECT_EQ(done[1].first, 'l');
-  EXPECT_DOUBLE_EQ(done[1].second, 12.0);
-  EXPECT_EQ(f.preemptions(), 1u);
-}
-
-TEST(Facility, EqualPriorityNeverPreempts) {
-  Simulator sim;
-  Facility f(sim, "cpu", 1, PreemptPolicy::Resume);
-  std::vector<char> done;
-  f.request(5.0, 3, [&](SimTime) { done.push_back('a'); });
-  sim.schedule(1.0, [&](SimTime) {
-    f.request(1.0, 3, [&](SimTime) { done.push_back('b'); });
-  });
-  sim.run();
-  EXPECT_EQ(done, (std::vector<char>{'a', 'b'}));
-  EXPECT_EQ(f.preemptions(), 0u);
 }
 
 TEST(Facility, MultiServerParallelism) {

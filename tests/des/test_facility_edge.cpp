@@ -1,10 +1,10 @@
-// Edge behaviours of the facility: multi-server priority and preemption
-// interactions, zero-remaining resumes, and dispatch-after-completion
-// ordering — the corners a queueing substrate has to get right.
+// Edge behaviours of the facility: multi-server dispatch, when a wait is
+// recorded, dispatch-after-completion ordering and the FIFO waiting buffer
+// across wrap-around and growth — the corners a queueing substrate has to
+// get right.
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "des/facility.hpp"
@@ -12,74 +12,18 @@
 namespace nashlb::des {
 namespace {
 
-TEST(FacilityEdge, PreemptionPicksTheLowestPriorityVictim) {
-  Simulator sim;
-  Facility f(sim, "cpu", 2, PreemptPolicy::Resume);
-  std::vector<char> done;
-  f.request(10.0, 1, [&](SimTime) { done.push_back('a'); });  // prio 1
-  f.request(10.0, 3, [&](SimTime) { done.push_back('b'); });  // prio 3
-  // Arrives at t=0 logically after both servers busy; preempts 'a'
-  // (the lower-priority victim), never 'b'.
-  f.request(2.0, 5, [&](SimTime) { done.push_back('c'); });
-  sim.run();
-  ASSERT_EQ(done.size(), 3u);
-  EXPECT_EQ(done[0], 'c');  // finishes at t=2
-  EXPECT_EQ(done[1], 'b');  // undisturbed, t=10
-  EXPECT_EQ(done[2], 'a');  // resumed at t=2 with 10 left, t=12
-}
-
-TEST(FacilityEdge, PreemptedJobResumesAheadOfLaterArrivalsOfItsClass) {
-  Simulator sim;
-  Facility f(sim, "cpu", 1, PreemptPolicy::Resume);
-  std::vector<char> done;
-  f.request(4.0, 0, [&](SimTime) { done.push_back('a'); });  // in service
-  sim.schedule(1.0, [&](SimTime) {
-    f.request(1.0, 2, [&](SimTime) { done.push_back('h'); });  // preempts
-  });
-  sim.schedule(1.5, [&](SimTime) {
-    f.request(1.0, 0, [&](SimTime) { done.push_back('b'); });  // same class
-  });
-  sim.run();
-  // 'h' runs 1..2; 'a' (3 left, original seq) resumes 2..5; 'b' 5..6.
-  EXPECT_EQ(done, (std::vector<char>{'h', 'a', 'b'}));
-}
-
-TEST(FacilityEdge, PreemptionAccountingInStats) {
-  Simulator sim;
-  Facility f(sim, "cpu", 1, PreemptPolicy::Resume);
-  f.request(5.0, 0, [](SimTime) {});
-  sim.schedule(1.0, [&](SimTime) { f.request(1.0, 9, [](SimTime) {}); });
-  sim.run();
-  EXPECT_EQ(f.preemptions(), 1u);
-  EXPECT_EQ(f.completed(), 2u);
-  EXPECT_EQ(f.busy_servers(), 0u);
-}
-
-TEST(FacilityEdge, ZeroRemainingAfterPreemptionCompletesImmediately) {
-  Simulator sim;
-  Facility f(sim, "cpu", 1, PreemptPolicy::Resume);
-  std::vector<std::pair<char, double>> done;
-  f.request(2.0, 0, [&](SimTime t) { done.push_back({'a', t}); });
-  // Preempt exactly at the victim's completion instant boundary: the
-  // victim has ~0 remaining and must still complete exactly once.
-  sim.schedule(2.0 - 1e-12, [&](SimTime) {
-    f.request(1.0, 5, [&](SimTime t) { done.push_back({'h', t}); });
-  });
-  sim.run();
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_EQ(f.completed(), 2u);
-}
-
 TEST(FacilityEdge, MultiServerFillsIdleBeforePreempting) {
   Simulator sim;
-  Facility f(sim, "pool", 2, PreemptPolicy::Resume);
-  f.request(10.0, 0, [](SimTime) {});
-  // Second server idle: the high-priority arrival must take it rather
-  // than displace the running job.
-  f.request(1.0, 9, [](SimTime) {});
+  Facility f(sim, "pool", 2, PreemptPolicy::None);
+  f.request(10.0, [](SimTime) {});
+  // Second server idle: the later job must take it rather than wait
+  // behind, or displace, the running job.
+  f.request(1.0, [](SimTime) {});
+  EXPECT_EQ(f.busy_servers(), 2u);
+  EXPECT_EQ(f.queue_length(), 0u);
   sim.run_until(2.0);
-  EXPECT_EQ(f.preemptions(), 0u);
   EXPECT_EQ(f.completed(), 1u);
+  EXPECT_EQ(f.busy_servers(), 1u);  // the long job still runs
 }
 
 TEST(FacilityEdge, CompletionCallbackCanResubmitSafely) {
@@ -97,16 +41,46 @@ TEST(FacilityEdge, CompletionCallbackCanResubmitSafely) {
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
 }
 
+TEST(FacilityEdge, FifoOrderSurvivesGrowthWhileWrapped) {
+  Simulator sim;
+  Facility f(sim, "cpu");
+  std::vector<int> done;
+  const auto submit = [&](int first, int last) {
+    for (int id = first; id < last; ++id) {
+      f.request(1.0, [&done, id](SimTime) { done.push_back(id); });
+    }
+  };
+  // Nine unit jobs at t = 0: one in service, eight waiting. By t = 3.5
+  // three have finished, so the waiting jobs start mid-buffer; twelve
+  // more arrivals then wrap around the end and outgrow the buffer.
+  submit(0, 9);
+  sim.schedule(3.5, [&](SimTime) {
+    EXPECT_EQ(f.queue_length(), 5u);
+    submit(9, 21);
+    EXPECT_EQ(f.queue_length(), 17u);
+  });
+  sim.run();
+  std::vector<int> expected(21);
+  for (int id = 0; id < 21; ++id) expected[static_cast<std::size_t>(id)] = id;
+  EXPECT_EQ(done, expected);
+  EXPECT_DOUBLE_EQ(sim.now(), 21.0);
+  EXPECT_EQ(f.waiting_times().count(), 21u);
+}
+
 TEST(FacilityEdge, WaitingTimeCountsOnlyFirstServiceStart) {
   Simulator sim;
-  Facility f(sim, "cpu", 1, PreemptPolicy::Resume);
-  f.request(4.0, 0, [](SimTime) {});                            // waits 0
-  sim.schedule(1.0, [&](SimTime) { f.request(1.0, 9, [](SimTime) {}); });
+  Facility f(sim, "cpu", 1, PreemptPolicy::None);
+  f.request(4.0, [](SimTime) {});  // waits 0
+  sim.schedule(1.0, [&](SimTime) { f.request(1.0, [](SimTime) {}); });
+  sim.schedule(2.0, [&](SimTime) {
+    // The second job is still waiting: nothing is recorded for it yet.
+    EXPECT_EQ(f.waiting_times().count(), 1u);
+  });
   sim.run();
-  // The preempted job's wait is counted once (0 at t=0), not again on
-  // resume; the preemptor waited 0 as well.
+  // Each wait is counted once, when the job starts service: 0 for the
+  // first job, 3 (t = 1 to 4) for the second, which never displaces it.
   EXPECT_EQ(f.waiting_times().count(), 2u);
-  EXPECT_DOUBLE_EQ(f.waiting_times().max(), 0.0);
+  EXPECT_DOUBLE_EQ(f.waiting_times().max(), 3.0);
 }
 
 }  // namespace

@@ -2,10 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <new>
 #include <stdexcept>
 #include <vector>
+
+#include "des/facility.hpp"
+#include "stats/distributions.hpp"
+#include "stats/rng.hpp"
+
+namespace {
+
+// Counting global operator new/delete: malloc passthrough plus a bump of
+// g_alloc_count, so a test can assert that a region allocates nothing.
+// Link-wide for this binary; the counter is read only around the regions
+// under test.
+std::size_t g_alloc_count = 0;
+
+void* count_alloc(std::size_t n) {
+  ++g_alloc_count;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return count_alloc(n); }
+void* operator new[](std::size_t n) { return count_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace nashlb::des {
 namespace {
@@ -126,13 +156,90 @@ TEST(Simulator, ResetDropsPendingAndRewindsClock) {
   EXPECT_EQ(sim.run(), StopReason::Exhausted);
 }
 
-TEST(Simulator, CancelledEventDoesNotFire) {
+TEST(Simulator, StopInLastEventKeepsClock) {
+  // Stopped leaves the clock at the stopping event, whether or not other
+  // events are still pending.
   Simulator sim;
-  bool fired = false;
-  EventHandle h = sim.schedule(1.0, [&](SimTime) { fired = true; });
-  h.cancel();
-  sim.run();
-  EXPECT_FALSE(fired);
+  sim.schedule(1.0, [&](SimTime) { sim.stop(); });
+  EXPECT_EQ(sim.run_until(10.0), StopReason::Stopped);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  sim.schedule(1.0, [&](SimTime) { sim.stop(); });
+  sim.schedule(5.0, [](SimTime) {});
+  EXPECT_EQ(sim.run_until(10.0), StopReason::Stopped);
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+  EXPECT_EQ(sim.run_until(10.0), StopReason::Exhausted);
+  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
+}
+
+TEST(Simulator, EmptyStdFunctionFiresAsNoOp) {
+  Simulator sim;
+  const std::function<void(SimTime)> empty;
+  sim.schedule(1.0, empty);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.run(), StopReason::Exhausted);
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+}
+
+TEST(Simulator, PendingClosuresAreDestroyed) {
+  // One closure stored inline, one too large for the inline storage; both
+  // hold a reference to `token`.
+  struct Oversized {
+    std::shared_ptr<int> token;
+    double pad[16] = {};
+    void operator()(SimTime) const {}
+  };
+  static_assert(!EventFn::fits_inline<Oversized>);
+  const auto token = std::make_shared<int>(0);
+  const auto schedule_both = [&token](Simulator& sim) {
+    auto small = [token](SimTime) {};
+    static_assert(EventFn::fits_inline<decltype(small)>);
+    sim.schedule(1.0, small);
+    sim.schedule(2.0, Oversized{token});
+  };
+  {
+    Simulator sim;
+    schedule_both(sim);
+    EXPECT_EQ(token.use_count(), 3);
+    EXPECT_TRUE(sim.step());  // a fired closure is destroyed after it runs
+    EXPECT_EQ(token.use_count(), 2);
+    sim.reset();
+    EXPECT_EQ(token.use_count(), 1);
+    schedule_both(sim);
+    EXPECT_EQ(token.use_count(), 3);
+  }  // destroyed with both events still pending
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Simulator, SteadyStateJobsDoNotAllocate) {
+  // An M/M/1 queue at 50% load through Simulator + Facility, driven by
+  // closures that fit EventFn's inline storage.
+  struct MM1 {
+    Simulator sim;
+    Facility cpu{sim, "cpu"};
+    stats::Xoshiro256 arrival_rng{11};
+    stats::Xoshiro256 service_rng{12};
+    stats::Exponential interarrival{5.0};
+    stats::Exponential service{10.0};
+    std::uint64_t completed = 0;
+
+    void arrive() {
+      auto done = [this](SimTime) { ++completed; };
+      auto next = [this](SimTime) { arrive(); };
+      static_assert(EventFn::fits_inline<decltype(done)>);
+      static_assert(EventFn::fits_inline<decltype(next)>);
+      cpu.request(service.sample(service_rng), done);
+      sim.schedule(interarrival.sample(arrival_rng), next);
+    }
+  };
+  MM1 q;
+  q.arrive();
+  // Warm-up: the calendar, its slot pool and the waiting buffer grow to
+  // the run's peak sizes.
+  while (q.completed < 10000) q.sim.step();
+  const std::size_t before = g_alloc_count;
+  while (q.completed < 20000) q.sim.step();
+  EXPECT_EQ(g_alloc_count - before, 0u);
 }
 
 TEST(Simulator, RunUntilPastHorizonRejected) {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "core/cost.hpp"
+#include "workload/configs.hpp"
 
 namespace nashlb::simmodel {
 namespace {
@@ -32,6 +34,17 @@ TEST(SystemSim, RejectsBadConfig) {
   cfg.horizon = 10.0;
   cfg.warmup = 10.0;
   EXPECT_THROW((void)simulate(inst, s, cfg), std::invalid_argument);
+  // A non-finite horizon would never stop generating jobs.
+  cfg.warmup = 0.0;
+  cfg.horizon = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)simulate(inst, s, cfg), std::invalid_argument);
+  cfg.horizon = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)simulate(inst, s, cfg), std::invalid_argument);
+  cfg.horizon = 10.0;
+  cfg.warmup = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)simulate(inst, s, cfg), std::invalid_argument);
+  cfg.warmup = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)simulate(inst, s, cfg), std::invalid_argument);
 }
 
 TEST(SystemSim, DeterministicForSameSeedAndReplication) {
@@ -46,6 +59,47 @@ TEST(SystemSim, DeterministicForSameSeedAndReplication) {
   EXPECT_DOUBLE_EQ(a.overall_mean_response, b.overall_mean_response);
   for (std::size_t j = 0; j < 2; ++j) {
     EXPECT_DOUBLE_EQ(a.user_mean_response[j], b.user_mean_response[j]);
+  }
+}
+
+// The exact sample path of one run, captured as hex floats: any change to
+// the event order, the RNG streams or the statistics shows up here as a
+// bit difference, not as a shift inside a tolerance.
+TEST(SystemSim, SamplePathIsPinned) {
+  const core::Instance inst = workload::table1_instance(0.6);
+  const core::StrategyProfile s = core::StrategyProfile::proportional(inst);
+  SimConfig cfg;
+  cfg.horizon = 200.0;
+  cfg.warmup = 100.0;
+  cfg.seed = 2002;
+  const SimRunResult r = simulate(inst, s, cfg);
+  EXPECT_EQ(r.jobs_generated, 61497u);
+  EXPECT_EQ(r.jobs_completed, 61497u);
+  EXPECT_EQ(r.end_time, 0x1.908a1a69c55e2p+7);
+  EXPECT_EQ(r.overall_mean_response, 0x1.468215e135a4ep-4);
+  // {utilization, mean queue length} of each computer.
+  const double computers[16][2] = {
+      {0x1.361a09510ea85p-1, 0x1.f2d5918f2c151p-1},
+      {0x1.33a3e10e60b16p-1, 0x1.a9847d3edb6a8p-1},
+      {0x1.4604af283c47bp-1, 0x1.3aa9c346d6ac4p+0},
+      {0x1.2f733265c9928p-1, 0x1.bcc5e15110766p-1},
+      {0x1.5289733458626p-1, 0x1.7980a77e0d91bp+0},
+      {0x1.2c1d1a431dca9p-1, 0x1.b604c52d6b439p-1},
+      {0x1.38177492650d5p-1, 0x1.c07b02e51d6cfp-1},
+      {0x1.31d409a8dfe41p-1, 0x1.c611e2a3778f7p-1},
+      {0x1.29e74620d753cp-1, 0x1.76180abb4aec5p-1},
+      {0x1.328aaf9d90fe9p-1, 0x1.7dc27ce146cc6p-1},
+      {0x1.336ccfaef0066p-1, 0x1.70b5fe68f8ba2p-1},
+      {0x1.33fab26733839p-1, 0x1.c4a122c6a9b9bp-1},
+      {0x1.3738cac711f2dp-1, 0x1.a8679af3ac991p-1},
+      {0x1.34098b4a91537p-1, 0x1.cdba112ee4fdp-1},
+      {0x1.353284fb81e0cp-1, 0x1.f933b0b152ccbp-1},
+      {0x1.35e59b27a4b85p-1, 0x1.d063b622214e9p-1},
+  };
+  ASSERT_EQ(r.computer_utilization.size(), 16u);
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(r.computer_utilization[i], computers[i][0]) << "computer " << i;
+    EXPECT_EQ(r.computer_mean_queue[i], computers[i][1]) << "computer " << i;
   }
 }
 

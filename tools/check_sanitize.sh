@@ -7,7 +7,9 @@
 # (core/load_state, the *_into waterfill/best-reply fast paths) hands
 # spans over caller-owned buffers across module boundaries, which is
 # exactly the kind of code sanitizers exist for — run this after touching
-# any of those paths.
+# any of those paths. The DES tests run too: des::EventFn keeps closures
+# in hand-written raw storage (placement new, relocation, boxed
+# fallback), and the leak checker sees a closure that is never destroyed.
 #
 # The tree is configured with -DNASHLB_CHECK=ON so the paper-invariant
 # contract layer (docs/STATIC_ANALYSIS.md) is active under the
@@ -29,7 +31,7 @@ cmake -B "$build" -S "$root" \
   -DNASHLB_BUILD_BENCH=OFF \
   -DNASHLB_BUILD_EXAMPLES=OFF
 cmake --build "$build" --target test_core --target test_util \
-  -j "$(nproc 2>/dev/null || echo 4)"
+  --target test_des -j "$(nproc 2>/dev/null || echo 4)"
 
 # halt_on_error is already the default via -fno-sanitize-recover=all;
 # detect_leaks exercises the allocation-free claim of the fast paths.
@@ -42,5 +44,8 @@ ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
   "$build/tests/test_util"
 
-echo "check_sanitize: OK (test_core + test_util clean under" \
+ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
+  "$build/tests/test_des"
+
+echo "check_sanitize: OK (test_core + test_util + test_des clean under" \
      "ASan+UBSan with NASHLB_CHECK=ON)"
