@@ -37,9 +37,9 @@ StopReason Simulator::run(std::uint64_t max_events) {
 }
 
 StopReason Simulator::run_until(SimTime horizon, std::uint64_t max_events) {
-  if (!(horizon >= now_)) {
+  if (!(horizon >= now_) || !std::isfinite(horizon)) {
     throw std::invalid_argument(
-        "Simulator::run_until: horizon must be >= now()");
+        "Simulator::run_until: horizon must be finite and >= now()");
   }
   stop_requested_ = false;
   std::uint64_t executed = 0;

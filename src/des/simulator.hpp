@@ -51,7 +51,8 @@ class Simulator {
   /// Runs until the clock would pass `horizon`. Events at exactly
   /// `horizon` still fire; the clock never exceeds it. The clock moves to
   /// `horizon` on TimeLimit and Exhausted; on Stopped and EventLimit it
-  /// stays at the last event fired.
+  /// stays at the last event fired. Throws std::invalid_argument on a
+  /// horizon before now() or a non-finite one.
   StopReason run_until(SimTime horizon, std::uint64_t max_events = 0);
 
   /// Executes exactly one event if any is pending; returns whether it did.

@@ -36,8 +36,8 @@
 namespace nashlb::obs {
 
 /// Column schema of the probe's CSV/JSON-lines export, in row order.
-/// Declared programmatically like the other trace schemas so
-/// tools/lint_nashlb.py can arity-check record_round against it.
+/// Declared programmatically like the other trace schemas, so the
+/// exporters size their rows from it.
 std::vector<std::string> convergence_trace_columns();
 
 namespace detail {

@@ -15,7 +15,7 @@
 //     estimates carry the same *relative* error at 50 µs and 50 s;
 //   * bounds are declared programmatically (bucket_count(),
 //     bucket_lower_bound(), bucket_upper_bound()) — consumers must
-//     never hardcode edges; tools/lint_nashlb.py enforces this
+//     never hardcode edges; tools/nashlb_analyzer.py enforces this
 //     (`histogram-bounds` rule);
 //   * like every obs type, a -DNASHLB_OBS=OFF build swaps in an empty
 //     no-op twin.

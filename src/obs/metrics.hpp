@@ -194,8 +194,8 @@ struct MetricSnapshot {
 
 /// Column names of the Registry's CSV export, in order. Declared
 /// programmatically (like the `*_trace_columns()` schemas) so consumers
-/// never hardcode the export layout; tools/lint_nashlb.py checks every
-/// exported row against this arity.
+/// never hardcode the export layout; tools/nashlb_analyzer.py
+/// (`trace-arity` rule) checks every exported row against this arity.
 [[nodiscard]] std::vector<std::string> registry_export_columns();
 
 namespace detail {

@@ -16,7 +16,7 @@ namespace {
 
 /// Writes one trace event as `{"field": value, ...}`, zipping the
 /// declared field names with the pre-rendered JSON values. The arity
-/// guard backs the lint-time check with a runtime one.
+/// guard backs the analyzer's `trace-arity` check with a runtime one.
 void emit_event(std::ofstream& out, const std::vector<std::string>& fields,
                 const std::vector<std::string>& values) {
   if (fields.size() != values.size()) {

@@ -9,7 +9,7 @@
 //
 // The serialized schema is declared programmatically by
 // `span_trace_fields()`; the arity of every emitted event is checked
-// against it by tools/lint_nashlb.py (`trace-arity` rule) and at
+// against it by tools/nashlb_analyzer.py (`trace-arity` rule) and at
 // runtime by the writer. Like every obs type, a -DNASHLB_OBS=OFF build
 // swaps in an empty no-op twin. See docs/OBSERVABILITY.md
 // ("Span tracing").

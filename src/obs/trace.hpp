@@ -1,11 +1,12 @@
 // Structured trace sink: typed rows under a fixed schema, exportable as
 // CSV (via util::CsvWriter) or JSON-lines.
 //
-// A TraceSink is the "flight recorder" of an iterative computation: the
-// best-reply dynamics appends one row per round, the distributed ring
-// protocol one row per token circulation, the replication driver one row
-// per replication. Producers declare the schema (column names) once;
-// record() enforces arity so a trace can never silently skew.
+// A TraceSink is a per-run table: simmodel::replicate appends one row
+// per replication under replication_trace_columns(). (The dynamics and
+// the ring record their rounds through core::RoundRecorder into an
+// obs::ConvergenceProbe instead.) Producers declare the schema (column
+// names) once; record() enforces arity so a trace can never silently
+// skew.
 //
 // Like the metrics in obs/metrics.hpp, the sink has a no-op twin selected
 // by NASHLB_OBS_ENABLED so instrumented call sites cost nothing in a

@@ -23,7 +23,7 @@
 // Thread-count resolution: an explicit `threads` request wins; 0 means
 // "auto" — the NASHLB_THREADS environment variable if set, else
 // std::thread::hardware_concurrency(). All concurrency in src/ goes
-// through this pool: tools/lint_nashlb.py (`raw-concurrency` rule)
+// through this pool: tools/nashlb_analyzer.py (`raw-concurrency` rule)
 // rejects raw std::thread / std::async / OpenMP anywhere else, so every
 // parallel code path inherits the contract above and is covered by the
 // single TSan gate (tools/check_tsan.sh).
@@ -35,7 +35,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <thread>  // nashlb-lint: allow(raw-concurrency) — the pool's own implementation
+#include <thread>
 #include <vector>
 
 namespace nashlb::util {
@@ -86,7 +86,7 @@ class ThreadPool {
   void run_chunks(std::size_t worker);
 
   std::size_t workers_ = 1;
-  std::vector<std::thread> threads_;  // nashlb-lint: allow(raw-concurrency)
+  std::vector<std::thread> threads_;
 
   // Job state, guarded by mutex_. A "job" is one parallel_for call:
   // generation_ bumps, workers wake, run their static chunk share, and

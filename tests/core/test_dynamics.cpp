@@ -3,24 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numeric>
 
 #include "core/cost.hpp"
 #include "core/equilibrium.hpp"
+#include "support/fixtures.hpp"
 
 namespace nashlb::core {
 namespace {
 
-Instance hetero_instance(std::size_t users, double utilization) {
-  Instance inst;
-  inst.mu = {10.0, 10.0, 20.0, 50.0, 100.0, 100.0};
-  const double cap = std::accumulate(inst.mu.begin(), inst.mu.end(), 0.0);
-  inst.phi.assign(users, utilization * cap / static_cast<double>(users));
-  return inst;
-}
+using test_support::equal_demand_instance;
 
 TEST(Dynamics, ConvergesToNashFromProportional) {
-  const Instance inst = hetero_instance(4, 0.6);
+  const Instance inst = equal_demand_instance(4, 0.6);
   DynamicsOptions opts;
   opts.init = Initialization::Proportional;
   opts.tolerance = 1e-8;
@@ -32,7 +26,7 @@ TEST(Dynamics, ConvergesToNashFromProportional) {
 }
 
 TEST(Dynamics, ConvergesToNashFromZero) {
-  const Instance inst = hetero_instance(4, 0.6);
+  const Instance inst = equal_demand_instance(4, 0.6);
   DynamicsOptions opts;
   opts.init = Initialization::Zero;
   opts.tolerance = 1e-8;
@@ -44,7 +38,7 @@ TEST(Dynamics, ConvergesToNashFromZero) {
 TEST(Dynamics, BothInitializationsReachTheSameEquilibrium) {
   // Orda et al.: the equilibrium is unique for these cost functions, so
   // the two variants must agree.
-  const Instance inst = hetero_instance(5, 0.7);
+  const Instance inst = equal_demand_instance(5, 0.7);
   DynamicsOptions o0;
   o0.init = Initialization::Zero;
   o0.tolerance = 1e-10;
@@ -59,7 +53,7 @@ TEST(Dynamics, BothInitializationsReachTheSameEquilibrium) {
 
 TEST(Dynamics, ProportionalInitConvergesFaster) {
   // The headline claim behind NASH_P (Figure 2).
-  const Instance inst = hetero_instance(10, 0.6);
+  const Instance inst = equal_demand_instance(10, 0.6);
   DynamicsOptions o0;
   o0.init = Initialization::Zero;
   o0.tolerance = 1e-6;
@@ -73,7 +67,7 @@ TEST(Dynamics, ProportionalInitConvergesFaster) {
 }
 
 TEST(Dynamics, NormHistoryIsRecordedAndDecays) {
-  const Instance inst = hetero_instance(6, 0.5);
+  const Instance inst = equal_demand_instance(6, 0.5);
   DynamicsOptions opts;
   opts.tolerance = 1e-9;
   const DynamicsResult res = best_reply_dynamics(inst, opts);
@@ -101,7 +95,7 @@ TEST(Dynamics, SingleUserConvergesInOneEffectiveRound) {
 }
 
 TEST(Dynamics, IterationCapReportsNonConvergence) {
-  const Instance inst = hetero_instance(8, 0.9);
+  const Instance inst = equal_demand_instance(8, 0.9);
   DynamicsOptions opts;
   opts.tolerance = 0.0;     // unreachable
   opts.max_iterations = 3;  // tiny cap
@@ -111,7 +105,7 @@ TEST(Dynamics, IterationCapReportsNonConvergence) {
 }
 
 TEST(Dynamics, UserTimesMatchProfile) {
-  const Instance inst = hetero_instance(4, 0.6);
+  const Instance inst = equal_demand_instance(4, 0.6);
   const DynamicsResult res = best_reply_dynamics(inst);
   const std::vector<double> direct = user_response_times(inst, res.profile);
   ASSERT_EQ(res.user_times.size(), direct.size());
@@ -121,7 +115,7 @@ TEST(Dynamics, UserTimesMatchProfile) {
 }
 
 TEST(Dynamics, FromExplicitStartProfile) {
-  const Instance inst = hetero_instance(3, 0.5);
+  const Instance inst = equal_demand_instance(3, 0.5);
   StrategyProfile start = StrategyProfile::proportional(inst);
   const DynamicsResult res = best_reply_dynamics_from(inst, start);
   EXPECT_TRUE(res.converged);
@@ -136,7 +130,7 @@ TEST(Dynamics, JacobiVariantRunsAndReportsHonestly) {
   // Simultaneous updates are not the paper's algorithm; at moderate load
   // they often still converge, but the contract is only "no silent lie":
   // either converged, or diverged/cap-hit is flagged.
-  const Instance inst = hetero_instance(4, 0.3);
+  const Instance inst = equal_demand_instance(4, 0.3);
   DynamicsOptions opts;
   opts.order = UpdateOrder::Simultaneous;
   opts.max_iterations = 200;
@@ -149,69 +143,8 @@ TEST(Dynamics, JacobiVariantRunsAndReportsHonestly) {
   }
 }
 
-TEST(Dynamics, JacobiIsBitwiseIdenticalAcrossThreadCounts) {
-  // The tentpole determinism claim: a pooled Jacobi round reads only the
-  // frozen loads and the user's own row, so every thread count — and the
-  // serial path — must produce the same bits, not just the same limits.
-  const Instance inst = hetero_instance(16, 0.5);
-  DynamicsOptions base;
-  base.order = UpdateOrder::Simultaneous;
-  base.tolerance = 1e-10;
-  base.max_iterations = 300;
-  base.threads = 1;
-  const DynamicsResult serial = best_reply_dynamics(inst, base);
-  for (std::size_t threads : {2u, 4u, 8u}) {
-    DynamicsOptions opts = base;
-    opts.threads = threads;
-    const DynamicsResult pooled = best_reply_dynamics(inst, opts);
-    EXPECT_EQ(pooled.iterations, serial.iterations) << threads << " threads";
-    EXPECT_EQ(pooled.converged, serial.converged) << threads << " threads";
-    EXPECT_EQ(pooled.profile.max_difference(serial.profile), 0.0)
-        << threads << " threads";
-    ASSERT_EQ(pooled.norm_history.size(), serial.norm_history.size());
-    for (std::size_t r = 0; r < serial.norm_history.size(); ++r) {
-      EXPECT_EQ(pooled.norm_history[r], serial.norm_history[r])
-          << threads << " threads, round " << r + 1;
-    }
-  }
-}
-
-TEST(Dynamics, JacobiAutoThreadsMatchesSerialBitwise) {
-  // threads = 0 resolves via NASHLB_THREADS / hardware concurrency;
-  // whatever it picks, the bits must not move.
-  const Instance inst = hetero_instance(8, 0.6);
-  DynamicsOptions serial;
-  serial.order = UpdateOrder::Simultaneous;
-  serial.tolerance = 1e-9;
-  serial.max_iterations = 300;
-  DynamicsOptions autod = serial;
-  autod.threads = 0;
-  const DynamicsResult a = best_reply_dynamics(inst, serial);
-  const DynamicsResult b = best_reply_dynamics(inst, autod);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.profile.max_difference(b.profile), 0.0);
-}
-
-TEST(Dynamics, PooledJacobiDivergenceIsDetectedIdentically) {
-  // Near saturation Jacobi overshoots; the pooled feasibility scan must
-  // flag the same round the serial scan does.
-  const Instance inst = hetero_instance(12, 0.95);
-  DynamicsOptions serial;
-  serial.order = UpdateOrder::Simultaneous;
-  serial.max_iterations = 50;
-  serial.tolerance = 1e-12;
-  DynamicsOptions pooled = serial;
-  pooled.threads = 4;
-  const DynamicsResult a = best_reply_dynamics(inst, serial);
-  const DynamicsResult b = best_reply_dynamics(inst, pooled);
-  EXPECT_EQ(a.diverged, b.diverged);
-  EXPECT_EQ(a.converged, b.converged);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.profile.max_difference(b.profile), 0.0);
-}
-
 TEST(Dynamics, RandomOrderConvergesToTheSameEquilibrium) {
-  const Instance inst = hetero_instance(6, 0.7);
+  const Instance inst = equal_demand_instance(6, 0.7);
   DynamicsOptions rr;
   rr.tolerance = 1e-10;
   DynamicsOptions rnd = rr;
@@ -225,7 +158,7 @@ TEST(Dynamics, RandomOrderConvergesToTheSameEquilibrium) {
 }
 
 TEST(Dynamics, RandomOrderIsDeterministicPerSeed) {
-  const Instance inst = hetero_instance(5, 0.6);
+  const Instance inst = equal_demand_instance(5, 0.6);
   DynamicsOptions o;
   o.order = UpdateOrder::RandomOrder;
   o.tolerance = 1e-8;
@@ -240,7 +173,7 @@ TEST(Dynamics, EquilibriumUserTimesDoNotExceedProportional) {
   // At the Nash equilibrium every user does at least as well as it would
   // if it stayed at the shared proportional profile... deviating first is
   // weakly better for the deviator, and the dynamics started there.
-  const Instance inst = hetero_instance(5, 0.6);
+  const Instance inst = equal_demand_instance(5, 0.6);
   const StrategyProfile prop = StrategyProfile::proportional(inst);
   const std::vector<double> before = user_response_times(inst, prop);
   DynamicsOptions opts;

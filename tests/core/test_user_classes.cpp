@@ -21,28 +21,14 @@
 #include "core/equilibrium.hpp"
 #include "schemes/nash.hpp"
 #include "stats/rng.hpp"
+#include "support/fixtures.hpp"
 #include "util/contracts.hpp"
 
 namespace nashlb::core {
 namespace {
 
-/// Heterogeneous test system: 8 computers in the Table-1 speed classes,
-/// m users with log-uniform demands spanning ~20x, at 60% utilization.
-Instance hetero_instance(std::size_t m, std::uint64_t seed) {
-  Instance inst;
-  inst.mu = {10.0, 20.0, 50.0, 100.0, 10.0, 20.0, 50.0, 100.0};
-  const double cap = std::accumulate(inst.mu.begin(), inst.mu.end(), 0.0);
-  stats::Xoshiro256 rng(seed);
-  inst.phi.resize(m);
-  double total = 0.0;
-  for (double& phi : inst.phi) {
-    phi = std::exp(rng.next_double() * std::log(20.0));
-    total += phi;
-  }
-  for (double& phi : inst.phi) phi *= 0.6 * cap / total;
-  inst.validate();
-  return inst;
-}
+using test_support::expect_bitwise_equal;
+using test_support::log_uniform_instance;
 
 /// A system whose demands repeat a short cycle exactly — the natural
 /// input of the `exact` grouping mode.
@@ -84,7 +70,7 @@ TEST(UserClasses, ExactGroupsEqualDemandsAndKeepsWeightInvariant) {
 }
 
 TEST(UserClasses, QuantizedRespectsWidthAndClassCap) {
-  const Instance inst = hetero_instance(400, 7);
+  const Instance inst = log_uniform_instance(400, 7);
   const UserClassPartition fine = UserClassPartition::quantized(inst, 1e-3);
   // Geometric cells of relative width eps: every member sits within
   // roughly eps of its representative.
@@ -100,7 +86,7 @@ TEST(UserClasses, QuantizedRespectsWidthAndClassCap) {
 }
 
 TEST(UserClasses, QuantizedRejectsBadWidth) {
-  const Instance inst = hetero_instance(10, 1);
+  const Instance inst = log_uniform_instance(10, 1);
   EXPECT_THROW(static_cast<void>(UserClassPartition::quantized(inst, 0.0)),
                std::invalid_argument);
   EXPECT_THROW(static_cast<void>(UserClassPartition::quantized(inst, -1.0)),
@@ -282,7 +268,7 @@ TEST(UserClasses, QuantizedMatchesSortedReference) {
 }
 
 TEST(UserClasses, ExpandCollapseRoundTrip) {
-  const Instance inst = hetero_instance(100, 3);
+  const Instance inst = log_uniform_instance(100, 3);
   const UserClassPartition part = UserClassPartition::quantized(inst, 0.05);
   const Instance agg = part.aggregate_instance(inst);
   const StrategyProfile cls = StrategyProfile::proportional(agg);
@@ -300,7 +286,7 @@ TEST(UserClasses, ExpandCollapseRoundTrip) {
 }
 
 TEST(UserClasses, ExpandedLoadsMatchExpandedProfile) {
-  const Instance inst = hetero_instance(100, 5);
+  const Instance inst = log_uniform_instance(100, 5);
   const UserClassPartition part = UserClassPartition::quantized(inst, 0.05);
   const Instance agg = part.aggregate_instance(inst);
   const StrategyProfile cls = StrategyProfile::proportional(agg);
@@ -314,23 +300,9 @@ TEST(UserClasses, ExpandedLoadsMatchExpandedProfile) {
 
 // --- the structural pin: singleton class dynamics == per-user solver ----
 
-void expect_bitwise_equal(const DynamicsResult& a, const DynamicsResult& b) {
-  EXPECT_EQ(a.converged, b.converged);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.profile.max_difference(b.profile), 0.0);
-  ASSERT_EQ(a.norm_history.size(), b.norm_history.size());
-  for (std::size_t l = 0; l < a.norm_history.size(); ++l) {
-    EXPECT_EQ(a.norm_history[l], b.norm_history[l]) << "round " << l + 1;
-  }
-  ASSERT_EQ(a.user_times.size(), b.user_times.size());
-  for (std::size_t j = 0; j < a.user_times.size(); ++j) {
-    EXPECT_EQ(a.user_times[j], b.user_times[j]) << "user " << j;
-  }
-}
-
 TEST(UserClasses, SingletonDynamicsBitwiseMatchesPerUserSolver) {
   for (const std::uint64_t seed : {11ull, 42ull, 2002ull}) {
-    const Instance inst = hetero_instance(24, seed);
+    const Instance inst = log_uniform_instance(24, seed);
     const UserClassPartition part = UserClassPartition::singletons(inst);
     ASSERT_TRUE(part.all_singletons());
     for (const UpdateOrder order : {UpdateOrder::RoundRobin,
@@ -355,21 +327,8 @@ TEST(UserClasses, SingletonDynamicsBitwiseMatchesPerUserSolver) {
   }
 }
 
-TEST(UserClasses, SingletonPooledJacobiBitwiseMatchesPerUserSolver) {
-  const Instance inst = hetero_instance(32, 9);
-  const UserClassPartition part = UserClassPartition::singletons(inst);
-  DynamicsOptions opts;
-  opts.order = UpdateOrder::Simultaneous;
-  opts.tolerance = 1e-7;
-  opts.threads = 4;
-  const DynamicsResult per_user = best_reply_dynamics(inst, opts);
-  opts.classes = &part;
-  const DynamicsResult via_classes = best_reply_dynamics(inst, opts);
-  expect_bitwise_equal(per_user, via_classes);
-}
-
 TEST(UserClasses, StartingProfileOverloadRunsAtClassLevel) {
-  const Instance inst = hetero_instance(60, 13);
+  const Instance inst = log_uniform_instance(60, 13);
   const UserClassPartition part = UserClassPartition::quantized(inst, 0.05);
   const Instance agg = part.aggregate_instance(inst);
   DynamicsOptions opts;
@@ -405,7 +364,7 @@ TEST(UserClasses, ExactClassEquilibriumCertifiesNearZeroEps) {
 }
 
 TEST(UserClasses, QuantizedCertificateBoundsEveryUsersGain) {
-  const Instance inst = hetero_instance(200, 21);
+  const Instance inst = log_uniform_instance(200, 21);
   // A deliberately coarse bucketing so the eps is visibly nonzero.
   const UserClassPartition part = UserClassPartition::quantized(inst, 0.1);
   DynamicsOptions opts;
@@ -435,7 +394,7 @@ TEST(UserClasses, QuantizedCertificateBoundsEveryUsersGain) {
 }
 
 TEST(UserClasses, FinerBucketsTightenTheCertificate) {
-  const Instance inst = hetero_instance(300, 33);
+  const Instance inst = log_uniform_instance(300, 33);
   double prev_bound = std::numeric_limits<double>::infinity();
   for (const double eps_phi : {0.2, 0.02, 0.002}) {
     const UserClassPartition part =
@@ -464,7 +423,7 @@ TEST(UserClasses, FinerBucketsTightenTheCertificate) {
 // --- scheme integration --------------------------------------------------
 
 TEST(UserClasses, NashSchemeExpandsClassModeToFullProfile) {
-  const Instance inst = hetero_instance(80, 17);
+  const Instance inst = log_uniform_instance(80, 17);
   const UserClassPartition part = UserClassPartition::quantized(inst, 0.01);
   schemes::NashScheme scheme(Initialization::Proportional, 1e-7);
   DynamicsOptions base;
@@ -482,21 +441,21 @@ TEST(UserClasses, NashSchemeExpandsClassModeToFullProfile) {
 
 
 TEST(UserClassesDeathTest, OverlappingClassesAbort) {
-  const Instance inst = hetero_instance(4, 1);
+  const Instance inst = log_uniform_instance(4, 1);
   EXPECT_DEATH(static_cast<void>(UserClassPartition::from_members(
                    inst, {{0, 1}, {1, 2, 3}})),
                "NASHLB_EXPECT.*overlap");
 }
 
 TEST(UserClassesDeathTest, EmptyClassAborts) {
-  const Instance inst = hetero_instance(4, 1);
+  const Instance inst = log_uniform_instance(4, 1);
   EXPECT_DEATH(static_cast<void>(UserClassPartition::from_members(
                    inst, {{0, 1, 2, 3}, {}})),
                "NASHLB_EXPECT.*empty");
 }
 
 TEST(UserClassesDeathTest, IncompletePartitionAborts) {
-  const Instance inst = hetero_instance(4, 1);
+  const Instance inst = log_uniform_instance(4, 1);
   EXPECT_DEATH(static_cast<void>(
                    UserClassPartition::from_members(inst, {{0, 1, 3}})),
                "NASHLB_EXPECT.*incomplete");
@@ -512,8 +471,8 @@ TEST(UserClassesDeathTest, SkippedWithoutContractLayer) {
 #endif
 
 TEST(UserClasses, MismatchedPartitionThrows) {
-  const Instance inst = hetero_instance(20, 1);
-  const Instance other = hetero_instance(30, 1);
+  const Instance inst = log_uniform_instance(20, 1);
+  const Instance other = log_uniform_instance(30, 1);
   const UserClassPartition part = UserClassPartition::singletons(other);
   DynamicsOptions opts;
   opts.classes = &part;

@@ -247,6 +247,13 @@ TEST(Simulator, RunUntilPastHorizonRejected) {
   sim.schedule(5.0, [](SimTime) {});
   sim.run();
   EXPECT_THROW(sim.run_until(1.0), std::invalid_argument);
+  // A non-finite horizon would move the clock to inf (or NaN) once the
+  // calendar runs dry, and every time average after it would be NaN.
+  EXPECT_THROW(sim.run_until(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(sim.run_until(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_EQ(sim.now(), 5.0);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -19,8 +18,8 @@
 #include "obs/convergence.hpp"
 #include "obs/journal.hpp"
 #include "obs/manifest.hpp"
+#include "support/fixtures.hpp"
 #include "util/contracts.hpp"
-#include "workload/configs.hpp"
 
 namespace {
 
@@ -134,18 +133,8 @@ TEST(ConvergenceProbeNull, TwinIsEmptyStatelessAndWritesNothing) {
 
 // --- dynamics wiring ----------------------------------------------------
 
-struct ProbeRun {
-  obs::ConvergenceProbe probe;
-  core::DynamicsResult result;
-};
-
-ProbeRun run_with_probe(const core::Instance& inst,
-                        core::DynamicsOptions opts) {
-  obs::ConvergenceProbe probe;
-  opts.probe = &probe;
-  core::DynamicsResult res = core::best_reply_dynamics(inst, opts);
-  return {std::move(probe), std::move(res)};
-}
+using test_support::ProbeRun;
+using test_support::run_with_probe;
 
 TEST(ConvergenceWiring, AllThreeOrdersRecordOneRowPerRound) {
   const core::Instance inst = small_instance();
@@ -201,44 +190,6 @@ TEST(ConvergenceWiring, SingletonClassRunMatchesPerUserRowForRow) {
       EXPECT_EQ(a.overall_cost, b.overall_cost);
       EXPECT_EQ(a.active_set_churn, b.active_set_churn);
       EXPECT_EQ(a.util_spread, b.util_spread);
-    }
-  }
-}
-
-TEST(ConvergenceWiring, DivergedJacobiRecordsTheBlowUpRow) {
-  // Table 1 at 60% utilization: the simultaneous (Jacobi) update is the
-  // documented divergence case (bench P5, ablation A3). The probe must
-  // record the blow-up round with non-finite certificates instead of
-  // aborting, and the pooled round must record the serial round's rows
-  // bit for bit.
-  const core::Instance inst = workload::table1_instance(0.6);
-  core::DynamicsOptions opts;
-  opts.order = core::UpdateOrder::Simultaneous;
-  const ProbeRun serial = run_with_probe(inst, opts);
-  opts.threads = 4;
-  const ProbeRun pooled = run_with_probe(inst, opts);
-  if constexpr (obs::kEnabled) {
-    for (const ProbeRun* run : {&serial, &pooled}) {
-      ASSERT_TRUE(run->result.diverged);
-      ASSERT_EQ(run->probe.size(), run->result.iterations);
-      const auto& last = run->probe.rows().back();
-      EXPECT_TRUE(std::isnan(last.potential));  // overloaded computer
-      EXPECT_FALSE(std::isfinite(last.overall_cost));
-    }
-    ASSERT_EQ(pooled.probe.size(), serial.probe.size());
-    const auto same_bits = [](double a, double b) {
-      return std::memcmp(&a, &b, sizeof a) == 0;
-    };
-    for (std::size_t k = 0; k < serial.probe.size(); ++k) {
-      const auto& a = serial.probe.rows()[k];
-      const auto& b = pooled.probe.rows()[k];
-      EXPECT_EQ(a.round, b.round);
-      EXPECT_TRUE(same_bits(a.norm, b.norm)) << "round " << a.round;
-      EXPECT_TRUE(same_bits(a.eps_nash_gap, b.eps_nash_gap));
-      EXPECT_TRUE(same_bits(a.potential, b.potential));
-      EXPECT_TRUE(same_bits(a.overall_cost, b.overall_cost));
-      EXPECT_EQ(a.active_set_churn, b.active_set_churn);
-      EXPECT_TRUE(same_bits(a.util_spread, b.util_spread));
     }
   }
 }

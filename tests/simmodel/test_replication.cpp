@@ -3,37 +3,26 @@
 #include <gtest/gtest.h>
 
 #include "core/cost.hpp"
+#include "support/fixtures.hpp"
 
 namespace nashlb::simmodel {
 namespace {
 
-core::Instance instance() {
-  core::Instance inst;
-  inst.mu = {10.0, 5.0};
-  inst.phi = {4.0, 2.0};
-  return inst;
-}
-
-ReplicationConfig quick_config(std::size_t reps = 5) {
-  ReplicationConfig cfg;
-  cfg.base.horizon = 2000.0;
-  cfg.base.warmup = 100.0;
-  cfg.replications = reps;
-  return cfg;
-}
+using test_support::quick_replication_config;
+using test_support::two_user_instance;
 
 TEST(Replication, RequiresAtLeastTwo) {
-  const core::Instance inst = instance();
+  const core::Instance inst = two_user_instance();
   const core::StrategyProfile s = core::StrategyProfile::proportional(inst);
-  ReplicationConfig cfg = quick_config(1);
+  ReplicationConfig cfg = quick_replication_config(1);
   EXPECT_THROW((void)replicate(inst, s, cfg), std::invalid_argument);
 }
 
 TEST(Replication, IntervalsCoverAnalyticTruth) {
   // §4.1's acceptance criterion in miniature: CI contains theory.
-  const core::Instance inst = instance();
+  const core::Instance inst = two_user_instance();
   const core::StrategyProfile s = core::StrategyProfile::proportional(inst);
-  const ReplicatedResult r = replicate(inst, s, quick_config());
+  const ReplicatedResult r = replicate(inst, s, quick_replication_config());
   const std::vector<double> truth = core::user_response_times(inst, s);
   ASSERT_EQ(r.user_response.size(), 2u);
   for (std::size_t j = 0; j < 2; ++j) {
@@ -46,31 +35,13 @@ TEST(Replication, IntervalsCoverAnalyticTruth) {
   EXPECT_GT(r.total_jobs, 5u * 2000u * 5u);  // ~Phi * horizon * reps
 }
 
-TEST(Replication, DeterministicAcrossThreadCounts) {
-  const core::Instance inst = instance();
-  const core::StrategyProfile s = core::StrategyProfile::proportional(inst);
-  ReplicationConfig seq = quick_config(4);
-  seq.base.horizon = 500.0;
-  seq.threads = 1;
-  ReplicationConfig par = seq;
-  par.threads = 4;
-  const ReplicatedResult a = replicate(inst, s, seq);
-  const ReplicatedResult b = replicate(inst, s, par);
-  EXPECT_DOUBLE_EQ(a.overall_response.mean, b.overall_response.mean);
-  for (std::size_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(a.runs[r].jobs_generated, b.runs[r].jobs_generated);
-    EXPECT_DOUBLE_EQ(a.runs[r].overall_mean_response,
-                     b.runs[r].overall_mean_response);
-  }
-}
-
 TEST(Replication, SamplePathsArePinnedToStreamFamilies) {
   // Replication r always runs with RNG stream family r, so every run's
   // sample path must be bitwise identical whether the fan-out is
   // sequential, pooled, or auto-sized — exact equality, not tolerance.
-  const core::Instance inst = instance();
+  const core::Instance inst = two_user_instance();
   const core::StrategyProfile s = core::StrategyProfile::proportional(inst);
-  ReplicationConfig seq = quick_config(6);
+  ReplicationConfig seq = quick_replication_config(6);
   seq.base.horizon = 400.0;
   seq.threads = 1;
   const ReplicatedResult a = replicate(inst, s, seq);
@@ -100,9 +71,9 @@ TEST(Replication, SamplePathsArePinnedToStreamFamilies) {
 }
 
 TEST(Replication, MergedSojournHistogramsSumTheRuns) {
-  const core::Instance inst = instance();
+  const core::Instance inst = two_user_instance();
   const core::StrategyProfile s = core::StrategyProfile::proportional(inst);
-  ReplicationConfig cfg = quick_config(3);
+  ReplicationConfig cfg = quick_replication_config(3);
   cfg.base.horizon = 300.0;
   const ReplicatedResult r = replicate(inst, s, cfg);
   ASSERT_EQ(r.computer_sojourn.size(), 2u);
@@ -124,55 +95,19 @@ TEST(Replication, MergedSojournHistogramsSumTheRuns) {
   }
 }
 
-TEST(Replication, MetricsShardsMergeIdenticallyAcrossThreadCounts) {
-  // Each replication publishes into a private shard; the shards merge in
-  // replication order after the join, so the reduced registry must not
-  // depend on the thread count.
-  const core::Instance inst = instance();
-  const core::StrategyProfile s = core::StrategyProfile::proportional(inst);
-  ReplicationConfig seq = quick_config(4);
-  seq.base.horizon = 300.0;
-  seq.threads = 1;
-  obs::Registry serial_reg;
-  seq.metrics = &serial_reg;
-  const ReplicatedResult a = replicate(inst, s, seq);
-  ReplicationConfig par = seq;
-  par.threads = 4;
-  obs::Registry pooled_reg;
-  par.metrics = &pooled_reg;
-  const ReplicatedResult b = replicate(inst, s, par);
-  if (!obs::kEnabled) {
-    EXPECT_EQ(serial_reg.size(), 0u);  // no-op twin swallows everything
-    EXPECT_EQ(pooled_reg.size(), 0u);
-    return;
-  }
-  EXPECT_EQ(a.total_jobs, b.total_jobs);
-  const auto sa = serial_reg.snapshot();
-  const auto sb = pooled_reg.snapshot();
-  ASSERT_GT(sa.size(), 0u) << "replications published des.* metrics";
-  ASSERT_EQ(sa.size(), sb.size());
-  for (std::size_t k = 0; k < sa.size(); ++k) {
-    EXPECT_EQ(sa[k].name, sb[k].name);
-    EXPECT_EQ(sa[k].kind, sb[k].kind);
-    EXPECT_EQ(sa[k].count, sb[k].count) << sa[k].name;
-    EXPECT_EQ(sa[k].min_seconds, sb[k].min_seconds) << sa[k].name;
-    EXPECT_EQ(sa[k].max_seconds, sb[k].max_seconds) << sa[k].name;
-  }
-}
-
 TEST(Replication, RelativeHalfWidthIsSmall) {
   // The paper reports standard error below 5% at 95% confidence; our
   // replications at this horizon meet the same bar.
-  const core::Instance inst = instance();
+  const core::Instance inst = two_user_instance();
   const core::StrategyProfile s = core::StrategyProfile::proportional(inst);
-  const ReplicatedResult r = replicate(inst, s, quick_config());
+  const ReplicatedResult r = replicate(inst, s, quick_replication_config());
   EXPECT_LT(r.overall_response.relative_half_width(), 0.05);
 }
 
 TEST(Replication, UtilizationAveragedAcrossRuns) {
-  const core::Instance inst = instance();
+  const core::Instance inst = two_user_instance();
   const core::StrategyProfile s = core::StrategyProfile::proportional(inst);
-  const ReplicatedResult r = replicate(inst, s, quick_config(3));
+  const ReplicatedResult r = replicate(inst, s, quick_replication_config(3));
   ASSERT_EQ(r.computer_utilization.size(), 2u);
   EXPECT_NEAR(r.computer_utilization[0], 0.4, 0.05);
   EXPECT_NEAR(r.computer_utilization[1], 0.4, 0.05);

@@ -3,24 +3,22 @@
 # (docs/STATIC_ANALYSIS.md documents each gate). Order is cheapest first
 # so a drift failure surfaces in seconds, not after two builds:
 #
-#    1. check_docs          README/docs drift                      (~0 s)
-#    2. lint_nashlb         repo-specific rules (python3)          (~0 s)
-#    3. check_report        nashlb_report.py render/diff selftest  (~0 s)
-#    4. check_analyzer      nashlb-analyzer semantic rules
-#                           (SKIP=partial: token engine only, no libclang)
-#    5. check_bench         BENCH_*.json perf baselines  (SKIP if absent)
-#    6. check_format        clang-format check-only      (SKIP if absent)
-#    7. werror_build        full tree, warnings as errors (build-werror/)
-#    8. check_tidy          clang-tidy over that tree    (SKIP if absent)
-#    9. check_gcc_analyzer  GCC -fanalyzer over src/core + src/util
-#                           (SKIP if -fanalyzer unsupported; ~1 min)
-#   10. contract_suite      -DNASHLB_CHECK=ON + full ctest (build-check/)
-#   11. obs_off_suite       -DNASHLB_OBS=OFF + ctest -LE slow
+#    1. check_docs          README/docs drift, benches registered  (~0 s)
+#    2. check_report        nashlb_report.py render/diff selftest  (~0 s)
+#    3. check_analyzer      nashlb-analyzer repository rules       (~0 s)
+#    4. check_bench         BENCH_*.json perf baselines  (SKIP if absent)
+#    5. check_format        clang-format check-only      (SKIP if absent)
+#    6. werror_build        full tree, warnings as errors (build-werror/)
+#    7. check_tidy          clang-tidy over that tree    (SKIP if absent)
+#    8. check_gcc_analyzer  GCC -fanalyzer over src/core + src/util
+#                           (SKIP if -fanalyzer unsupported; ~12 s)
+#    9. contract_suite      -DNASHLB_CHECK=ON + full ctest (build-check/)
+#   10. obs_off_suite       -DNASHLB_OBS=OFF + ctest -LE slow
 #                           (build-obsoff/)
-#   12. check_sanitize      ASan+UBSan with contracts on   (build-asan/)
-#   13. check_tsan          ThreadSanitizer, parallel layer
+#   11. check_sanitize      ASan+UBSan with contracts on   (build-asan/)
+#   12. check_tsan          ThreadSanitizer over test_concurrency
 #                           (build-tsan/)     (SKIP if TSan unsupported)
-#   14. nashbench_selftest  builds the benchmark (nashbench/) against
+#   13. nashbench_selftest  builds the benchmark (nashbench/) against
 #                           this tree in Release and runs its selftests
 #                           (.bench_build/)
 #
@@ -94,7 +92,6 @@ obs_off_suite() {
 all_start=$(date +%s)
 
 run_step check_docs "$root/tools/check_docs.sh" "$root"
-run_step lint_nashlb python3 "$root/tools/lint_nashlb.py" "$root"
 run_step check_report python3 "$root/tools/nashlb_report.py" selftest
 run_step check_analyzer python3 "$root/tools/nashlb_analyzer.py" "$root"
 run_step check_bench python3 "$root/tools/check_bench.py" "$root"

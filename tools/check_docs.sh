@@ -5,7 +5,8 @@
 #   * a src/<module>/ directory has no `<module>` row in README.md's
 #     Architecture table;
 #   * docs/OBSERVABILITY.md, docs/STATIC_ANALYSIS.md or docs/SCALING.md
-#     is missing, or README.md does not link it.
+#     is missing, or README.md does not link it;
+#   * a bench/bench_*.cpp is not named in EXPERIMENTS.md.
 #
 # Usage: tools/check_docs.sh [repo-root]   (default: script's parent dir)
 set -u
@@ -68,6 +69,17 @@ for section in "## Class construction" "## The symmetric within-class reply" \
     if [ -f "$root/docs/SCALING.md" ] && \
        ! grep -q "^$section" "$root/docs/SCALING.md"; then
         fail "docs/SCALING.md is missing its \"$section\" section"
+    fi
+done
+
+# bench-registered: EXPERIMENTS.md maps every artifact back to the bench
+# that regenerates it, so an unregistered bench is a result nobody can
+# reproduce from the docs.
+for bench in "$root"/bench/bench_*.cpp; do
+    [ -e "$bench" ] || continue
+    stem=$(basename "$bench" .cpp)
+    if ! grep -qF "$stem" "$root/EXPERIMENTS.md" 2> /dev/null; then
+        fail "bench/$stem.cpp is not named in EXPERIMENTS.md (add it to the CSV-regeneration map)"
     fi
 done
 

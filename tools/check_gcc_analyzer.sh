@@ -4,8 +4,10 @@
 # Runs GCC's interprocedural path-sensitive analyzer over every .cpp in
 # src/core and src/util — the layers whose pointer/lifetime bugs would
 # corrupt solves silently — so the tree has real static analysis even on
-# boxes without LLVM (clang-tidy and the nashlb-analyzer clang engine
-# both SKIP there; see docs/STATIC_ANALYSIS.md).
+# boxes without LLVM, where clang-tidy SKIPs (docs/STATIC_ANALYSIS.md).
+# The files compile in parallel, one job per CPU, each into its own log;
+# the logs are then triaged in file order, so the report reads the same
+# whatever order the jobs finish in.
 #
 # GCC's C++ analyzer support is explicitly experimental: findings are
 # triaged into the suppression table below instead of being blanket-
@@ -44,17 +46,38 @@ fi
 suppressions="\
 src/core/cost.cpp|-Wanalyzer-use-of-uninitialized-value|GCC 12 cannot see that std::vector's value-initialization writes every element through std::allocator; the 'uninitialized' read it traces into computer_response_times is vector storage the ctor zeroed (known experimental-C++ analyzer limitation)"
 
-log="$probe_dir/diag.log"
+# One job per file: <dir>/<path with / as _>.log holds its diagnostics,
+# and a .failed marker next to it records a failed compile. A file whose
+# job never ran has no log, and fails the gate below.
+logs="$probe_dir/logs"
+mkdir "$logs" || exit 1
 status=0
+printf '%s\n' src/core/*.cpp src/util/*.cpp |
+  xargs -P "$(nproc 2> /dev/null || echo 4)" -n 1 sh -c '
+    out="$1/$(printf %s "$2" | tr / _)"
+    "$0" -std=c++20 -Isrc -fanalyzer -c "$2" -o /dev/null 2> "$out.log" ||
+      : > "$out.failed"' "$GXX" "$logs" || {
+  echo "check_gcc_analyzer: FAIL: xargs could not run every job" >&2
+  status=1
+}
+
+log="$probe_dir/diag.log"
+: > "$log"
 files=0
 for f in src/core/*.cpp src/util/*.cpp; do
   [ -e "$f" ] || continue
   files=$((files + 1))
-  if ! "$GXX" -std=c++20 -Isrc -fanalyzer -c "$f" -o /dev/null \
-      2>> "$log"; then
+  out="$logs/$(printf %s "$f" | tr / _)"
+  if [ ! -e "$out.log" ]; then
+    echo "check_gcc_analyzer: FAIL: $f was not analyzed" >&2
+    status=1
+    continue
+  fi
+  if [ -e "$out.failed" ]; then
     echo "check_gcc_analyzer: FAIL: $f does not compile under -fanalyzer" >&2
     status=1
   fi
+  cat "$out.log" >> "$log"
 done
 
 # One diagnostic per "warning:" line; the event traces GCC prints after

@@ -10,6 +10,9 @@
 # any of those paths. The DES tests run too: des::EventFn keeps closures
 # in hand-written raw storage (placement new, relocation, boxed
 # fallback), and the leak checker sees a closure that is never destroyed.
+# test_concurrency runs too: the thread pool and every pooled code path
+# (Jacobi rounds, replications and their metrics shards) hand per-worker
+# buffers across the fork and the join.
 #
 # The tree is configured with -DNASHLB_CHECK=ON so the paper-invariant
 # contract layer (docs/STATIC_ANALYSIS.md) is active under the
@@ -31,7 +34,8 @@ cmake -B "$build" -S "$root" \
   -DNASHLB_BUILD_BENCH=OFF \
   -DNASHLB_BUILD_EXAMPLES=OFF
 cmake --build "$build" --target test_core --target test_util \
-  --target test_des -j "$(nproc 2>/dev/null || echo 4)"
+  --target test_des --target test_concurrency \
+  -j "$(nproc 2>/dev/null || echo 4)"
 
 # halt_on_error is already the default via -fno-sanitize-recover=all;
 # detect_leaks exercises the allocation-free claim of the fast paths.
@@ -47,5 +51,8 @@ ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
   "$build/tests/test_des"
 
-echo "check_sanitize: OK (test_core + test_util + test_des clean under" \
-     "ASan+UBSan with NASHLB_CHECK=ON)"
+ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
+  "$build/tests/test_concurrency"
+
+echo "check_sanitize: OK (test_core + test_util + test_des +" \
+     "test_concurrency clean under ASan+UBSan with NASHLB_CHECK=ON)"

@@ -2,20 +2,18 @@
 # ThreadSanitizer check for the parallel execution layer.
 #
 # Configures a separate build tree (build-tsan/) with
-# -DNASHLB_SANITIZE=thread and runs the test binaries that exercise
-# util::ThreadPool concurrency under TSan:
-#
-#   test_util      the pool itself (chunk scheduling, reuse, exception
-#                  propagation across workers);
-#   test_core      pooled Jacobi rounds writing disjoint profile rows and
-#                  the per-user reduction arrays;
-#   test_system    pooled DES replications with per-replication metrics
-#                  shards (test_replication lives in this binary).
+# -DNASHLB_SANITIZE=thread, builds the test_concurrency binary and the
+# libraries it links, and runs it under TSan. The binary holds the
+# util::ThreadPool tests (chunk scheduling, reuse, exception propagation
+# across workers) and one test per pooled code path: the Jacobi round
+# per user and in class mode, the diverging round the convergence probe
+# records, and the replications with their per-replication metrics
+# shards (tests/concurrency/).
 #
 # The determinism story ("bitwise identical at any thread count") rests
 # on the claim that workers touch disjoint state between the fork and
-# the join — precisely the claim TSan can falsify. A clean pass plus the
-# bitwise tests is the PR's whole evidence chain.
+# the join — precisely the claim TSan can falsify. Each of those tests
+# also compares the pooled result with the serial one bit for bit.
 #
 # Exits 77 (ctest SKIP convention) when the toolchain cannot build and
 # run a TSan binary at all — same convention as check_tidy/check_format.
@@ -50,15 +48,12 @@ cmake -B "$build" -S "$root" \
   -DNASHLB_SANITIZE=thread \
   -DNASHLB_BUILD_BENCH=OFF \
   -DNASHLB_BUILD_EXAMPLES=OFF
-cmake --build "$build" --target test_util --target test_core \
-  --target test_system -j "$(nproc 2> /dev/null || echo 4)"
+cmake --build "$build" --target test_concurrency \
+  -j "$(nproc 2> /dev/null || echo 4)"
 
 # second_deadlock_stack costs nothing and makes lock-order reports
 # readable; halt_on_error is already the default via
 # -fno-sanitize-recover=all.
-TSAN_OPTIONS=second_deadlock_stack=1 "$build/tests/test_util"
-TSAN_OPTIONS=second_deadlock_stack=1 "$build/tests/test_core"
-TSAN_OPTIONS=second_deadlock_stack=1 "$build/tests/test_system"
+TSAN_OPTIONS=second_deadlock_stack=1 "$build/tests/test_concurrency"
 
-echo "check_tsan: OK (test_util + test_core + test_system clean under" \
-     "ThreadSanitizer)"
+echo "check_tsan: OK (test_concurrency clean under ThreadSanitizer)"

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Semantic analyzer for the nashlb tree — the checks lint_nashlb.py cannot
-express with regexes, grounded in program structure.
+"""Static analyzer for the nashlb tree: the repository-specific rules no
+generic tool can check, run over a C++ tokenizer with scope tracking.
 
 Registered as the `check_analyzer` ctest and a tools/check_all.sh step.
-Five rules, each protecting a guarantee the scaling layers rest on
+Nine rules, each protecting a guarantee the reproduction rests on
 (docs/STATIC_ANALYSIS.md, "Semantic analysis"):
 
   hot-path-alloc
@@ -13,28 +13,28 @@ Five rules, each protecting a guarantee the scaling layers rest on
       distributed/ring_protocol.cpp (HOT_FILE_FUNCS below). Flags
       new-expressions, construction of allocating containers
       (vector/string/function/map/...), push_back/emplace_back on
-      un-reserve()d receivers, and make_unique/make_shared/to_string.
-      Allocations on throw paths are exempt — error exits are cold by
+      un-reserve()d receivers, make_unique/make_shared/to_string, and
+      calls to the allocating wrappers (best_reply, waterfill_sqrt,
+      waterfill_linear, optimal_fractions), which are also banned
+      anywhere in core/dynamics.cpp and distributed/ring_protocol.cpp.
+      Allocations on throw paths are exempt: error exits are cold by
       definition. The `_into` layer's whole contract is that a
-      steady-state best-reply round performs zero heap allocations; a
-      copy constructor the regex lint cannot see breaks it silently.
+      steady-state best-reply round performs zero heap allocations, and
+      no compiler warning says when a stray copy or wrapper breaks it.
 
   unordered-float-accum
       No floating-point accumulation into a loop-invariant target inside
       a range-for over std::unordered_map/std::unordered_set. Hash
       iteration order is implementation- and seed-dependent, and float
       addition does not commute in rounding, so such a loop silently
-      breaks the bitwise thread-count/run-to-run determinism story
-      (PR 6). Accumulating into a per-key slot (target names the loop
-      variable) is order-independent and allowed.
+      breaks bitwise run-to-run determinism. Accumulating into a
+      per-key slot (target names the loop variable) is allowed.
 
   nondeterminism-sources
       No std::random_device, rand()/srand(), time()/clock(), or
       std::chrono::*_clock::now() in src/core, src/des or
-      src/distributed. All randomness goes through the seeded
-      stats:: RNG seams and all timing through the obs layer; a raw
-      clock read in solver code either steers the iteration (silently
-      schedule-dependent results) or belongs in obs. Wall-clock reads
+      src/distributed. All randomness goes through the seeded stats::
+      RNG seams and all timing through the obs layer. Wall-clock reads
       that only feed a trace column carry a reasoned waiver.
 
   contract-coverage
@@ -43,52 +43,64 @@ Five rules, each protecting a guarantee the scaling layers rest on
       NASHLB_EXPECT/ENSURE/INVARIANT itself or transitively call into a
       function that does. Coverage is reported as a percentage in
       bench_results/analysis_report.json and gated against the
-      committed report (check_bench-style: working tree vs
-      `git show HEAD:`) — a refactor that drops a precondition from a
-      core API fails the gate even though every test still passes.
+      committed report (`git show HEAD:`): a refactor that drops a
+      precondition from a core API fails even though every test passes.
 
   noexcept-merge
-      The obs shard-reduction paths and the ThreadPool chunk runner
-      must not let exceptions escape past the documented capture point:
       (a) src/util/parallel.cpp must keep a catch-all handler that
       stores std::current_exception() around the chunk-functor
-      invocation (the capture point of PR 6's deterministic error
-      propagation); (b) every merge() defined in src/obs must contain
-      no throw-expression, and the per-instrument merges (non-Registry)
-      must be declared noexcept — a throwing merge inside a worker
-      would std::terminate instead of surfacing as the lowest-chunk
-      rethrow.
+      invocation, the capture point of the pool's deterministic error
+      propagation; (b) every merge() defined in src/obs must contain no
+      throw-expression, and the per-instrument merges (non-Registry)
+      must be declared noexcept: a throwing merge inside a worker would
+      std::terminate instead of surfacing as the lowest-chunk rethrow.
 
-Engines. The precise engine parses the real clang AST via clang.cindex
-against the build's compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS
-is always on). Machines without libclang fall back to a token-level
-structural engine — a real C++ tokenizer with scope tracking, not
-regexes — that runs every rule in a documented partial mode (it cannot
-see through typedefs or overload resolution). contract-coverage always
-runs on the token index in both modes: contracts are preprocessor
-macros, a lexical fact the post-expansion AST does not retain under the
-default NASHLB_CHECK=OFF flags.
+  trace-arity
+      In a src/ file that defines a `*_trace_columns()`,
+      `*_trace_fields()` or `*_export_columns()` schema, every
+      `record({...})`, `add_row({...})` and `emit_event(..., {...})`
+      call must pass exactly as many cells as the schema declares
+      columns. The sinks check this at runtime, but only on
+      instrumented runs.
 
-Exit codes follow check_tidy's convention: 0 clean under the full clang
-engine, 1 findings or selftest failure under either engine, 77 when
-only the partial token engine could run and it found nothing (ctest
-SKIP via SKIP_RETURN_CODE — the partial pass is evidence, not proof).
+  journal-arity
+      Wherever a src/ file registers a journal event schema
+      (`<id> = ...register_event("name", {"f1", ...})`), every
+      `emit(<id>, {...})` in the same file must pass exactly as many
+      values as the schema declares fields, so a crash dump never
+      carries misaligned fields.
+
+  histogram-bounds
+      src/obs/histogram.hpp must declare bucket_count(),
+      bucket_lower_bound() and bucket_upper_bound(), and no file outside
+      src/obs/ may name the layout constants (kMinExponent,
+      kMaxExponent, kBucketsPerOctave): a consumer that recomputes
+      bucket edges drifts the first time the grid changes.
+
+  raw-concurrency
+      No std::thread/std::jthread/std::async or `#pragma omp` in src/
+      outside src/util/parallel.{hpp,cpp}: all concurrency goes through
+      util::ThreadPool, whose static chunking and ordered reductions
+      make results bitwise independent of the thread count. Mutexes,
+      condition variables and std::atomic* are additionally banned
+      outside parallel.* and src/obs/ (instrument shards may need
+      atomics; solver code holding a lock or atomic means shared state
+      the pool's chunking was supposed to rule out).
 
 Suppression: `// nashlb-analyzer: allow(<rule>) -- <reason>` on the
-offending line or the line above. The reason text is mandatory —
-a bare allow() is itself reported (waiver-missing-reason). Waivers that
-match nothing are ignored, not errors: the two engines see different
-supersets of findings.
+offending line or the line above. The reason text is mandatory: a bare
+allow() is itself reported (waiver-missing-reason).
 
-Every invocation first runs a built-in selftest: each rule is compiled
-against synthetic must-trigger and must-not-trigger snippets (the same
-philosophy as lint_nashlb.py), under every engine available.
+Every invocation first runs a built-in selftest: each rule is run on
+synthetic snippets that must trigger it and snippets that must not.
+
+Exit: 0 clean, 1 findings or selftest failure.
 
 Usage:
-  tools/nashlb_analyzer.py [repo-root [build-dir]] [--engine auto|tokens|clang]
+  tools/nashlb_analyzer.py [repo-root]
       full run: selftest, tree scan, contract-coverage gate against the
       committed bench_results/analysis_report.json.
-  tools/nashlb_analyzer.py --write-report [repo-root [build-dir]]
+  tools/nashlb_analyzer.py --write-report [repo-root]
       also rewrite bench_results/analysis_report.json from this run.
   tools/nashlb_analyzer.py --check-file REAL.cpp:virtual/path.cpp ...
       fixture mode: analyze the named files as if they lived at the
@@ -104,14 +116,16 @@ import re
 import subprocess
 import sys
 
-SKIP = 77
-
 RULES = (
     "hot-path-alloc",
     "unordered-float-accum",
     "nondeterminism-sources",
     "contract-coverage",
     "noexcept-merge",
+    "trace-arity",
+    "journal-arity",
+    "histogram-bounds",
+    "raw-concurrency",
 )
 
 # ---------------------------------------------------------------------------
@@ -139,6 +153,12 @@ ALLOC_TYPE_NAMES = {
     "stringstream", "shared_ptr",
 }
 ALLOC_CALL_NAMES = {"make_unique", "make_shared", "to_string"}
+# The allocating convenience wrappers over the `_into` layer: banned in
+# the hot set and anywhere in the two hot-loop files.
+ALLOC_WRAPPERS = {"best_reply", "waterfill_sqrt", "waterfill_linear",
+                  "optimal_fractions"}
+WRAPPER_BAN_FILES = ("src/core/dynamics.cpp",
+                     "src/distributed/ring_protocol.cpp")
 
 # Directories rule 3 polices (src-relative path prefixes).
 NONDET_DIRS = ("src/core", "src/des", "src/distributed")
@@ -157,7 +177,22 @@ AUDIT_PARAM_NAMES = {
 CONTRACT_CALL_DEPTH = 6
 
 PARALLEL_CPP = "src/util/parallel.cpp"
+PARALLEL_FILES = ("src/util/parallel.hpp", PARALLEL_CPP)
 OBS_DIR = "src/obs"
+
+SCHEMA_FUNC_RE = re.compile(
+    r"\w+_(?:trace_columns|trace_fields|export_columns)$")
+ARITY_CALLS = ("record", "add_row", "emit_event")
+
+HISTOGRAM_HPP = "src/obs/histogram.hpp"
+HISTOGRAM_API = ("bucket_count", "bucket_lower_bound", "bucket_upper_bound")
+HISTOGRAM_CONSTANTS = {"kMinExponent", "kMaxExponent", "kBucketsPerOctave"}
+
+THREAD_NAMES = {"thread", "jthread", "async"}
+SYNC_NAMES = {"mutex", "timed_mutex", "recursive_mutex",
+              "recursive_timed_mutex", "shared_mutex", "shared_timed_mutex",
+              "condition_variable", "condition_variable_any"}
+PRAGMA_OMP_RE = re.compile(r"^\s*#\s*pragma\s+omp\b")
 
 WAIVER_RE = re.compile(
     r"nashlb-analyzer:\s*allow\(([\w-]+)\)\s*(?:--|:)?\s*(\S.*)?")
@@ -200,8 +235,7 @@ class Finding:
 
 
 class Waivers:
-    """Per-file waiver table, read from the raw source lines (waivers are
-    comments — a lexical fact both engines share).
+    """Per-file waiver table, read from the raw source lines.
 
     A trailing waiver covers its own line. A waiver on its own comment
     line covers the rest of its comment block and the one statement
@@ -258,7 +292,7 @@ class Waivers:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer (the structural engine's front end)
+# Tokenizer
 # ---------------------------------------------------------------------------
 
 TOKEN_RE = re.compile(
@@ -354,9 +388,6 @@ class FunctionInfo:
                     self.has_contract = True
             elif t.text == "throw":
                 self.throw_lines.append(t.line)
-
-    def param_text(self):
-        return " ".join(t.text for t in self.params)
 
 
 def _collect_name(toks, i):
@@ -513,7 +544,7 @@ def _record(funcs, toks, i, name, scopes, path, close, is_def, noexcept_,
 
 
 # ---------------------------------------------------------------------------
-# Token engine rules
+# Rules
 # ---------------------------------------------------------------------------
 
 
@@ -539,11 +570,27 @@ def is_hot(func, path):
     return func.name in HOT_FILE_FUNCS.get(path, ())
 
 
-def rule_hot_path_alloc(path, funcs, waivers, out):
+def _wrapper_calls(path, toks, where, waivers, out):
+    for idx, t in enumerate(toks[:-1]):
+        if (t.kind == "id" and t.text in ALLOC_WRAPPERS
+                and toks[idx + 1].text == "("
+                and not _is_decl_context(toks, idx)):
+            _emit(out, waivers, path, t.line, "hot-path-alloc",
+                  "allocating wrapper %s() called in %s; use the _into "
+                  "variant with a workspace" % (t.text, where))
+
+
+def rule_hot_path_alloc(path, toks, funcs, waivers, out):
+    banned_file = path in WRAPPER_BAN_FILES
+    if banned_file:
+        _wrapper_calls(path, toks, "hot-loop file", waivers, out)
     for fn in funcs:
         if not fn.is_definition or not is_hot(fn, path):
             continue
         body = fn.body
+        if not banned_file:
+            _wrapper_calls(path, body, "hot function %s()" % fn.name,
+                           waivers, out)
         cold = _skip_throw_ranges(body)
         reserved = set()
         for idx in range(len(body) - 3):
@@ -785,8 +832,170 @@ def rule_noexcept_merge(path, toks, funcs, waivers, out):
                   "std::terminate" % fn.qual)
 
 
+def _brace_cells(toks, i):
+    """toks[i] is `{`: the number of top-level cells in its list."""
+    end = match_paren(toks, i, "{", "}")
+    if end is None or end == i + 1:
+        return 0
+    depth = 0
+    cells = 1
+    for t in toks[i + 1:end]:
+        if t.text in ("(", "[", "{"):
+            depth += 1
+        elif t.text in (")", "]", "}"):
+            depth -= 1
+        elif t.text == "," and depth == 0:
+            cells += 1
+    return cells
+
+
+def _first_brace(toks, lo, hi):
+    """Index of the first `{` in toks[lo:hi] outside nested ( ) / [ ]."""
+    depth = 0
+    for k in range(lo, hi):
+        tt = toks[k].text
+        if tt == "{" and depth == 0:
+            return k
+        if tt in ("(", "["):
+            depth += 1
+        elif tt in (")", "]"):
+            depth -= 1
+    return None
+
+
+def _string_count(toks, i):
+    """String literals in the braced list opening at toks[i]."""
+    end = match_paren(toks, i, "{", "}") or i
+    return sum(1 for t in toks[i:end] if t.kind == "str")
+
+
+def rule_trace_arity(path, toks, funcs, waivers, out):
+    schema = next((fn for fn in funcs if fn.is_definition
+                   and SCHEMA_FUNC_RE.match(fn.name)), None)
+    if schema is None:
+        return
+    body = schema.body
+    ret = next((k + 1 for k in range(len(body) - 1)
+                if body[k].text == "return" and body[k + 1].text == "{"),
+               None)
+    if ret is None:
+        _emit(out, waivers, path, schema.line, "trace-arity",
+              "%s() has no braced return list" % schema.name)
+        return
+    columns = _string_count(body, ret)
+    for i, t in enumerate(toks[:-2]):
+        if (t.kind != "id" or t.text not in ARITY_CALLS
+                or toks[i + 1].text != "("):
+            continue
+        close = match_paren(toks, i + 1)
+        if close is None:
+            continue
+        if t.text == "emit_event":
+            # The cell list is one argument among several; a match with
+            # no list at all is the function's own definition.
+            k = _first_brace(toks, i + 2, close)
+            if k is None:
+                continue
+        elif (toks[i + 2].text == "{"
+              and match_paren(toks, i + 2, "{", "}") == close - 1):
+            k = i + 2
+        else:
+            _emit(out, waivers, path, t.line, "trace-arity",
+                  "%s() argument is not a braced cell list; cannot check "
+                  "arity against %s()" % (t.text, schema.name))
+            continue
+        cells = _brace_cells(toks, k)
+        if cells != columns:
+            _emit(out, waivers, path, t.line, "trace-arity",
+                  "%s() passes %d cells but %s() declares %d columns"
+                  % (t.text, cells, schema.name, columns))
+
+
+def _journal_schemas(toks):
+    """EventId variable -> field count for every
+    `<var> = ...register_event("name", {"f1", ...})` in a file."""
+    schemas = {}
+    for i, t in enumerate(toks[:-1]):
+        if t.text != "register_event" or toks[i + 1].text != "(":
+            continue
+        close = match_paren(toks, i + 1)
+        k = _first_brace(toks, i + 2, close) if close else None
+        if k is None:
+            continue
+        j = i - 1
+        while j > 0 and toks[j].text not in (";", "{", "}", "="):
+            j -= 1
+        if toks[j].text == "=" and toks[j - 1].kind == "id":
+            schemas[toks[j - 1].text] = _string_count(toks, k)
+    return schemas
+
+
+def rule_journal_arity(path, toks, waivers, out):
+    schemas = _journal_schemas(toks)
+    for i, t in enumerate(toks[:-3]):
+        if not (t.text == "emit" and toks[i + 1].text == "("
+                and toks[i + 2].text in schemas
+                and toks[i + 3].text == ","):
+            continue
+        var = toks[i + 2].text
+        close = match_paren(toks, i + 1)
+        k = _first_brace(toks, i + 4, close) if close else None
+        if k is None:
+            _emit(out, waivers, path, t.line, "journal-arity",
+                  "emit(%s, ...) does not pass a braced value list; cannot "
+                  "check arity against the registered schema" % var)
+            continue
+        cells = _brace_cells(toks, k)
+        if cells != schemas[var]:
+            _emit(out, waivers, path, t.line, "journal-arity",
+                  "emit(%s, ...) passes %d values but the registered "
+                  "schema declares %d fields" % (var, cells, schemas[var]))
+
+
+def rule_histogram_bounds(path, toks, waivers, out):
+    if path == HISTOGRAM_HPP:
+        declared = {t.text for t, nxt in zip(toks, toks[1:])
+                  if nxt.text == "("}
+        for api in HISTOGRAM_API:
+            if api not in declared:
+                _emit(out, waivers, path, 1, "histogram-bounds",
+                      "HistogramLayout no longer declares %s(); consumers "
+                      "need the programmatic bucket-bounds API" % api)
+    elif not path.startswith(OBS_DIR + "/"):
+        for t in toks:
+            if t.kind == "id" and t.text in HISTOGRAM_CONSTANTS:
+                _emit(out, waivers, path, t.line, "histogram-bounds",
+                      "%s referenced outside src/obs/: derive bucket edges "
+                      "via HistogramLayout::bucket_lower_bound()/"
+                      "bucket_upper_bound() instead" % t.text)
+
+
+def rule_raw_concurrency(path, text, toks, waivers, out):
+    if path in PARALLEL_FILES:
+        return  # the pool's own implementation
+    pool = ("route concurrency through util::ThreadPool so results stay "
+            "deterministic across thread counts")
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if PRAGMA_OMP_RE.match(line):
+            _emit(out, waivers, path, lineno, "raw-concurrency",
+                  "#pragma omp outside src/util/parallel.*: " + pool)
+    sync_exempt = path.startswith(OBS_DIR + "/")
+    for i in range(2, len(toks)):
+        if toks[i - 1].text != "::" or toks[i - 2].text != "std":
+            continue
+        name = toks[i].text
+        if name in THREAD_NAMES:
+            _emit(out, waivers, path, toks[i].line, "raw-concurrency",
+                  "std::%s outside src/util/parallel.*: %s" % (name, pool))
+        elif not sync_exempt and (name in SYNC_NAMES or name == "atomic"
+                                  or name.startswith("atomic_")):
+            _emit(out, waivers, path, toks[i].line, "raw-concurrency",
+                  "std::%s outside src/util/parallel.* and src/obs/: "
+                  "solver code must not own locks or atomics" % name)
+
+
 # ---------------------------------------------------------------------------
-# Contract coverage (token index, both engines)
+# Contract coverage
 # ---------------------------------------------------------------------------
 
 
@@ -887,7 +1096,7 @@ def compute_contract_coverage(index, waiver_map):
 
 
 # ---------------------------------------------------------------------------
-# Engine drivers
+# Driver
 # ---------------------------------------------------------------------------
 
 
@@ -897,321 +1106,29 @@ def _emit(out, waivers, path, line, rule, message):
     out.append(Finding(path, line, rule, message))
 
 
-class TokenEngine:
-    """The dependency-free engine: every rule in partial mode plus the
-    exact contract-coverage index."""
-
-    name = "tokens"
-
-    def analyze(self, files):
-        """files: [(relpath, text)]. Returns (findings, coverage_entries)."""
-        findings = []
-        index = {}
-        waiver_map = {}
-        for path, text in files:
-            lines = text.split("\n")
-            waivers = Waivers(lines)
-            waiver_map[path] = waivers
-            findings.extend(waivers.missing_reasons(path))
-            toks = tokenize(text)
-            funcs = index_file(path, toks)
-            index[path] = funcs
-            rule_hot_path_alloc(path, funcs, waivers, findings)
-            rule_unordered_float_accum(path, toks, waivers, findings)
-            rule_nondeterminism(path, toks, waivers, findings)
-            rule_noexcept_merge(path, toks, funcs, waivers, findings)
-        entries, cov_findings = compute_contract_coverage(index, waiver_map)
-        findings.extend(cov_findings)
-        return findings, entries
-
-
-class ClangEngine:
-    """The precise engine over the real clang AST. Shares the waiver
-    layer and the contract-coverage token index with TokenEngine (macros
-    and comments are lexical facts); rules 1/2/3/5 run on cursors."""
-
-    name = "clang"
-
-    def __init__(self, cindex, compile_db):
-        self.ci = cindex
-        self.compile_db = compile_db  # {abs source path: [args]}
-        self.index = cindex.Index.create()
-
-    # -- public API ---------------------------------------------------------
-
-    def analyze(self, files):
-        token_engine = TokenEngine()
-        findings = []
-        index = {}
-        waiver_map = {}
-        for path, text in files:
-            lines = text.split("\n")
-            waivers = Waivers(lines)
-            waiver_map[path] = waivers
-            findings.extend(waivers.missing_reasons(path))
-            index[path] = index_file(path, tokenize(text))
-        entries, cov_findings = compute_contract_coverage(index, waiver_map)
-        findings.extend(cov_findings)
-        seen_headers = set()
-        for path, _text in files:
-            if not path.endswith(".cpp"):
-                continue
-            try:
-                tu = self._parse(path)
-            except Exception as exc:  # noqa: BLE001 — surface, don't crash
-                findings.append(Finding(path, 1, "parse-error",
-                                        "clang failed to parse: %s" % exc))
-                continue
-            findings.extend(self._walk_tu(tu, path, waiver_map,
-                                          seen_headers))
-        del token_engine
-        return findings, entries
-
-    # -- internals ----------------------------------------------------------
-
-    def _parse(self, relpath):
-        for abspath, args in self.compile_db.items():
-            if abspath.endswith(os.sep + relpath) or abspath == relpath:
-                # Contracts must be visible to the AST even though the
-                # exported flags build with NASHLB_CHECK=OFF.
-                return self.index.parse(
-                    abspath, args=args + ["-DNASHLB_CHECK_ENABLED=1"])
-        raise RuntimeError("%s not in compile_commands.json" % relpath)
-
-    def _walk_tu(self, tu, main_rel, waiver_map, seen_headers):
-        ci = self.ci
-        findings = []
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-        def rel_of(cursor):
-            loc = cursor.location
-            if loc.file is None:
-                return None
-            path = os.path.abspath(loc.file.name)
-            if not path.startswith(root + os.sep):
-                return None
-            return os.path.relpath(path, root).replace(os.sep, "/")
-
-        def waivers_for(rel):
-            return waiver_map.get(rel)
-
-        fn_kinds = {ci.CursorKind.FUNCTION_DECL, ci.CursorKind.CXX_METHOD,
-                    ci.CursorKind.CONSTRUCTOR, ci.CursorKind.FUNCTION_TEMPLATE}
-
-        def visit(cursor):
-            rel = rel_of(cursor)
-            if cursor.kind in fn_kinds and cursor.is_definition() \
-                    and rel is not None:
-                if rel != main_rel and rel in seen_headers:
-                    return  # each header function reported once
-                self._check_function(cursor, rel, waivers_for(rel), findings)
-            for child in cursor.get_children():
-                crel = rel_of(child)
-                if crel is None and child.location.file is not None:
-                    continue  # system headers
-                visit(child)
-
-        visit(tu.cursor)
-        for rel in {rel_of(c) for c in tu.cursor.get_children()
-                    if rel_of(c) is not None}:
-            if rel != main_rel:
-                seen_headers.add(rel)
-        return findings
-
-    def _check_function(self, cursor, rel, waivers, findings):
-        ci = self.ci
-        name = cursor.spelling
-        hot = name.endswith("_into") or \
-            name in HOT_FILE_FUNCS.get(rel, ())
-
-        def flag(node, rule, message):
-            line = node.location.line if node.location else 1
-            _emit(findings, waivers, rel, line, rule, message)
-
-        def in_throw(stack):
-            return any(k == ci.CursorKind.CXX_THROW_EXPR for k in stack)
-
-        reserved = set()
-        if hot:
-            for node in cursor.walk_preorder():
-                if node.kind == ci.CursorKind.CALL_EXPR and \
-                        node.spelling == "reserve":
-                    kids = list(node.get_children())
-                    if kids:
-                        base = list(kids[0].walk_preorder())
-                        for b in base:
-                            if b.kind == ci.CursorKind.DECL_REF_EXPR:
-                                reserved.add(b.spelling)
-
-        range_float_targets = []
-
-        def walk(node, stack):
-            kind = node.kind
-            if hot and not in_throw(stack):
-                if kind == ci.CursorKind.CXX_NEW_EXPR:
-                    flag(node, "hot-path-alloc",
-                         "new-expression in hot function %s()" % name)
-                elif kind == ci.CursorKind.CALL_EXPR:
-                    callee = node.referenced
-                    cname = node.spelling
-                    if cname in ALLOC_CALL_NAMES:
-                        flag(node, "hot-path-alloc",
-                             "%s() allocates in hot function %s()"
-                             % (cname, name))
-                    elif cname in ("push_back", "emplace_back"):
-                        kids = list(node.get_children())
-                        base_names = set()
-                        if kids:
-                            for b in kids[0].walk_preorder():
-                                if b.kind == ci.CursorKind.DECL_REF_EXPR:
-                                    base_names.add(b.spelling)
-                        if not (base_names & reserved):
-                            flag(node, "hot-path-alloc",
-                                 "%s() in hot function %s() without a "
-                                 "prior reserve()" % (cname, name))
-                    elif callee is not None and \
-                            callee.kind == ci.CursorKind.CONSTRUCTOR:
-                        parent = callee.semantic_parent
-                        if parent is not None and \
-                                parent.spelling in ALLOC_TYPE_NAMES:
-                            flag(node, "hot-path-alloc",
-                                 "std::%s constructed in hot function "
-                                 "%s()" % (parent.spelling, name))
-            if kind == ci.CursorKind.CXX_FOR_RANGE_STMT:
-                kids = list(node.get_children())
-                if len(kids) >= 2:
-                    range_expr = kids[-2]
-                    type_spelling = range_expr.type.spelling
-                    if "unordered_map" in type_spelling or \
-                            "unordered_set" in type_spelling:
-                        loop_var = kids[0].spelling
-                        for sub in kids[-1].walk_preorder():
-                            if sub.kind == \
-                                    ci.CursorKind.COMPOUND_ASSIGNMENT_OPERATOR:
-                                subkids = list(sub.get_children())
-                                if not subkids:
-                                    continue
-                                lhs = subkids[0]
-                                if lhs.type.spelling not in ("float",
-                                                             "double",
-                                                             "long double"):
-                                    continue
-                                refs = {r.spelling for r in
-                                        lhs.walk_preorder()
-                                        if r.kind ==
-                                        ci.CursorKind.DECL_REF_EXPR}
-                                if loop_var not in refs:
-                                    range_float_targets.append(sub)
-            if rel.startswith(NONDET_DIRS):
-                if kind in (ci.CursorKind.DECL_REF_EXPR,
-                            ci.CursorKind.TYPE_REF) and \
-                        node.spelling in ("random_device",):
-                    flag(node, "nondeterminism-sources",
-                         "std::random_device in solver code")
-                elif kind == ci.CursorKind.CALL_EXPR:
-                    cname = node.spelling
-                    ref = node.referenced
-                    parent = ref.semantic_parent if ref is not None else None
-                    pspell = parent.spelling if parent is not None else ""
-                    if cname in NONDET_FREE_FUNCS and pspell in ("", "std"):
-                        flag(node, "nondeterminism-sources",
-                             "%s(): wall-clock/CRT randomness in solver "
-                             "code" % cname)
-                    elif cname == "now" and pspell.endswith("_clock"):
-                        flag(node, "nondeterminism-sources",
-                             "std::chrono::%s::now() in solver code"
-                             % pspell)
-            for child in node.get_children():
-                walk(child, stack + [kind])
-
-        walk(cursor, [])
-        for node in range_float_targets:
-            flag(node, "unordered-float-accum",
-                 "float accumulation into a loop-invariant target inside "
-                 "a range-for over an unordered container")
-        if rel.startswith(OBS_DIR + "/") and name == "merge":
-            for node in cursor.walk_preorder():
-                if node.kind == ci.CursorKind.CXX_THROW_EXPR:
-                    flag(node, "noexcept-merge",
-                         "throw-expression inside %s()" % name)
-            parent = cursor.semantic_parent
-            pname = parent.spelling if parent is not None else ""
-            if "Registry" not in pname and \
-                    cursor.exception_specification_kind not in (
-                        ci.ExceptionSpecificationKind.BASIC_NOEXCEPT,
-                        ci.ExceptionSpecificationKind.COMPUTED_NOEXCEPT):
-                flag(cursor, "noexcept-merge",
-                     "per-instrument %s::merge() is not noexcept"
-                     % pname)
-        if rel == PARALLEL_CPP and name == "run_chunks":
-            has_capture = False
-            for node in cursor.walk_preorder():
-                if node.kind == ci.CursorKind.CXX_CATCH_STMT:
-                    kids = list(node.get_children())
-                    decls = [k for k in kids
-                             if k.kind == ci.CursorKind.VAR_DECL]
-                    body = kids[-1] if kids else None
-                    if not decls and body is not None:
-                        for sub in body.walk_preorder():
-                            if sub.spelling == "current_exception":
-                                has_capture = True
-            if not has_capture:
-                flag(cursor, "noexcept-merge",
-                     "run_chunks() lost its catch(...)/current_exception "
-                     "capture point")
-
-
-def load_clang_engine(build_dir):
-    """Returns a ClangEngine, or None (with a reason) when libclang or the
-    compilation database is unavailable."""
-    try:
-        import clang.cindex as cindex  # noqa: PLC0415 — optional dep
-    except ImportError:
-        return None, "python clang bindings (clang.cindex) not installed"
-    try:
-        cindex.Index.create()
-    except Exception:  # noqa: BLE001
-        found = False
-        for cand in ("libclang.so", "libclang.so.1", "libclang-18.so",
-                     "libclang-17.so", "libclang-16.so", "libclang-15.so",
-                     "libclang-14.so"):
-            try:
-                cindex.Config.loaded = False
-                cindex.Config.set_library_file(cand)
-                cindex.Index.create()
-                found = True
-                break
-            except Exception:  # noqa: BLE001
-                continue
-        if not found:
-            return None, "libclang shared library not found"
-    db_path = os.path.join(build_dir, "compile_commands.json")
-    if not os.path.isfile(db_path):
-        return None, "%s not found (configure with cmake first)" % db_path
-    with open(db_path, encoding="utf-8") as f:
-        raw = json.load(f)
-    db = {}
-    for entry in raw:
-        args = entry.get("arguments")
-        if args is None:
-            args = entry.get("command", "").split()
-        cleaned = []
-        skip_next = False
-        for a in args[1:]:
-            if skip_next:
-                skip_next = False
-                continue
-            if a in ("-c", entry["file"]):
-                continue
-            if a == "-o":
-                skip_next = True
-                continue
-            cleaned.append(a)
-        path = entry["file"]
-        if not os.path.isabs(path):
-            path = os.path.normpath(os.path.join(entry["directory"], path))
-        db[path] = cleaned
-    return ClangEngine(cindex, db), None
+def analyze(files):
+    """files: [(relpath, text)]. Returns (findings, coverage_entries)."""
+    findings = []
+    index = {}
+    waiver_map = {}
+    for path, text in files:
+        waivers = Waivers(text.split("\n"))
+        waiver_map[path] = waivers
+        findings.extend(waivers.missing_reasons(path))
+        toks = tokenize(text)
+        funcs = index_file(path, toks)
+        index[path] = funcs
+        rule_hot_path_alloc(path, toks, funcs, waivers, findings)
+        rule_unordered_float_accum(path, toks, waivers, findings)
+        rule_nondeterminism(path, toks, waivers, findings)
+        rule_noexcept_merge(path, toks, funcs, waivers, findings)
+        rule_trace_arity(path, toks, funcs, waivers, findings)
+        rule_journal_arity(path, toks, waivers, findings)
+        rule_histogram_bounds(path, toks, waivers, findings)
+        rule_raw_concurrency(path, text, toks, waivers, findings)
+    entries, cov_findings = compute_contract_coverage(index, waiver_map)
+    findings.extend(cov_findings)
+    return findings, entries
 
 
 # ---------------------------------------------------------------------------
@@ -1221,7 +1138,7 @@ def load_clang_engine(build_dir):
 REPORT_RELPATH = os.path.join("bench_results", "analysis_report.json")
 
 
-def build_report(engine_name, findings, coverage_entries):
+def build_report(findings, coverage_entries):
     covered = sum(1 for e in coverage_entries if e["covered"])
     total = len(coverage_entries)
     waived_uncovered = sorted(e["function"] for e in coverage_entries
@@ -1232,7 +1149,7 @@ def build_report(engine_name, findings, coverage_entries):
         rule_counts[f.rule] = rule_counts.get(f.rule, 0) + 1
     return {
         "schema": 1,
-        "engine": engine_name,
+        "engine": "tokens",
         "contract_coverage": {
             "covered": covered,
             "total": total,
@@ -1261,16 +1178,11 @@ def committed_report(root):
 
 def coverage_gate(root, report):
     """check_bench-style regression gate: the working tree's contract
-    coverage may not drop below the committed report's (same engine)."""
+    coverage may not drop below the committed report's."""
     base = committed_report(root)
     if base is None:
         print("nashlb_analyzer: no committed %s — coverage gate skipped "
               "(run --write-report and commit to arm it)" % REPORT_RELPATH)
-        return []
-    if base.get("engine") != report["engine"]:
-        print("nashlb_analyzer: committed report was produced by the %r "
-              "engine, this run used %r — coverage gate skipped"
-              % (base.get("engine"), report["engine"]))
         return []
     old = base.get("contract_coverage", {}).get("percent", 0.0)
     new = report["contract_coverage"]["percent"]
@@ -1452,28 +1364,154 @@ SELFTEST_SNIPPETS = [
           return rd();
         }
     """),
+    # The allocating-wrapper ban: inside the hot set anywhere, and
+    # anywhere at all in the two hot-loop files.
+    ("hot-path-alloc", "src/core/snippet.cpp", True, """
+        void reply_into(int j, double* out) { out[0] = best_reply(j); }
+    """),
+    ("hot-path-alloc", "src/core/dynamics.cpp", True, """
+        double seed_profile(int j) { return waterfill_sqrt(j, 1.0); }
+    """),
+    ("hot-path-alloc", "src/core/snippet.cpp", False, """
+        struct Reply {};
+        Reply best_reply(int j);
+        void reply_into(int j, Reply& ws) { best_reply_into(j, ws); }
+        Reply cold_reply(int j) { return best_reply(j); }
+    """),
+    ("trace-arity", "src/obs/snippet.cpp", True, """
+        std::vector<std::string> probe_trace_columns() {
+          return {"round", "norm"};
+        }
+        void dump(Sink& t) { t.record({1, 2.0, 3}); }
+    """),
+    ("trace-arity", "src/obs/snippet.cpp", True, """
+        std::vector<std::string> probe_export_columns() {
+          return {"round", "norm"};
+        }
+        void dump(Writer& w, const Row& cells) { w.add_row(cells); }
+    """),
+    ("trace-arity", "src/obs/snippet.cpp", True, """
+        std::vector<std::string> probe_trace_fields() {
+          return {"name", "ts", "dur"};
+        }
+        void dump(std::ofstream& out) { emit_event(out, fields, {"a"}); }
+    """),
+    ("trace-arity", "src/obs/snippet.cpp", False, """
+        std::vector<std::string> probe_trace_fields() {
+          return {"name", "ts", "dur"};
+        }
+        void emit_event(std::ofstream& out, const Fields& values);
+        void dump(Sink& t, std::ofstream& out, const Row& cells) {
+          t.record({a, {b, c}, f(d, e)});
+          emit_event(out, fields, {"a", "b", "c"});
+          // nashlb-analyzer: allow(trace-arity) -- arity pinned by Row
+          t.record(cells);
+        }
+    """),
+    ("trace-arity", "src/obs/snippet.cpp", False, """
+        void dump(Sink& t) { t.record({1}); }
+    """),
+    ("journal-arity", "src/core/snippet.cpp", True, """
+        void run(obs::Journal& j) {
+          obs::EventId tick = j.register_event("tick", {"round", "norm"});
+          j.emit(tick, {1.0});
+        }
+    """),
+    ("journal-arity", "src/core/snippet.cpp", True, """
+        void run(obs::Journal& j, const Values& values) {
+          tick_ = j.register_event("tick", {"round", "norm"});
+          j.emit(tick_, values);
+        }
+    """),
+    ("journal-arity", "src/core/snippet.cpp", False, """
+        void emit(EventId id, std::initializer_list<double> v);
+        void run(obs::Journal& j) {
+          obs::EventId tick = j.register_event("tick", {"round", "norm"});
+          obs::EventId k = j.register_event("k", {"x"});
+          j.emit(tick, {1.0, 2.0});
+          j.emit(foreign, {1.0});
+          // nashlb-analyzer: allow(journal-arity) -- selftest waiver
+          j.emit(k, {1.0, 2.0});
+        }
+    """),
+    ("histogram-bounds", "src/core/snippet.cpp", True, """
+        int octave() { return kBucketsPerOctave; }
+    """),
+    ("histogram-bounds", "src/obs/histogram.hpp", True, """
+        struct HistogramLayout {
+          static int bucket_count();
+          static double bucket_lower_bound(int k);
+        };
+    """),
+    ("histogram-bounds", "src/obs/histogram.hpp", False, """
+        struct HistogramLayout {
+          static int bucket_count();
+          static double bucket_lower_bound(int k);
+          static double bucket_upper_bound(int k);
+        };
+    """),
+    ("histogram-bounds", "src/obs/histogram.cpp", False, """
+        int octave() { return kBucketsPerOctave; }
+    """),
+    ("histogram-bounds", "src/core/snippet.cpp", False, """
+        // kMinExponent named only in a comment
+        double lo(int k) { return HistogramLayout::bucket_lower_bound(k); }
+    """),
+    ("raw-concurrency", "src/obs/snippet.hpp", False, """
+        struct Probe { std::atomic<long> count_{0}; std::mutex lock_; };
+    """),
+    ("raw-concurrency", "src/obs/snippet.hpp", True, """
+        void spawn() { std::thread worker([] {}); }
+    """),
+    ("raw-concurrency", "src/util/parallel.hpp", False, """
+        struct ThreadPool { std::vector<std::thread> threads_; };
+    """),
+]
+
+# raw-concurrency, one line per snippet inside a src/core function body:
+# the thread tier, the synchronization tier, and their look-alikes.
+SELFTEST_SNIPPETS += [
+    ("raw-concurrency", "src/core/snippet.cpp", hit,
+     "void f() {\n%s\n}\n" % line)
+    for hit, line in (
+        (True, "  std::thread worker([] {});"),
+        (True, "  auto f = std::async(std::launch::async, fn);"),
+        (True, "  std::jthread t;"),
+        (True, "#pragma omp parallel for"),
+        (True, "# pragma omp critical"),
+        (True, "  std::mutex state_lock_;"),
+        (True, "  std::shared_mutex registry_lock_;"),
+        (True, "  std::condition_variable ready_;"),
+        (True, "  std::condition_variable_any cv_;"),
+        (True, "  std::atomic<int> counter{0};"),
+        (True, "  std::atomic_flag busy_ = ATOMIC_FLAG_INIT;"),
+        (False, "  std::this_thread::sleep_for(1ms);"),
+        (False, "  // std::thread only named in a comment"),
+        (False, '  log("std::thread inside a string literal");'),
+        (False, "  pool.parallel_for(0, m, 1, fn);"),
+        (False, "  double total = 0.0;  // no primitive here"),
+        (False, "  // std::mutex named only in a comment"),
+        (False, '  trace.record({"std::atomic<int>", cells});'),
+        (False, "  util::ThreadPool pool(threads);"),
+        (False, "  std::thread t;  // nashlb-analyzer: allow(raw-concurrency)"
+                " -- selftest waiver"),
+    )
 ]
 
 
-def run_selftest(engines):
-    """Every snippet must trigger (or not) its rule under every engine.
-    Returns an error string or None."""
-    for engine in engines:
-        for rule, vpath, must_trigger, snippet in SELFTEST_SNIPPETS:
-            if engine.name == "clang" and rule in ("contract-coverage",
-                                                   "waiver-missing-reason"):
-                # lexical rules: identical code path in both engines
-                pass
-            findings, _cov = engine.analyze([(vpath, snippet)])
-            hits = [f for f in findings if f.rule == rule]
-            if must_trigger and not hits:
-                return ("selftest[%s]: rule %s did not fire on its "
-                        "must-trigger snippet:\n%s"
-                        % (engine.name, rule, snippet))
-            if not must_trigger and hits:
-                return ("selftest[%s]: rule %s false-positive on its "
-                        "must-not-trigger snippet (%s):\n%s"
-                        % (engine.name, rule, hits[0], snippet))
+def run_selftest():
+    """Every snippet must trigger (or not) its rule. Returns an error
+    string or None."""
+    for rule, vpath, must_trigger, snippet in SELFTEST_SNIPPETS:
+        findings, _cov = analyze([(vpath, snippet)])
+        hits = [f for f in findings if f.rule == rule]
+        if must_trigger and not hits:
+            return ("selftest: rule %s did not fire on its must-trigger "
+                    "snippet:\n%s" % (rule, snippet))
+        if not must_trigger and hits:
+            return ("selftest: rule %s false-positive on its "
+                    "must-not-trigger snippet (%s):\n%s"
+                    % (rule, hits[0], snippet))
     return None
 
 
@@ -1498,9 +1536,6 @@ def collect_tree(root):
 def main(argv=None):
     ap = argparse.ArgumentParser(add_help=True)
     ap.add_argument("root", nargs="?", default=None)
-    ap.add_argument("build", nargs="?", default=None)
-    ap.add_argument("--engine", choices=("auto", "tokens", "clang"),
-                    default="auto")
     ap.add_argument("--write-report", action="store_true")
     ap.add_argument("--selftest-only", action="store_true")
     ap.add_argument("--no-selftest", action="store_true")
@@ -1510,31 +1545,15 @@ def main(argv=None):
 
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
-    build = args.build or os.path.join(root, "build")
-
-    clang_engine = None
-    clang_reason = "engine forced to tokens"
-    if args.engine in ("auto", "clang"):
-        clang_engine, clang_reason = load_clang_engine(build)
-        if clang_engine is None and args.engine == "clang":
-            print("nashlb_analyzer: FAIL: --engine clang but %s"
-                  % clang_reason, file=sys.stderr)
-            return 1
-    engine = clang_engine or TokenEngine()
-    partial = clang_engine is None
 
     if not args.no_selftest:
-        engines = [TokenEngine()]
-        if clang_engine is not None:
-            engines.append(clang_engine)
-        err = run_selftest(engines)
+        err = run_selftest()
         if err:
             print("nashlb_analyzer: FAIL: %s" % err, file=sys.stderr)
             return 1
         if args.selftest_only:
-            print("nashlb_analyzer: selftest OK (%d snippets, engines: %s)"
-                  % (len(SELFTEST_SNIPPETS),
-                     ", ".join(e.name for e in engines)))
+            print("nashlb_analyzer: selftest OK (%d snippets)"
+                  % len(SELFTEST_SNIPPETS))
             return 0
 
     if args.check_file:
@@ -1543,14 +1562,14 @@ def main(argv=None):
             real, _sep, virtual = spec.partition(":")
             with open(real, encoding="utf-8") as f:
                 files.append((virtual or real, f.read()))
-        findings, _cov = engine.analyze(files)
+        findings, _cov = analyze(files)
         for f in sorted(findings, key=Finding.key):
             print(f)
         return 1 if findings else 0
 
     files = collect_tree(root)
-    findings, coverage_entries = engine.analyze(files)
-    report = build_report(engine.name, findings, coverage_entries)
+    findings, coverage_entries = analyze(files)
+    report = build_report(findings, coverage_entries)
     findings.extend(coverage_gate(root, report))
 
     if args.write_report:
@@ -1559,26 +1578,20 @@ def main(argv=None):
         with open(path, "w", encoding="utf-8") as f:
             json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")
-        print("nashlb_analyzer: wrote %s (engine=%s, coverage %.2f%%)"
-              % (REPORT_RELPATH, engine.name,
-                 report["contract_coverage"]["percent"]))
+        print("nashlb_analyzer: wrote %s (coverage %.2f%%)"
+              % (REPORT_RELPATH, report["contract_coverage"]["percent"]))
 
     if findings:
         for f in sorted(findings, key=Finding.key):
             print("nashlb_analyzer: FAIL: %s" % f, file=sys.stderr)
-        print("nashlb_analyzer: %d finding(s) [engine=%s]"
-              % (len(findings), engine.name), file=sys.stderr)
+        print("nashlb_analyzer: %d finding(s)" % len(findings),
+              file=sys.stderr)
         return 1
 
     cov = report["contract_coverage"]
-    print("nashlb_analyzer: OK — %d files, 5 rules, contract coverage "
-          "%d/%d (%.2f%%) [engine=%s]"
-          % (len(files), cov["covered"], cov["total"], cov["percent"],
-             engine.name))
-    if partial:
-        print("nashlb_analyzer: SKIP: %s — token engine ran all rules in "
-              "partial mode, clang AST pass unavailable" % clang_reason)
-        return SKIP
+    print("nashlb_analyzer: OK — %d files, %d rules, contract coverage "
+          "%d/%d (%.2f%%)" % (len(files), len(RULES), cov["covered"],
+                              cov["total"], cov["percent"]))
     return 0
 
 
