@@ -49,124 +49,75 @@ DemandRange checked_demand_range(const Instance& inst, const char* factory) {
   return range;
 }
 
-/// Sorts user indices by (phi, index): equal demands become contiguous
-/// runs and members inside every run stay ascending.
-std::vector<std::size_t> by_demand(const Instance& inst) {
-  std::vector<std::size_t> order(inst.num_users());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&inst](std::size_t a, std::size_t b) {
-              if (inst.phi[a] != inst.phi[b]) {
-                return inst.phi[a] < inst.phi[b];
-              }
-              return a < b;
-            });
-  return order;
-}
-
-/// Stable LSD radix sort of the users 0..m-1 by `cell`, 16 bits a pass:
-/// users come out cell-major and ascending within each cell. The counts
-/// are sized by one digit, never by the cell range, and passes stop at
-/// the highest set bit of `max_cell`, so cells below 2^16 take one pass.
-std::vector<std::size_t> users_by_cell(const std::vector<std::uint64_t>& cell,
-                                       std::uint64_t max_cell) {
-  constexpr unsigned kDigitBits = 16;
-  constexpr std::uint64_t kDigitMask = (std::uint64_t{1} << kDigitBits) - 1;
-  const std::size_t m = cell.size();
-  std::vector<std::size_t> order(m);
-  std::vector<std::size_t> next;
-  std::vector<std::size_t> start;
-  unsigned shift = 0;
-  do {
-    const auto digit = [&cell, shift](std::size_t j) {
-      return static_cast<std::size_t>((cell[j] >> shift) & kDigitMask);
-    };
-    const bool first = shift == 0;  // reads users 0..m-1, not `order`
-    start.assign(
-        static_cast<std::size_t>(std::min(max_cell >> shift, kDigitMask)) + 1,
-        0);
-    for (std::size_t i = 0; i < m; ++i) ++start[digit(first ? i : order[i])];
-    std::exclusive_scan(start.begin(), start.end(), start.begin(),
-                        std::size_t{0});
-    if (first) {
-      for (std::size_t j = 0; j < m; ++j) order[start[digit(j)]++] = j;
-    } else {
-      next.resize(m);
-      for (std::size_t j : order) next[start[digit(j)]++] = j;
-      order.swap(next);
-    }
-    shift += kDigitBits;
-  } while (shift < 64 && (max_cell >> shift) != 0);
-  return order;
-}
-
-/// CSR bounds of the runs of `order` in which `same(prev, next)` holds:
-/// 0, the start of every later run, and order.size().
-template <class Same>
-std::vector<std::size_t> run_offsets(const std::vector<std::size_t>& order,
-                                     Same same) {
-  std::vector<std::size_t> offsets{0};
-  for (std::size_t pos = 1; pos < order.size(); ++pos) {
-    if (!same(order[pos - 1], order[pos])) offsets.push_back(pos);
+/// Numbers the distinct values of `key` in ascending order and puts user
+/// j in the class of key[j]: writes the class map, returns the counts.
+template <class Key>
+std::vector<std::size_t> number_distinct(
+    const std::vector<Key>& key, std::vector<std::uint32_t>& user_class) {
+  std::vector<Key> distinct = key;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  std::vector<std::size_t> counts(distinct.size(), 0);
+  for (std::size_t j = 0; j < key.size(); ++j) {
+    const auto k = static_cast<std::uint32_t>(
+        std::lower_bound(distinct.begin(), distinct.end(), key[j]) -
+        distinct.begin());
+    user_class[j] = k;
+    ++counts[k];
   }
-  offsets.push_back(order.size());
-  return offsets;
+  return counts;
 }
 
 }  // namespace
 
-UserClassPartition UserClassPartition::build(const Instance& inst,
-                                             std::vector<std::size_t> members,
-                                             std::vector<std::size_t> offsets) {
+UserClassPartition UserClassPartition::build(
+    const Instance& inst, std::vector<std::uint32_t> user_class,
+    const std::vector<std::size_t>& counts) {
   const std::size_t m = inst.num_users();
-  const std::size_t groups = offsets.size() - 1;
+  const std::size_t groups = counts.size();
   UserClassPartition part;
-  part.user_class_.assign(m, kUnassigned);
-  part.classes_.reserve(groups);
-  part.offsets_.reserve(groups + 1);
-  part.offsets_.push_back(0);
+  part.offsets_.assign(groups + 1, 0);
+  std::inclusive_scan(counts.begin(), counts.end(),
+                      part.offsets_.begin() + 1);
+  NASHLB_EXPECT(part.offsets_.back() == m,
+                "partition covers %zu of %zu users (incomplete)",
+                part.offsets_.back(), m);
+  part.members_.resize(part.offsets_.back());
+  std::vector<std::size_t> next(part.offsets_.begin(),
+                                part.offsets_.end() - 1);
+  UserClass blank;
+  blank.phi_min = std::numeric_limits<double>::infinity();
+  blank.phi_max = -std::numeric_limits<double>::infinity();
+  part.classes_.assign(groups, blank);
+  // Users in index order, so each class places, sums and scans its
+  // members in ascending order, the order of its member list.
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::size_t k = user_class[j];
+    if (k >= groups) continue;  // unchecked builds: a user in no class
+    part.members_[next[k]++] = j;
+    UserClass& cls = part.classes_[k];
+    const double phi = inst.phi[j];
+    cls.weight += phi;
+    if (phi < cls.phi_min) {
+      cls.phi_min = phi;
+      cls.user_min = j;
+    }
+    if (phi > cls.phi_max) {
+      cls.phi_max = phi;
+      cls.user_max = j;
+    }
+  }
   part.rep_phi_.reserve(groups);
   part.counts_.reserve(groups);
-  std::size_t kept = 0;  // members kept so far, compacted in place
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t k = part.classes_.size();
-    NASHLB_EXPECT(offsets[g] < offsets[g + 1],
-                  "class %zu of the partition is empty", k);
-    UserClass cls;
-    cls.phi_min = std::numeric_limits<double>::infinity();
-    cls.phi_max = -std::numeric_limits<double>::infinity();
-    const std::size_t first = kept;
-    for (std::size_t pos = offsets[g]; pos < offsets[g + 1]; ++pos) {
-      const std::size_t j = members[pos];
-      NASHLB_EXPECT(j < m, "class %zu names user %zu but the instance has "
-                    "only %zu users", k, j, m);
-      if (j >= m) continue;  // unchecked builds: drop, don't index OOB
-      NASHLB_EXPECT(kept == first || j > members[kept - 1],
-                    "class %zu members not strictly ascending at user %zu",
-                    k, j);
-      NASHLB_EXPECT(part.user_class_[j] == kUnassigned,
-                    "user %zu appears in classes %zu and %zu (overlap)", j,
-                    static_cast<std::size_t>(part.user_class_[j]), k);
-      part.user_class_[j] = static_cast<std::uint32_t>(k);
-      members[kept++] = j;
-      cls.weight += inst.phi[j];
-      if (inst.phi[j] < cls.phi_min) {
-        cls.phi_min = inst.phi[j];
-        cls.user_min = j;
-      }
-      if (inst.phi[j] > cls.phi_max) {
-        cls.phi_max = inst.phi[j];
-        cls.user_max = j;
-      }
-    }
-    if (kept == first) continue;  // unchecked builds: drop, don't crash
-    const std::size_t count = kept - first;
+  for (std::size_t k = 0; k < groups; ++k) {
+    UserClass& cls = part.classes_[k];
     // Homogeneous classes take the members' common demand verbatim so the
     // deviation is exactly zero; W/count would pick up summation rounding
     // (v + v + v need not equal 3v bitwise).
     cls.rep_phi = cls.phi_min == cls.phi_max
                       ? cls.phi_min
-                      : cls.weight / static_cast<double>(count);
+                      : cls.weight / static_cast<double>(counts[k]);
     // |phi_j − rep_phi| rounded is monotone on either side of rep_phi, so
     // the class extremes carry every member's worst deviation.
     const double dev = std::max(std::fabs(cls.phi_min - cls.rep_phi),
@@ -177,14 +128,9 @@ UserClassPartition UserClassPartition::build(const Instance& inst,
     }
     part.total_weight_ += cls.weight;
     part.rep_phi_.push_back(cls.rep_phi);
-    part.counts_.push_back(static_cast<double>(count));
-    part.offsets_.push_back(kept);
-    part.classes_.push_back(cls);
+    part.counts_.push_back(static_cast<double>(counts[k]));
   }
-  NASHLB_EXPECT(kept == m,
-                "partition covers %zu of %zu users (incomplete)", kept, m);
-  members.resize(kept);
-  part.members_ = std::move(members);
+  part.user_class_ = std::move(user_class);
   // The class-weight invariant at build time; re-checked by the dynamics
   // after every round (see core/dynamics.cpp).
   NASHLB_ENSURE(std::fabs(part.total_weight_ - inst.total_arrival_rate()) <=
@@ -196,12 +142,10 @@ UserClassPartition UserClassPartition::build(const Instance& inst,
 
 UserClassPartition UserClassPartition::exact(const Instance& inst) {
   static_cast<void>(checked_demand_range(inst, "exact"));
-  std::vector<std::size_t> members = by_demand(inst);
-  std::vector<std::size_t> offsets =
-      run_offsets(members, [&inst](std::size_t a, std::size_t b) {
-        return inst.phi[a] == inst.phi[b];
-      });
-  return build(inst, std::move(members), std::move(offsets));
+  std::vector<std::uint32_t> user_class(inst.num_users());
+  const std::vector<std::size_t> counts =
+      number_distinct(inst.phi, user_class);
+  return build(inst, std::move(user_class), counts);
 }
 
 UserClassPartition UserClassPartition::quantized(const Instance& inst,
@@ -228,48 +172,87 @@ UserClassPartition UserClassPartition::quantized(const Instance& inst,
   }
   const double log_ratio = std::log(ratio);
   // A user's cell depends on its own demand alone, and every step of the
-  // expression is monotone in phi, so cell order is demand order.
-  std::vector<std::uint64_t> cell(inst.num_users());
-  std::uint64_t max_cell = 0;
-  for (std::size_t j = 0; j < cell.size(); ++j) {
-    long long c = hi > lo ? static_cast<long long>(std::floor(
-                                std::log(inst.phi[j] / lo) / log_ratio))
-                          : 0;
-    if (max_classes > 0 && c >= static_cast<long long>(max_classes)) {
-      c = static_cast<long long>(max_classes) - 1;
+  // expression is monotone in phi, so cell order is demand order and no
+  // cell passes `top`, the capped cell of phi_max. The `min` with `top`
+  // is the cap, and it keeps every cell inside the table below.
+  const auto cell_of = [lo, hi, log_ratio](double phi) -> std::uint64_t {
+    return hi > lo ? static_cast<std::uint64_t>(
+                         std::floor(std::log(phi / lo) / log_ratio))
+                   : 0;
+  };
+  std::uint64_t top = cell_of(hi);
+  if (max_classes > 0) top = std::min<std::uint64_t>(top, max_classes - 1);
+  const std::size_t m = inst.num_users();
+  std::vector<std::uint32_t> user_class(m);
+  std::vector<std::size_t> counts;
+  if (top >= m) {
+    // More cells than users (a very fine uncapped width): number the
+    // distinct cells instead of tabulating the whole range.
+    std::vector<std::uint64_t> cell(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      cell[j] = std::min(cell_of(inst.phi[j]), top);
     }
-    cell[j] = static_cast<std::uint64_t>(c);
-    max_cell = std::max(max_cell, cell[j]);
+    counts = number_distinct(cell, user_class);
+  } else {
+    // Each cell goes straight into the class map and into its count.
+    std::vector<std::uint32_t> table(static_cast<std::size_t>(top) + 1, 0);
+    for (std::size_t j = 0; j < m; ++j) {
+      const auto c =
+          static_cast<std::uint32_t>(std::min(cell_of(inst.phi[j]), top));
+      user_class[j] = c;
+      ++table[c];
+    }
+    // The nonempty cells, ascending, become the classes; the table turns
+    // into the cell -> class map, needed only when some cell is empty.
+    for (std::uint32_t& slot : table) {
+      const std::uint32_t count = slot;
+      slot = static_cast<std::uint32_t>(counts.size());
+      if (count > 0) counts.push_back(count);
+    }
+    if (counts.size() < table.size()) {
+      for (std::uint32_t& c : user_class) c = table[c];
+    }
   }
-  std::vector<std::size_t> members = users_by_cell(cell, max_cell);
-  std::vector<std::size_t> offsets =
-      run_offsets(members, [&cell](std::size_t a, std::size_t b) {
-        return cell[a] == cell[b];
-      });
-  return build(inst, std::move(members), std::move(offsets));
+  return build(inst, std::move(user_class), counts);
 }
 
 UserClassPartition UserClassPartition::singletons(const Instance& inst) {
   static_cast<void>(checked_demand_range(inst, "singletons"));
-  std::vector<std::size_t> members(inst.num_users());
-  std::iota(members.begin(), members.end(), std::size_t{0});
-  std::vector<std::size_t> offsets(inst.num_users() + 1);
-  std::iota(offsets.begin(), offsets.end(), std::size_t{0});
-  return build(inst, std::move(members), std::move(offsets));
+  std::vector<std::uint32_t> user_class(inst.num_users());
+  std::iota(user_class.begin(), user_class.end(), std::uint32_t{0});
+  return build(inst, std::move(user_class),
+               std::vector<std::size_t>(inst.num_users(), 1));
 }
 
 UserClassPartition UserClassPartition::from_members(
     const Instance& inst,
     const std::vector<std::vector<std::size_t>>& members) {
   static_cast<void>(checked_demand_range(inst, "from_members"));
-  std::vector<std::size_t> flat;
-  std::vector<std::size_t> offsets{0};
-  offsets.reserve(members.size() + 1);
+  const std::size_t m = inst.num_users();
+  std::vector<std::uint32_t> user_class(m, kUnassigned);
+  std::vector<std::size_t> counts;
   for (const std::vector<std::size_t>& group : members) {
-    flat.insert(flat.end(), group.begin(), group.end());
-    offsets.push_back(flat.size());
+    const std::size_t k = counts.size();
+    NASHLB_EXPECT(!group.empty(), "class %zu of the partition is empty", k);
+    std::size_t count = 0;
+    for (std::size_t pos = 0; pos < group.size(); ++pos) {
+      const std::size_t j = group[pos];
+      NASHLB_EXPECT(j < m, "class %zu names user %zu but the instance has "
+                    "only %zu users", k, j, m);
+      if (j >= m) continue;  // unchecked builds: drop, don't index OOB
+      NASHLB_EXPECT(pos == 0 || j > group[pos - 1],
+                    "class %zu members not strictly ascending at user %zu",
+                    k, j);
+      NASHLB_EXPECT(user_class[j] == kUnassigned,
+                    "user %zu appears in classes %zu and %zu (overlap)", j,
+                    static_cast<std::size_t>(user_class[j]), k);
+      if (user_class[j] != kUnassigned) continue;  // unchecked: first wins
+      user_class[j] = static_cast<std::uint32_t>(k);
+      ++count;
+    }
+    if (count > 0) counts.push_back(count);  // unchecked builds: drop empty
   }
-  return build(inst, std::move(flat), std::move(offsets));
+  return build(inst, std::move(user_class), counts);
 }
 
 std::span<const std::size_t> UserClassPartition::members(std::size_t k) const {

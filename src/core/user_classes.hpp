@@ -62,10 +62,10 @@ struct UserClass {
 /// which preserves user order so singleton runs stay bitwise identical
 /// to the per-user solver).
 ///
-/// Every factory builds in O(m) memory and O(m) time (plus one value sort
-/// in `exact`), and throws std::invalid_argument for an instance with no
-/// users, with a demand that is not finite and > 0, or with 2^32 − 1 or
-/// more users.
+/// Every factory builds in O(m) memory and O(m) time (plus a sort of the
+/// distinct keys in `exact` and in a very fine `quantized`), and throws
+/// std::invalid_argument for an instance with no users, with a demand
+/// that is not finite and > 0, or with 2^32 − 1 or more users.
 class UserClassPartition {
  public:
   /// Groups users whose phi_j compare exactly equal.
@@ -76,9 +76,12 @@ class UserClassPartition {
   /// If `max_classes` > 0 and the widths would produce more cells, the
   /// ratio widens to span [phi_min, phi_max] in `max_classes` cells —
   /// the realized width is reported by `max_rel_deviation()`, never
-  /// assumed. No sort: users are bucketed by cell with a stable counting
-  /// sort. Throws std::invalid_argument unless eps_phi is finite, > 0
-  /// and survives 1 + eps_phi > 1, and when phi_max / phi_min overflows.
+  /// assumed. No sort while the cells fit a table of m entries (always
+  /// when 0 < max_classes <= m): one pass writes each user's cell into the
+  /// class map and counts it, and the nonempty cells become the classes;
+  /// a wider range sorts its distinct cells. Throws
+  /// std::invalid_argument unless eps_phi is finite, > 0 and survives
+  /// 1 + eps_phi > 1, and when phi_max / phi_min overflows.
   [[nodiscard]] static UserClassPartition quantized(
       const Instance& inst, double eps_phi, std::size_t max_classes = 0);
 
@@ -164,12 +167,14 @@ class UserClassPartition {
 
  private:
   UserClassPartition() = default;
-  /// Shared tail of every factory, one walk over the members: weights,
-  /// representatives, deviation stats, the user→class map, and the
-  /// structural contract. Class k is members[offsets[k], offsets[k+1]).
+  /// Shared tail of every factory. `user_class` maps each user to a class
+  /// id below counts.size(), and class k has counts[k] members. One pass
+  /// over the users in index order places each in the CSR member array
+  /// and folds its demand into its class (weight, extremes); one pass
+  /// over the classes adds representatives and deviation stats.
   static UserClassPartition build(const Instance& inst,
-                                  std::vector<std::size_t> members,
-                                  std::vector<std::size_t> offsets);
+                                  std::vector<std::uint32_t> user_class,
+                                  const std::vector<std::size_t>& counts);
 
   std::vector<UserClass> classes_;
   std::vector<std::size_t> members_;       // class-major, CSR

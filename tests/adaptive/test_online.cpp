@@ -2,13 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <numeric>
 #include <stdexcept>
 
 #include "core/cost.hpp"
 #include "core/dynamics.hpp"
 #include "workload/configs.hpp"
+
+namespace {
+
+// Counting global operator new/delete: malloc passthrough plus a bump of
+// g_alloc_count, so a test can compare the allocations of two runs.
+std::size_t g_alloc_count = 0;
+
+void* count_alloc(std::size_t n) {
+  ++g_alloc_count;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return count_alloc(n); }
+void* operator new[](std::size_t n) { return count_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace nashlb::adaptive {
 namespace {
@@ -188,6 +211,81 @@ TEST(Online, WindowReportsPartitionTheRun) {
   std::uint64_t windowed = 0;
   for (const WindowReport& w : res.windows) windowed += w.jobs;
   EXPECT_EQ(windowed, res.jobs_completed);
+}
+
+// The exact sample path of one adaptive run across a load shift,
+// captured as hex floats: any change to the event order, the RNG streams,
+// the controller or the statistics shows up here as a bit difference.
+TEST(Online, SamplePathIsPinned) {
+  const core::Instance before = workload::table1_instance(0.35, 4);
+  const core::Instance after = workload::table1_instance(0.7, 4);
+  RateSchedule sched;
+  sched.start_times = {0.0, 150.0};
+  sched.phi = {before.phi, after.phi};
+  OnlineOptions opts;
+  opts.horizon = 300.0;
+  opts.update_period = 2.0;
+  opts.window = 30.0;
+  opts.report_period = 100.0;
+  opts.seed = 2002;
+  const OnlineResult r = simulate_online(
+      before.mu, sched, core::StrategyProfile::proportional(before), opts);
+  EXPECT_EQ(r.jobs_completed, 80298u);
+  EXPECT_EQ(r.strategy_updates, 150u);
+  EXPECT_EQ(r.overall_mean_response, 0x1.c844bb318d489p-3);
+  // {end time, mean response, jobs} of each report window.
+  const double windows[4][3] = {
+      {0x1.9p+6, 0x1.ed852b0eb94fdp-6, 17942},
+      {0x1.9p+7, 0x1.96ee1f492fc9p-2, 26803},
+      {0x1.2cp+8, 0x1.7508cded21681p-4, 35537},
+      {0x1.9p+8, 0x1.16ab408a1574p-2, 16},
+  };
+  ASSERT_EQ(r.windows.size(), 4u);
+  for (std::size_t w = 0; w < 4; ++w) {
+    EXPECT_EQ(r.windows[w].end_time, windows[w][0]) << "window " << w;
+    EXPECT_EQ(r.windows[w].mean_response, windows[w][1]) << "window " << w;
+    EXPECT_EQ(static_cast<double>(r.windows[w].jobs), windows[w][2])
+        << "window " << w;
+  }
+  // User 0's final strategy row.
+  const double row0[16] = {
+      0x1.c6f448972946p-7,  0x1.d5e53146b549cp-7, 0x1.d0f2672c5c0cp-7,
+      0x1.da4a6e36cf714p-7, 0x1.d620a643641d5p-7, 0x1.9f9329e0a4e97p-7,
+      0x1.23ac7ca4d6255p-5, 0x1.245539923e18ap-5, 0x1.42dc6dd70d774p-5,
+      0x1.255b3d2c777b6p-5, 0x1.303e99b5c492cp-5, 0x1.8eab976968d48p-4,
+      0x1.aa8c282c8d9b9p-4, 0x1.b405baa6d31b9p-4, 0x1.bee2167bc2a8bp-3,
+      0x1.a6848bb36fef9p-3,
+  };
+  ASSERT_EQ(r.final_profile.num_computers(), 16u);
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(r.final_profile.at(0, i), row0[i]) << "computer " << i;
+  }
+}
+
+TEST(Online, SteadyStateJobsDoNotAllocate) {
+  // Table 1 at 30% load, one report window, and the first controller run
+  // past the horizon: a run twice as long adds only jobs, so it must not
+  // add allocations. The calendar and the waiting buffers reach their
+  // peak sizes early.
+  const core::Instance inst = workload::table1_instance(0.3, 4);
+  const core::StrategyProfile prop =
+      core::StrategyProfile::proportional(inst);
+  const auto run = [&](double horizon, std::uint64_t& jobs) {
+    OnlineOptions opts;
+    opts.horizon = horizon;
+    opts.update_period = 4.0 * horizon;
+    opts.report_period = 4.0 * horizon;
+    const std::size_t before = g_alloc_count;
+    jobs = simulate_online(inst.mu, constant_schedule(inst.phi), prop, opts)
+               .jobs_completed;
+    return g_alloc_count - before;
+  };
+  std::uint64_t short_jobs = 0;
+  std::uint64_t long_jobs = 0;
+  const std::size_t short_allocs = run(200.0, short_jobs);
+  const std::size_t long_allocs = run(400.0, long_jobs);
+  EXPECT_GT(long_jobs, short_jobs + 20000);
+  EXPECT_EQ(long_allocs, short_allocs);
 }
 
 }  // namespace

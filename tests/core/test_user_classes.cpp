@@ -208,7 +208,8 @@ TEST(UserClasses, QuantizedMatchesSortedReference) {
     double eps_phi;
     std::size_t max_classes;
   };
-  // 1e-12 uncapped spans up to ~1.4e13 cells: the multi-pass counting sort.
+  // 1e-12 uncapped spans up to ~1.4e13 cells, far more than m: the wide
+  // path that sorts the distinct cells instead of tabulating the range.
   const Width widths[] = {{0.1, 0}, {1e-3, 0}, {1e-3, 512}, {1e-6, 8},
                           {1e-12, 0}};
   for (const std::size_t m : {1u, 2u, 400u, 5000u}) {
@@ -263,6 +264,54 @@ TEST(UserClasses, QuantizedMatchesSortedReference) {
           EXPECT_EQ(bits(part.max_rel_deviation()), bits(ref.max_rel_dev));
         }
       }
+    }
+  }
+}
+
+TEST(UserClasses, FromMembersMatchesQuantized) {
+  // Every factory feeds the same build, so a quantized partition's own
+  // member lists, handed back through from_members, rebuild it bitwise.
+  struct Width {
+    double eps_phi;
+    std::size_t max_classes;
+  };
+  const Width widths[] = {{0.1, 0}, {1e-3, 0}, {1e-3, 512}, {1e-6, 8}};
+  for (const std::size_t m : {1u, 7u, 400u, 5000u}) {
+    const Instance inst = log_uniform_instance(m, 3 * m + 1);
+    for (const Width& w : widths) {
+      SCOPED_TRACE(testing::Message() << "m=" << m << " eps=" << w.eps_phi
+                                      << " K=" << w.max_classes);
+      const UserClassPartition want =
+          UserClassPartition::quantized(inst, w.eps_phi, w.max_classes);
+      std::vector<std::vector<std::size_t>> lists;
+      for (std::size_t k = 0; k < want.num_classes(); ++k) {
+        lists.emplace_back(want.members(k).begin(), want.members(k).end());
+      }
+      const UserClassPartition got =
+          UserClassPartition::from_members(inst, lists);
+      ASSERT_EQ(got.num_classes(), want.num_classes());
+      for (std::size_t k = 0; k < want.num_classes(); ++k) {
+        const std::span<const std::size_t> members = got.members(k);
+        ASSERT_TRUE(std::equal(members.begin(), members.end(),
+                               lists[k].begin(), lists[k].end()))
+            << "class " << k;
+        const UserClass& a = got.classes()[k];
+        const UserClass& b = want.classes()[k];
+        EXPECT_EQ(bits(a.weight), bits(b.weight)) << "class " << k;
+        EXPECT_EQ(bits(a.rep_phi), bits(b.rep_phi)) << "class " << k;
+        EXPECT_EQ(bits(a.phi_min), bits(b.phi_min)) << "class " << k;
+        EXPECT_EQ(bits(a.phi_max), bits(b.phi_max)) << "class " << k;
+        EXPECT_EQ(a.user_min, b.user_min) << "class " << k;
+        EXPECT_EQ(a.user_max, b.user_max) << "class " << k;
+        EXPECT_EQ(bits(got.rep_phi()[k]), bits(want.rep_phi()[k]));
+        EXPECT_EQ(got.member_counts()[k], want.member_counts()[k]);
+      }
+      for (std::size_t j = 0; j < m; ++j) {
+        ASSERT_EQ(got.class_of(j), want.class_of(j)) << "user " << j;
+      }
+      EXPECT_EQ(bits(got.total_weight()), bits(want.total_weight()));
+      EXPECT_EQ(bits(got.max_abs_deviation()), bits(want.max_abs_deviation()));
+      EXPECT_EQ(bits(got.max_rel_deviation()), bits(want.max_rel_deviation()));
     }
   }
 }
@@ -466,6 +515,31 @@ TEST(UserClassesDeathTest, IncompletePartitionAborts) {
 TEST(UserClassesDeathTest, SkippedWithoutContractLayer) {
   GTEST_SKIP() << "partition contracts compile to no-ops without "
                   "-DNASHLB_CHECK=ON";
+}
+
+TEST(UserClasses, InvalidMemberListsStayInBoundsWithoutContracts) {
+  // Unchecked builds do not diagnose an invalid list, but the build must
+  // still keep every index inside its tables (the sanitizer build checks
+  // the accesses): overlap, empty, incomplete, out of range, descending.
+  const Instance inst = log_uniform_instance(4, 1);
+  const std::vector<std::vector<std::vector<std::size_t>>> invalid = {
+      {{0, 1}, {1, 2, 3}}, {{0, 1, 2, 3}, {}}, {{0, 1, 3}},
+      {{0, 1, 2, 3, 9}},   {{3, 2}, {1, 0}},
+  };
+  for (const auto& lists : invalid) {
+    const UserClassPartition part =
+        UserClassPartition::from_members(inst, lists);
+    std::size_t placed = 0;
+    for (std::size_t k = 0; k < part.num_classes(); ++k) {
+      EXPECT_FALSE(part.members(k).empty());
+      for (std::size_t j : part.members(k)) {
+        ASSERT_LT(j, inst.num_users());
+        EXPECT_EQ(part.class_of(j), k);
+        ++placed;
+      }
+    }
+    EXPECT_LE(placed, inst.num_users());
+  }
 }
 
 #endif

@@ -11,14 +11,20 @@ Three layers:
      match fixtures/*.expected byte-for-byte — exact rule, file, and
      line (the waiver fixtures pin the round-trip: reasoned waivers
      silence findings, a reasonless waiver is itself a finding);
-  3. the clean-tree test: the analyzer over the real tree must exit 0.
+  3. the clean-tree test: the analyzer over the real tree must exit 0;
+  4. the coverage gate on a copy without .git (how `git archive`
+     checkouts run): it reads the tree's report and fails when that
+     report claims more coverage than the tree has.
 
 Exit: 0 all green, 1 any mismatch.
 """
 
+import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
@@ -45,6 +51,33 @@ CASES = {
 def run(args):
     return subprocess.run([sys.executable, ANALYZER] + args,
                           capture_output=True, text=True)
+
+
+def archive_copy_gate():
+    """Runs the analyzer on a copy of src/ with no .git, first with the
+    tree's own report (must pass), then with a report whose coverage is
+    higher than the tree's (must fail with a contract-coverage finding)."""
+    failures = []
+    report_rel = os.path.join("bench_results", "analysis_report.json")
+    with open(os.path.join(ROOT, report_rel), encoding="utf-8") as f:
+        report = json.load(f)
+    with tempfile.TemporaryDirectory() as copy:
+        shutil.copytree(os.path.join(ROOT, "src"), os.path.join(copy, "src"))
+        os.makedirs(os.path.join(copy, "bench_results"))
+        for percent, want_exit in ((report["contract_coverage"]["percent"], 0),
+                                   (100.0, 1)):
+            report["contract_coverage"]["percent"] = percent
+            with open(os.path.join(copy, report_rel), "w",
+                      encoding="utf-8") as f:
+                json.dump(report, f)
+            proc = run(["--no-selftest", copy])
+            regressed = "contract coverage regressed" in proc.stderr
+            if proc.returncode != want_exit or regressed != bool(want_exit):
+                failures.append(
+                    "copy without .git, report at %.2f%%: exit %d, expected "
+                    "%d\n%s%s" % (percent, proc.returncode, want_exit,
+                                   proc.stdout, proc.stderr))
+    return failures
 
 
 def main():
@@ -79,14 +112,16 @@ def main():
         failures.append("clean-tree run reported findings (exit %d):\n%s%s"
                         % (proc.returncode, proc.stdout, proc.stderr))
 
+    failures.extend(archive_copy_gate())
+
     if failures:
         for f in failures:
             print("test_analyzer: FAIL: %s" % f, file=sys.stderr)
         print("test_analyzer: %d failure(s)" % len(failures),
               file=sys.stderr)
         return 1
-    print("test_analyzer: OK — selftest, %d fixture goldens, clean tree"
-          % len(CASES))
+    print("test_analyzer: OK — selftest, %d fixture goldens, clean tree, "
+          "coverage gate on a copy without .git" % len(CASES))
     return 0
 
 

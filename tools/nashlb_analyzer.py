@@ -1166,7 +1166,13 @@ def build_report(findings, coverage_entries):
 
 
 def committed_report(root):
+    """The coverage baseline: HEAD's report in a git checkout, else the
+    report in the tree (a `git archive` copy has no HEAD to read)."""
     try:
+        if not os.path.exists(os.path.join(root, ".git")):
+            with open(os.path.join(root, REPORT_RELPATH),
+                      encoding="utf-8") as f:
+                return json.load(f)
         blob = subprocess.run(
             ["git", "-C", root, "show",
              "HEAD:" + REPORT_RELPATH.replace(os.sep, "/")],
