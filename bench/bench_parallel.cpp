@@ -20,7 +20,6 @@
 //
 // Outputs: bench_results/parallel.csv and BENCH_parallel.json (gated by
 // tools/check_bench.py against the committed baseline).
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -70,12 +69,6 @@ core::Instance scaled_instance(std::size_t m, std::size_t n) {
                                  kUtilization);
 }
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 struct Row {
   std::string kind;  // "jacobi" or "des"
   std::size_t m = 0;
@@ -103,9 +96,9 @@ std::pair<double, core::StrategyProfile> jacobi_block(
   core::StrategyProfile end(inst.num_users(), inst.num_computers());
   std::size_t iterations = kJacobiRounds;
   for (int rep = 0; rep < kTimingRepeats; ++rep) {
-    const double t0 = now_seconds();
+    const double t0 = bench::now_seconds();
     core::DynamicsResult res = core::best_reply_dynamics(inst, opts);
-    const double dt = now_seconds() - t0;
+    const double dt = bench::now_seconds() - t0;
     if (rep == 0 || dt < best) best = dt;
     iterations = res.iterations;
     end = std::move(res.profile);
@@ -161,9 +154,9 @@ std::vector<Row> des_grid(std::size_t m, std::size_t n) {
     double best = 0.0;
     simmodel::ReplicatedResult result;
     for (int rep = 0; rep < 2; ++rep) {
-      const double t0 = now_seconds();
+      const double t0 = bench::now_seconds();
       result = simmodel::replicate(inst, profile, cfg);
-      const double dt = now_seconds() - t0;
+      const double dt = bench::now_seconds() - t0;
       if (rep == 0 || dt < best) best = dt;
     }
     Row r;

@@ -10,23 +10,19 @@
 //   * a per-round convergence trace of the NASH dynamics (the Figure 2
 //     experiment, recorded by the library itself through an
 //     obs::ConvergenceProbe instead of a bespoke bench loop);
-//   * a per-replication timing trace of the DES system simulation, with
-//     aggregate job throughput;
+//   * the job throughput of one single-threaded replicated DES system
+//     simulation;
 //   * the DES kernel + facility counters for a canonical M/M/1 run.
 //
 // The per-scheme solve times are collected in an obs::Histogram, so the
 // baseline carries the latency *distribution* (p50/p95/p99), not just min
-// and mean — tools/check_bench.py gates regressions against these columns.
-// The NASH_P dynamics run additionally records a span trace (per-round
-// spans enclosing per-user best-reply spans) exported as Chrome
-// trace-event JSON for chrome://tracing / Perfetto.
+// and mean. Every wall time here is read by this bench
+// (bench::now_seconds); the library itself reads no clock.
 //
 // Outputs (all under bench_results/):
 //   profile_baseline.csv      one row per scheme (the headline artifact)
 //   profile_nash_trace.csv    per-round NASH_P and NASH_0 probe rows
 //   profile_nash_trace.jsonl  the NASH_P probe rows as JSON-lines
-//   profile_nash_spans.json   NASH_P round/reply spans (Chrome trace JSON)
-//   profile_replications.csv  per-replication wall/sim time and jobs
 //   profile_des_counters.csv  DES kernel/facility counters and timers
 #include <cstdio>
 #include <functional>
@@ -40,7 +36,6 @@
 #include "des/simulator.hpp"
 #include "obs/convergence.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "schemes/metrics.hpp"
 #include "schemes/nash.hpp"
 #include "schemes/registry.hpp"
@@ -62,12 +57,11 @@ nashlb::obs::Histogram time_solves(const nashlb::schemes::Scheme& scheme,
                                    int repeats) {
   using namespace nashlb;
   obs::Histogram hist;
-  obs::Timer timer;
   for (int r = 0; r < repeats; ++r) {
-    obs::ScopedTimer scope(timer);
+    const double start = bench::now_seconds();
     const core::StrategyProfile p = scheme.solve(inst);
     (void)p;
-    hist.record(scope.elapsed_seconds());
+    hist.record(bench::now_seconds() - start);
   }
   return hist;
 }
@@ -141,12 +135,9 @@ int main() {
   dyn_opts.max_iterations = 500;
 
   obs::ConvergenceProbe probe_p;
-  obs::SpanTracer spans_p;
   dyn_opts.init = core::Initialization::Proportional;
   dyn_opts.probe = &probe_p;
-  dyn_opts.spans = &spans_p;
   const core::DynamicsResult rp = core::best_reply_dynamics(inst, dyn_opts);
-  dyn_opts.spans = nullptr;
 
   obs::ConvergenceProbe probe_0;
   dyn_opts.init = core::Initialization::Zero;
@@ -172,13 +163,6 @@ int main() {
     mirror("NASH_0", probe_0);
   }
   probe_p.write_jsonl("bench_results/profile_nash_trace.jsonl");
-  if (obs::kEnabled) {
-    spans_p.write_chrome_trace("bench_results/profile_nash_spans.json");
-    std::printf(
-        "NASH_P span trace: %zu spans (load bench_results/"
-        "profile_nash_spans.json in chrome://tracing or Perfetto)\n",
-        spans_p.size());
-  }
 
   util::PlotOptions plot_opts;
   plot_opts.log_y = true;
@@ -197,24 +181,22 @@ int main() {
       r0.iterations);
 
   // --- Section 3: DES system simulation throughput -----------------------
+  // One worker, so the call's wall time is the replications' CPU time.
   simmodel::ReplicationConfig rep_cfg;
   rep_cfg.base.horizon = 300.0;
   rep_cfg.base.warmup = 30.0;
   rep_cfg.replications = 5;
-  obs::TraceSink rep_trace(simmodel::replication_trace_columns());
-  rep_cfg.trace = &rep_trace;
+  rep_cfg.threads = 1;
+  const double rep_start = bench::now_seconds();
   const simmodel::ReplicatedResult rep =
       simmodel::replicate(inst, rp.profile, rep_cfg);
-  rep_trace.write_csv("bench_results/profile_replications.csv");
-
-  double wall_total = 0.0;
-  for (double w : rep.wall_seconds) wall_total += w;
+  const double rep_seconds = bench::now_seconds() - rep_start;
   std::printf(
       "DES system sim: %llu jobs over %zu replications, %s CPU-seconds "
       "total -> %s jobs/CPU-second\n",
-      static_cast<unsigned long long>(rep.total_jobs),
-      rep.wall_seconds.size(), bench::num(wall_total).c_str(),
-      bench::num(static_cast<double>(rep.total_jobs) / wall_total).c_str());
+      static_cast<unsigned long long>(rep.total_jobs), rep.runs.size(),
+      bench::num(rep_seconds).c_str(),
+      bench::num(static_cast<double>(rep.total_jobs) / rep_seconds).c_str());
 
   // --- Section 4: DES kernel/facility counters (canonical M/M/1) ---------
   {
@@ -222,37 +204,33 @@ int main() {
     des::Facility server(sim, "mm1", 1);
     stats::Xoshiro256 rng(0x9e3779b97f4a7c15ULL);
     const stats::Exponential arrival(60.0), service(100.0);  // rho = 0.6
-    obs::Timer wall;
     std::function<void(des::SimTime)> arrive = [&](des::SimTime) {
       server.request(service.sample(rng), [](des::SimTime) {});
       sim.schedule(arrival.sample(rng), arrive);
     };
-    {
-      obs::ScopedTimer scope(wall);
-      sim.schedule(arrival.sample(rng), arrive);
-      sim.run(1'000'000);
-    }
+    const double start = bench::now_seconds();
+    sim.schedule(arrival.sample(rng), arrive);
+    sim.run(1'000'000);
+    const double seconds = bench::now_seconds() - start;
 
     obs::Registry reg;
     sim.publish_metrics(reg);
     server.publish_metrics(reg, sim.now());
-    reg.timer("host.wall").add_batch(wall.total_seconds(),
-                                     sim.events_executed());
+    reg.timer("host.wall").add_batch(seconds, sim.events_executed());
     reg.write_csv("bench_results/profile_des_counters.csv");
     std::printf(
         "DES kernel: %llu events in %s s -> %s events/second "
         "(mm1 utilization %s)\n",
         static_cast<unsigned long long>(sim.events_executed()),
-        bench::num(wall.total_seconds()).c_str(),
-        bench::num(static_cast<double>(sim.events_executed()) /
-                   wall.total_seconds())
+        bench::num(seconds).c_str(),
+        bench::num(static_cast<double>(sim.events_executed()) / seconds)
             .c_str(),
         bench::num(server.utilization(sim.now())).c_str());
   }
 
   std::printf(
       "\nwrote bench_results/profile_baseline.csv (+ nash trace, "
-      "replications, des counters) — the baseline future perf PRs "
-      "measure against; see docs/OBSERVABILITY.md for schemas.\n");
+      "des counters) — the baseline future perf PRs measure against; see "
+      "docs/OBSERVABILITY.md for schemas.\n");
   return 0;
 }

@@ -29,7 +29,6 @@
 // machine-readable BENCH_scale.json with the headline speedup at
 // m=512, n=64 — the perf trajectory future PRs measure against (see
 // docs/PERFORMANCE.md).
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <optional>
@@ -95,12 +94,6 @@ core::Instance scaled_instance(std::size_t m, std::size_t n) {
 
 double tolerance_for(std::size_t m) {
   return kTolerancePerTenUsers * (static_cast<double>(m) / 10.0);
-}
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 /// One Gauss–Seidel round, seed implementation: every best reply and
@@ -170,9 +163,9 @@ SizeResult run_size(std::size_t m, std::size_t n) {
     {
       core::StrategyProfile s = start;
       std::vector<double> last(m, 0.0);
-      const double t0 = now_seconds();
+      const double t0 = bench::now_seconds();
       for (int k = 0; k < kTimedRounds; ++k) scratch_round(inst, s, last);
-      const double dt = now_seconds() - t0;
+      const double dt = bench::now_seconds() - t0;
       if (rep == 0 || dt < old_block) old_block = dt;
       old_end = std::move(s);
     }
@@ -182,11 +175,11 @@ SizeResult run_size(std::size_t m, std::size_t n) {
       core::BestReplyWorkspace ws;
       ws.resize(n);
       std::vector<double> last(m, 0.0);
-      const double t0 = now_seconds();
+      const double t0 = bench::now_seconds();
       for (int k = 0; k < kTimedRounds; ++k) {
         incremental_round(inst, s, state, ws, last);
       }
-      const double dt = now_seconds() - t0;
+      const double dt = bench::now_seconds() - t0;
       if (rep == 0 || dt < incr_block) incr_block = dt;
       incr_end = std::move(s);
     }
@@ -273,12 +266,12 @@ ClassResult run_class_size(const core::Instance& inst, std::size_t m,
   r.m = m;
   r.n = n;
 
-  const double tb0 = now_seconds();
+  const double tb0 = bench::now_seconds();
   const core::UserClassPartition part =
       quantized ? core::UserClassPartition::quantized(inst, kEpsPhi,
                                                       kMaxClasses)
                 : core::UserClassPartition::exact(inst);
-  r.build_seconds = now_seconds() - tb0;
+  r.build_seconds = bench::now_seconds() - tb0;
   r.classes = part.num_classes();
   r.max_rel_deviation = part.max_rel_deviation();
 
@@ -289,9 +282,9 @@ ClassResult run_class_size(const core::Instance& inst, std::size_t m,
   opts.classes = &part;
   std::optional<core::DynamicsResult> res;
   for (int rep = 0; rep < kTimingRepeats; ++rep) {
-    const double t0 = now_seconds();
+    const double t0 = bench::now_seconds();
     res = core::best_reply_dynamics(inst, opts);
-    const double dt = now_seconds() - t0;
+    const double dt = bench::now_seconds() - t0;
     if (rep == 0 || dt < r.solve_seconds) r.solve_seconds = dt;
   }
   r.iterations = res->iterations;
@@ -411,9 +404,9 @@ std::pair<double, core::StrategyProfile> jacobi_rounds(
   core::StrategyProfile end(inst.num_users(), inst.num_computers());
   std::size_t iterations = rounds;
   for (int rep = 0; rep < kTimingRepeats; ++rep) {
-    const double t0 = now_seconds();
+    const double t0 = bench::now_seconds();
     core::DynamicsResult res = core::best_reply_dynamics(inst, opts);
-    const double dt = now_seconds() - t0;
+    const double dt = bench::now_seconds() - t0;
     if (rep == 0 || dt < best) best = dt;
     iterations = res.iterations;
     end = std::move(res.profile);

@@ -1,5 +1,6 @@
 #include "common.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 
@@ -35,6 +36,12 @@ std::unique_ptr<util::CsvWriter> csv(
 }
 
 std::string num(double v) { return util::format_sig(v, 4); }
+
+double now_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 obs::RunManifest run_manifest(const std::string& id) {
   obs::RunManifest manifest = obs::RunManifest::collect();

@@ -36,4 +36,9 @@ std::unique_ptr<util::CsvWriter> csv(const std::string& name,
 /// Formats a double with 4 significant digits (bench table convention).
 std::string num(double v);
 
+/// Seconds on the host's monotonic clock; time a region as the
+/// difference of two reads. The library reads no clock, so every
+/// wall-time column a bench reports is measured here.
+double now_seconds();
+
 }  // namespace nashlb::bench

@@ -91,7 +91,6 @@ struct OnlineRun {
       computers.push_back(std::make_unique<des::Facility>(
           sim, "computer-" + std::to_string(i)));
     }
-    history.push_back(take_snapshot());
   }
 
   [[nodiscard]] Snapshot take_snapshot() const {
@@ -201,7 +200,7 @@ void OnlineRun::control() {
   }
   const Snapshot& base = history.front();
   const double span = now_snap.time - base.time;
-  if (options.adapt && span > 0.0) {
+  if (span > 0.0) {
     const std::size_t user = next_user;
     next_user = (next_user + 1) % m;
 
@@ -308,7 +307,11 @@ OnlineResult simulate_online(const std::vector<double>& mu,
     static_assert(des::EventFn::fits_inline<decltype(boundary)>);
     run.sim.schedule_at(schedule.start_times[k], boundary);
   }
-  run.schedule_control();
+  // A static run meters nothing: no controller events, no snapshots.
+  if (options.adapt) {
+    run.history.push_back(run.take_snapshot());
+    run.schedule_control();
+  }
   run.sim.run();
 
   OnlineResult& result = run.result;

@@ -205,11 +205,6 @@ DynamicsResult run(const Instance& inst, StrategyProfile profile,
   };
   for (std::size_t round = 1; round <= options.max_iterations; ++round) {
     if (round > 1 && sequential) state.rebuild(result.profile);
-    obs::SpanId round_span{};
-    if (obs::kEnabled && options.spans) {
-      round_span = options.spans->begin("round", "dynamics", 0,
-                                        static_cast<std::int64_t>(round));
-    }
     norm = 0.0;
     bool ok = true;
     if (sequential) {
@@ -222,11 +217,6 @@ DynamicsResult run(const Instance& inst, StrategyProfile profile,
       }
       for (std::size_t idx = 0; idx < m; ++idx) {
         const std::size_t j = order[idx];
-        obs::SpanId reply_span{};
-        if (obs::kEnabled && options.spans) {
-          reply_span = options.spans->begin("reply", "dynamics", 0,
-                                            static_cast<std::int64_t>(j));
-        }
         const std::span<const double> reply =
             class_mode
                 ? class_reply_into(inst, result.profile, state, j, *classes,
@@ -235,7 +225,6 @@ DynamicsResult run(const Instance& inst, StrategyProfile profile,
                                   ws);
         state.commit_row(result.profile, j, reply);
         fold_norm(j, state.user_response_time(result.profile, j));
-        if (obs::kEnabled && options.spans) options.spans->end(reply_span);
       }
     } else {
       // Jacobi: all replies against the round-(l-1) profile. The state's
@@ -277,7 +266,6 @@ DynamicsResult run(const Instance& inst, StrategyProfile profile,
     result.iterations = round;
     result.norm_history.push_back(norm);
     recorder.end_round(inst, result.profile, state.loads(), round, norm);
-    if (obs::kEnabled && options.spans) options.spans->end(round_span);
     if (!ok) {  // a diverged Jacobi round: stop
       result.diverged = true;
       break;

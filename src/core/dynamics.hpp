@@ -28,7 +28,6 @@
 #include "core/types.hpp"
 #include "obs/convergence.hpp"
 #include "obs/journal.hpp"
-#include "obs/span.hpp"
 
 namespace nashlb::core {
 
@@ -58,14 +57,6 @@ struct DynamicsOptions {
   std::size_t max_iterations = 1000;
   /// Seed for the RandomOrder permutations (ignored otherwise).
   std::uint64_t order_seed = 0x0badcafeULL;
-  /// Optional span tracer (not owned, may be null): each round becomes a
-  /// wall-clock "round" span (id = round index); in the sequential orders
-  /// it encloses one "reply" span per user update (id = user index).
-  /// Jacobi rounds run their replies on the pool and record only the
-  /// round span. Export with SpanTracer::write_chrome_trace for
-  /// chrome://tracing / Perfetto. A no-op when the obs layer is compiled
-  /// out.
-  obs::SpanTracer* spans = nullptr;
   /// Worker threads for the Jacobi (Simultaneous) round: 1 = serial (the
   /// default; a one-worker pool is a plain loop), 0 = auto
   /// (NASHLB_THREADS env, else hardware concurrency — see

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
 #include "util/csv.hpp"
 
 namespace nashlb::obs {
@@ -22,13 +21,12 @@ namespace detail {
 
 namespace {
 
-/// Row fields as Cells, in convergence_trace_columns() order, so the
-/// exports share cell_to_string/cell_to_json with the trace layer.
-std::vector<Cell> row_cells(const EnabledConvergenceProbe::Row& row) {
-  return {row.round,        row.norm,
-          row.eps_nash_gap, row.potential,
-          row.overall_cost, row.active_set_churn,
-          row.util_spread};
+/// A double as a CSV cell: the shortest round-trip decimal, with the
+/// non-finite values JSON writes as null spelled nan, inf or -inf.
+std::string csv_number(double v) {
+  if (std::isnan(v)) return "nan";
+  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
+  return json_number(v);
 }
 
 }  // namespace
@@ -60,18 +58,13 @@ double EnabledConvergenceProbe::final_eps_nash() const noexcept {
 }
 
 void EnabledConvergenceProbe::write_csv(const std::string& path) const {
-  const std::vector<std::string> columns = convergence_trace_columns();
-  util::CsvWriter writer(path, columns);
-  std::vector<std::string> cells(columns.size());
+  util::CsvWriter writer(path, convergence_trace_columns());
   for (const Row& row : rows_) {
-    const std::vector<Cell> as_cells = row_cells(row);
-    for (std::size_t c = 0; c < as_cells.size(); ++c) {
-      cells[c] = cell_to_string(as_cells[c]);
-    }
-    // nashlb-analyzer: allow(trace-arity) -- the row is sized from
-    // convergence_trace_columns() and filled from row_cells() above, not
-    // a braced literal the rule could count
-    writer.add_row(cells);
+    writer.add_row({std::to_string(row.round), csv_number(row.norm),
+                    csv_number(row.eps_nash_gap), csv_number(row.potential),
+                    csv_number(row.overall_cost),
+                    std::to_string(row.active_set_churn),
+                    csv_number(row.util_spread)});
   }
 }
 
@@ -80,15 +73,14 @@ void EnabledConvergenceProbe::write_jsonl(const std::string& path) const {
   if (!out) {
     throw std::runtime_error("ConvergenceProbe: cannot open '" + path + "'");
   }
-  const std::vector<std::string> columns = convergence_trace_columns();
   for (const Row& row : rows_) {
-    const std::vector<Cell> as_cells = row_cells(row);
-    out << '{';
-    for (std::size_t c = 0; c < as_cells.size(); ++c) {
-      if (c != 0) out << ',';
-      out << json_quote(columns[c]) << ':' << cell_to_json(as_cells[c]);
-    }
-    out << "}\n";
+    out << "{\"round\":" << row.round
+        << ",\"norm\":" << json_number(row.norm)
+        << ",\"eps_nash_gap\":" << json_number(row.eps_nash_gap)
+        << ",\"potential\":" << json_number(row.potential)
+        << ",\"overall_cost\":" << json_number(row.overall_cost)
+        << ",\"active_set_churn\":" << row.active_set_churn
+        << ",\"util_spread\":" << json_number(row.util_spread) << "}\n";
   }
 }
 

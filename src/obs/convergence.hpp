@@ -36,8 +36,8 @@
 namespace nashlb::obs {
 
 /// Column schema of the probe's CSV/JSON-lines export, in row order.
-/// Declared programmatically like the other trace schemas, so the
-/// exporters size their rows from it.
+/// tools/nashlb_analyzer.py (`trace-arity` rule) counts every exported
+/// CSV row against it.
 std::vector<std::string> convergence_trace_columns();
 
 namespace detail {

@@ -1,9 +1,10 @@
-// Flight-recorder event journal: the third obs layer next to the
-// counters/histograms of metrics.hpp and the row traces of trace.hpp.
+// Flight-recorder event journal: the obs layer next to the
+// counters/histograms of metrics.hpp and the per-round series of
+// convergence.hpp.
 //
 // A Journal is a fixed-capacity ring of numeric events. Schemas are
 // registered up front (register_event gives each named event a field
-// list, arity-checked at emit time exactly like TraceSink::record), and
+// list, arity-checked at emit time), and
 // emitting is allocation-free after construction: one slot assignment of
 // PODs, wrapping over the oldest entry when the ring is full. Overflow
 // is not silent — emitted/dropped counts are kept and can be surfaced as
@@ -47,7 +48,7 @@ struct EventId {
 };
 
 /// Hard cap on fields per event. Slots store a fixed `double[ ]` payload
-/// so emit() never allocates; richer events belong in a TraceSink.
+/// so emit() never allocates.
 inline constexpr std::size_t kJournalMaxFields = 8;
 
 /// How many trailing events the contract-failure crash dump prints.
@@ -84,9 +85,9 @@ class EnabledJournal {
                          const std::vector<std::string>& fields);
 
   /// Records one event. The value count must equal the registered field
-  /// count (throws std::invalid_argument otherwise — same contract as
-  /// TraceSink::record). No allocation; overwrites the oldest retained
-  /// slot when full and counts the casualty in dropped().
+  /// count (throws std::invalid_argument otherwise). No allocation;
+  /// overwrites the oldest retained slot when full and counts the
+  /// casualty in dropped().
   void emit(EventId id, std::initializer_list<double> values);
 
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }

@@ -1,4 +1,4 @@
-// Lightweight runtime metrics: counters, wall-clock timers, and a named
+// Lightweight runtime metrics: counters, duration timers, and a named
 // registry, with a compile-time off switch.
 //
 // The observability layer exists so the solvers (core, distributed) and
@@ -7,7 +7,9 @@
 // instrumentation in every bench. Design constraints:
 //
 //   * near-zero cost when enabled: a counter increment is one add, a
-//     timer stop is one steady_clock read plus an add;
+//     timer observation is a few adds and compares (timers read no
+//     clock: callers hand them durations, e.g. the DES's simulated busy
+//     time);
 //   * exactly zero cost when disabled: building with
 //     -DNASHLB_OBS_ENABLED=0 swaps every type for an empty no-op twin
 //     (`detail::Null*`), and `obs::kEnabled` is a constexpr false that
@@ -20,7 +22,6 @@
 // See docs/OBSERVABILITY.md for the exported schemas and a worked example.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -47,8 +48,8 @@ class EnabledCounter {
   std::uint64_t value_ = 0;
 };
 
-/// Accumulates wall-clock durations (seconds) plus an observation count
-/// and the observed extremes.
+/// Accumulates durations (seconds) plus an observation count and the
+/// observed extremes.
 class EnabledTimer {
  public:
   void add_seconds(double s) noexcept {
@@ -119,28 +120,6 @@ class EnabledTimer {
   double max_ = 0.0;
 };
 
-/// RAII scope timer: accumulates the scope's wall time into a Timer.
-class EnabledScopedTimer {
- public:
-  explicit EnabledScopedTimer(EnabledTimer& timer) noexcept
-      : timer_(&timer), start_(std::chrono::steady_clock::now()) {}
-  EnabledScopedTimer(const EnabledScopedTimer&) = delete;
-  EnabledScopedTimer& operator=(const EnabledScopedTimer&) = delete;
-  ~EnabledScopedTimer() { timer_->add_seconds(elapsed_seconds()); }
-
-  /// Seconds elapsed since construction (the timer is charged at scope
-  /// exit; this reads the clock without stopping).
-  [[nodiscard]] double elapsed_seconds() const noexcept {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  EnabledTimer* timer_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// No-op twins: identical interfaces, empty bodies, empty layout. The
 /// aliases below select these when NASHLB_OBS_ENABLED is 0.
 class NullCounter {
@@ -165,16 +144,6 @@ class NullTimer {
   void reset() noexcept {}
 };
 
-class NullScopedTimer {
- public:
-  explicit NullScopedTimer(NullTimer&) noexcept {}
-  NullScopedTimer(const NullScopedTimer&) = delete;
-  NullScopedTimer& operator=(const NullScopedTimer&) = delete;
-  [[nodiscard]] constexpr double elapsed_seconds() const noexcept {
-    return 0.0;
-  }
-};
-
 }  // namespace detail
 
 /// Point-in-time view of one named metric (see Registry::snapshot).
@@ -193,7 +162,7 @@ struct MetricSnapshot {
 };
 
 /// Column names of the Registry's CSV export, in order. Declared
-/// programmatically (like the `*_trace_columns()` schemas) so consumers
+/// programmatically (like `convergence_trace_columns()`) so consumers
 /// never hardcode the export layout; tools/nashlb_analyzer.py
 /// (`trace-arity` rule) checks every exported row against this arity.
 [[nodiscard]] std::vector<std::string> registry_export_columns();
@@ -272,12 +241,10 @@ class NullRegistry {
 #if NASHLB_OBS_ENABLED
 using Counter = detail::EnabledCounter;
 using Timer = detail::EnabledTimer;
-using ScopedTimer = detail::EnabledScopedTimer;
 using Registry = detail::EnabledRegistry;
 #else
 using Counter = detail::NullCounter;
 using Timer = detail::NullTimer;
-using ScopedTimer = detail::NullScopedTimer;
 using Registry = detail::NullRegistry;
 #endif
 

@@ -1,17 +1,11 @@
 #include "simmodel/replication.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "util/parallel.hpp"
 
 namespace nashlb::simmodel {
-
-std::vector<std::string> replication_trace_columns() {
-  return {"replication",    "wall_seconds",   "sim_seconds",
-          "jobs_generated", "jobs_completed", "overall_response"};
-}
 
 ReplicatedResult replicate(const core::Instance& inst,
                            const core::StrategyProfile& profile,
@@ -22,7 +16,6 @@ ReplicatedResult replicate(const core::Instance& inst,
   }
   const std::size_t r_total = config.replications;
   std::vector<SimRunResult> runs(r_total);
-  std::vector<double> wall_seconds(r_total, 0.0);
   // One metrics shard per replication: the shard is private to the
   // worker while the run executes, and the shards merge below — after
   // the join, in replication order — so the reduced registry is
@@ -39,11 +32,7 @@ ReplicatedResult replicate(const core::Instance& inst,
     SimConfig cfg = config.base;
     cfg.replication = r;
     cfg.metrics = shards.empty() ? nullptr : &shards[r];
-    const auto start = std::chrono::steady_clock::now();
     runs[r] = simulate(inst, profile, cfg);
-    wall_seconds[r] = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
   });
 
   const std::size_t m = inst.num_users();
@@ -81,17 +70,6 @@ ReplicatedResult replicate(const core::Instance& inst,
   if (config.metrics != nullptr) {
     for (const obs::Registry& shard : shards) config.metrics->merge(shard);
   }
-  if (obs::kEnabled && config.trace) {
-    for (std::size_t r = 0; r < r_total; ++r) {
-      const SimRunResult& run = runs[r];
-      config.trace->record({static_cast<std::int64_t>(r), wall_seconds[r],
-                            run.end_time,
-                            static_cast<std::int64_t>(run.jobs_generated),
-                            static_cast<std::int64_t>(run.jobs_completed),
-                            run.overall_mean_response});
-    }
-  }
-  out.wall_seconds = std::move(wall_seconds);
   out.runs = std::move(runs);
   return out;
 }

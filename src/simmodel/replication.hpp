@@ -9,11 +9,11 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "core/types.hpp"
-#include "obs/trace.hpp"
+#include "obs/metrics.hpp"
 #include "simmodel/system_sim.hpp"
 #include "stats/confidence.hpp"
 
@@ -31,11 +31,6 @@ struct ReplicationConfig {
   /// so every replication's sample path is bitwise identical to the
   /// sequential run (tests/simmodel/test_replication.cpp pins this).
   std::size_t threads = 0;
-  /// Optional per-replication trace (not owned, may be null): one row per
-  /// replication under the `replication_trace_columns()` schema. Rows are
-  /// appended after the workers join, in replication order, so the sink
-  /// needs no synchronization.
-  obs::TraceSink* trace = nullptr;
   /// Optional metrics sink (not owned, may be null): each replication
   /// publishes its DES metrics (see SimConfig::metrics) into a private
   /// shard registry; after the workers join the shards merge into this
@@ -45,12 +40,6 @@ struct ReplicationConfig {
   /// its place. A no-op when the obs layer is compiled out.
   obs::Registry* metrics = nullptr;
 };
-
-/// Schema of the per-replication trace, in column order: replication
-/// (0-based index), wall_seconds (host time for the run), sim_seconds
-/// (simulated time the run drained at), jobs_generated, jobs_completed,
-/// overall_response (job-weighted mean response time, seconds).
-[[nodiscard]] std::vector<std::string> replication_trace_columns();
 
 /// Reduced results across replications.
 struct ReplicatedResult {
@@ -66,9 +55,6 @@ struct ReplicatedResult {
   std::vector<obs::Histogram> computer_sojourn;
   /// Total jobs generated across all replications.
   std::uint64_t total_jobs = 0;
-  /// Host wall-clock seconds each replication took (by replication index;
-  /// replications run concurrently, so these do not sum to elapsed time).
-  std::vector<double> wall_seconds;
   /// The raw per-replication results (ordered by replication index).
   std::vector<SimRunResult> runs;
 };

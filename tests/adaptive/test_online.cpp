@@ -263,29 +263,34 @@ TEST(Online, SamplePathIsPinned) {
 }
 
 TEST(Online, SteadyStateJobsDoNotAllocate) {
-  // Table 1 at 30% load, one report window, and the first controller run
-  // past the horizon: a run twice as long adds only jobs, so it must not
-  // add allocations. The calendar and the waiting buffers reach their
-  // peak sizes early.
+  // Table 1 at 30% load and one report window: a run twice as long adds
+  // only jobs, so it must not add allocations. The calendar and the
+  // waiting buffers reach their peak sizes early. The adaptive run puts
+  // its first controller run past the horizon; the static run keeps the
+  // default 5 s period, which must schedule no controller and copy no
+  // meters at all.
   const core::Instance inst = workload::table1_instance(0.3, 4);
   const core::StrategyProfile prop =
       core::StrategyProfile::proportional(inst);
-  const auto run = [&](double horizon, std::uint64_t& jobs) {
-    OnlineOptions opts;
-    opts.horizon = horizon;
-    opts.update_period = 4.0 * horizon;
-    opts.report_period = 4.0 * horizon;
-    const std::size_t before = g_alloc_count;
-    jobs = simulate_online(inst.mu, constant_schedule(inst.phi), prop, opts)
-               .jobs_completed;
-    return g_alloc_count - before;
-  };
-  std::uint64_t short_jobs = 0;
-  std::uint64_t long_jobs = 0;
-  const std::size_t short_allocs = run(200.0, short_jobs);
-  const std::size_t long_allocs = run(400.0, long_jobs);
-  EXPECT_GT(long_jobs, short_jobs + 20000);
-  EXPECT_EQ(long_allocs, short_allocs);
+  for (const bool adapt : {true, false}) {
+    const auto run = [&](double horizon, std::uint64_t& jobs) {
+      OnlineOptions opts;
+      opts.horizon = horizon;
+      if (adapt) opts.update_period = 4.0 * horizon;
+      opts.report_period = 4.0 * horizon;
+      opts.adapt = adapt;
+      const std::size_t before = g_alloc_count;
+      jobs = simulate_online(inst.mu, constant_schedule(inst.phi), prop, opts)
+                 .jobs_completed;
+      return g_alloc_count - before;
+    };
+    std::uint64_t short_jobs = 0;
+    std::uint64_t long_jobs = 0;
+    const std::size_t short_allocs = run(200.0, short_jobs);
+    const std::size_t long_allocs = run(400.0, long_jobs);
+    EXPECT_GT(long_jobs, short_jobs + 20000) << "adapt=" << adapt;
+    EXPECT_EQ(long_allocs, short_allocs) << "adapt=" << adapt;
+  }
 }
 
 }  // namespace

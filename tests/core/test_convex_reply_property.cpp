@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <numeric>
+#include <ostream>
 
 #include "core/convex_reply.hpp"
 #include "core/waterfill.hpp"
@@ -17,6 +18,14 @@ struct MixParam {
   std::uint64_t seed;
   bool multicore;  // include M/M/c nodes in the mix
 };
+
+// gtest's default printer dumps the struct's bytes, padding included, and
+// the dump lands in the registered ctest names; print the fields, as in
+// the INSTANTIATE_TEST_SUITE_P list, so the names are the same in every
+// build.
+void PrintTo(const MixParam& p, std::ostream* os) {
+  *os << '{' << p.seed << ',' << (p.multicore ? "true" : "false") << '}';
+}
 
 class ConvexReplyProperty : public ::testing::TestWithParam<MixParam> {};
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -131,6 +132,12 @@ struct SweepParam {
   double utilization;     // demand / capacity
   std::uint64_t seed;
 };
+
+// The fields, as in the INSTANTIATE_TEST_SUITE_P list, not gtest's byte
+// dump, in the registered ctest names.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << '{' << p.n << ',' << p.utilization << ',' << p.seed << '}';
+}
 
 class WaterfillProperty : public ::testing::TestWithParam<SweepParam> {};
 

@@ -99,6 +99,12 @@ TEST(ConvergenceProbe, FinalEpsNashSkipsNonFiniteGaps) {
 TEST(ConvergenceProbe, CsvAndJsonlExports) {
   obs::detail::EnabledConvergenceProbe probe;
   probe.record_round(1, 0.5, 0.1, 2.0, 0.3, 2, 0.4);
+  // Round 2 needs all 17 digits and has an uncomputable gap: the exports
+  // must round-trip the doubles bitwise, not prettily, and spell the NaN
+  // `nan` in CSV and `null` in JSON.
+  const double v = 0.1 + 0.2;  // 0.30000000000000004
+  probe.record_round(2, v, std::numeric_limits<double>::quiet_NaN(), v, v, 0,
+                     v);
   TempFile csv("probe.csv");
   TempFile jsonl("probe.jsonl");
   probe.write_csv(csv.path());
@@ -114,6 +120,29 @@ TEST(ConvergenceProbe, CsvAndJsonlExports) {
                                   "\"active_set_churn\":2,"
                                   "\"util_spread\":0.4}"),
             std::string::npos);
+
+  std::istringstream csv_lines(csv.contents());
+  std::string line;
+  for (int k = 0; k < 3; ++k) std::getline(csv_lines, line);  // round 2
+  std::vector<std::string> cells;
+  std::istringstream row(line);
+  for (std::string cell; std::getline(row, cell, ',');) cells.push_back(cell);
+  ASSERT_EQ(cells.size(), 7u);
+  EXPECT_EQ(cells[0], "2");
+  EXPECT_EQ(std::stod(cells[1]), v);
+  EXPECT_EQ(cells[2], "nan");
+  EXPECT_EQ(std::stod(cells[6]), v);
+
+  const std::string json = jsonl.contents();
+  const std::size_t round2 = json.find("{\"round\":2,");
+  ASSERT_NE(round2, std::string::npos);
+  const std::size_t norm = json.find("\"norm\":", round2);
+  ASSERT_NE(norm, std::string::npos);
+  EXPECT_EQ(std::stod(json.substr(norm + 7)), v);
+  EXPECT_NE(json.find("\"eps_nash_gap\":null,", round2), std::string::npos);
+  const std::size_t spread = json.find("\"util_spread\":", round2);
+  ASSERT_NE(spread, std::string::npos);
+  EXPECT_EQ(std::stod(json.substr(spread + 14)), v);
 }
 
 TEST(ConvergenceProbeNull, TwinIsEmptyStatelessAndWritesNothing) {

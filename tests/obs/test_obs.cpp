@@ -1,29 +1,24 @@
 // Tests of the observability layer (obs/metrics.hpp, obs/histogram.hpp,
-// obs/span.hpp, obs/trace.hpp): counter/timer/histogram semantics,
-// registry export round-trips through the CSV and JSON-lines writers,
-// span tracing and its Chrome trace-event serialization, the no-op
-// contract of the disabled twins, and the instrumentation points in
-// core/des/simmodel.
+// obs/json.hpp): counter/timer/histogram semantics, registry export
+// round-trips through the CSV and JSON-lines writers, the no-op contract
+// of the disabled twins, and the instrumentation points in des/simmodel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <type_traits>
 
-#include "core/dynamics.hpp"
 #include "des/facility.hpp"
 #include "des/simulator.hpp"
+#include "obs/convergence.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
-#include "obs/trace.hpp"
-#include "simmodel/replication.hpp"
+#include "simmodel/system_sim.hpp"
 #include "stats/distributions.hpp"
 #include "stats/rng.hpp"
 
@@ -196,17 +191,6 @@ TEST(ObsMetrics, NullTwinsMergeAsNoOps) {
   EXPECT_EQ(nr.size(), 0u);
 }
 
-TEST(ObsMetrics, ScopedTimerChargesOnExit) {
-  obs::detail::EnabledTimer t;
-  {
-    obs::detail::EnabledScopedTimer scope(t);
-    EXPECT_EQ(t.count(), 0u);  // charged at scope exit, not construction
-    EXPECT_GE(scope.elapsed_seconds(), 0.0);
-  }
-  EXPECT_EQ(t.count(), 1u);
-  EXPECT_GE(t.total_seconds(), 0.0);
-}
-
 TEST(ObsMetrics, RegistryReferencesAreStable) {
   obs::detail::EnabledRegistry reg;
   obs::detail::EnabledCounter& a = reg.counter("a");
@@ -262,63 +246,7 @@ TEST(ObsMetrics, RegistryJsonlRoundTrip) {
             "\"p50\":0,\"p90\":0,\"p99\":0}\n");
 }
 
-// --- trace sink ---------------------------------------------------------
-
-TEST(ObsTrace, SchemaIsValidated) {
-  EXPECT_THROW(obs::detail::EnabledTraceSink({}), std::invalid_argument);
-  EXPECT_THROW(obs::detail::EnabledTraceSink({"a", "a"}),
-               std::invalid_argument);
-  obs::detail::EnabledTraceSink sink({"a", "b"});
-  EXPECT_THROW(sink.record({std::int64_t{1}}), std::invalid_argument);
-  EXPECT_EQ(sink.size(), 0u);
-}
-
-TEST(ObsTrace, RecordsTypedRows) {
-  obs::detail::EnabledTraceSink sink({"iter", "norm", "tag"});
-  sink.record({std::int64_t{1}, 0.5, std::string("warm")});
-  sink.record({std::int64_t{2}, 0.25, std::string("steady")});
-  ASSERT_EQ(sink.size(), 2u);
-  const std::vector<double> norms = sink.column_as_doubles("norm");
-  ASSERT_EQ(norms.size(), 2u);
-  EXPECT_DOUBLE_EQ(norms[0], 0.5);
-  EXPECT_DOUBLE_EQ(norms[1], 0.25);
-  // Integer columns convert; string columns come back NaN.
-  EXPECT_DOUBLE_EQ(sink.column_as_doubles("iter")[1], 2.0);
-  EXPECT_TRUE(std::isnan(sink.column_as_doubles("tag")[0]));
-  EXPECT_THROW((void)sink.column_as_doubles("nope"), std::out_of_range);
-}
-
-TEST(ObsTrace, CsvRoundTripWithQuoting) {
-  obs::detail::EnabledTraceSink sink({"scheme", "value"});
-  sink.record({std::string("NASH, eps=1e-4"), 0.0625});
-  TempFile f("trace.csv");
-  sink.write_csv(f.path());
-  EXPECT_EQ(f.contents(),
-            "scheme,value\n\"NASH, eps=1e-4\",0.0625\n");
-}
-
-TEST(ObsTrace, JsonlRoundTrip) {
-  obs::detail::EnabledTraceSink sink({"iter", "norm", "note"});
-  sink.record({std::int64_t{3}, 0.125, std::string("a\"b")});
-  TempFile f("trace.jsonl");
-  sink.write_jsonl(f.path());
-  EXPECT_EQ(f.contents(),
-            "{\"iter\":3,\"norm\":0.125,\"note\":\"a\\\"b\"}\n");
-}
-
-TEST(ObsTrace, DoublesSurviveRoundTrip) {
-  // The CSV/JSON number formatting must be round-trippable, not pretty.
-  const double v = 0.1 + 0.2;  // 0.30000000000000004
-  obs::detail::EnabledTraceSink sink({"v"});
-  sink.record({v});
-  TempFile f("roundtrip.csv");
-  sink.write_csv(f.path());
-  std::ifstream in(f.path());
-  std::string header, cell;
-  std::getline(in, header);
-  std::getline(in, cell);
-  EXPECT_EQ(std::stod(cell), v);
-}
+// --- JSON formatting ----------------------------------------------------
 
 TEST(ObsJson, EscapesControlCharacters) {
   EXPECT_EQ(obs::json_quote("a\nb\t\"\\"), "\"a\\nb\\t\\\"\\\\\"");
@@ -436,64 +364,6 @@ TEST(ObsHistogram, MergeIsAssociativeAndCommutative) {
   same(a2, a);
 }
 
-// --- span tracer --------------------------------------------------------
-
-TEST(ObsSpan, BeginEndNestAndInterleave) {
-  obs::detail::EnabledSpanTracer tracer;
-  const obs::SpanId outer = tracer.begin("round", "dynamics", 0, 1);
-  const obs::SpanId inner = tracer.begin("reply", "dynamics", 0, 7);
-  EXPECT_EQ(tracer.open_spans(), 2u);
-  tracer.end(inner);
-  tracer.end(outer);
-  EXPECT_EQ(tracer.open_spans(), 0u);
-  ASSERT_EQ(tracer.size(), 2u);
-  // Completion order: inner first; the outer span encloses it.
-  const obs::SpanEvent& reply = tracer.events()[0];
-  const obs::SpanEvent& round = tracer.events()[1];
-  EXPECT_EQ(reply.name, "reply");
-  EXPECT_EQ(round.name, "round");
-  EXPECT_EQ(reply.id, 7);
-  EXPECT_LE(round.start_us, reply.start_us);
-  EXPECT_GE(round.start_us + round.duration_us,
-            reply.start_us + reply.duration_us);
-  // Ending an unknown id is ignored.
-  tracer.end(obs::SpanId{12345});
-  EXPECT_EQ(tracer.size(), 2u);
-}
-
-TEST(ObsSpan, ChromeTraceJsonIsSchemaComplete) {
-  obs::detail::EnabledSpanTracer tracer;
-  tracer.end(tracer.begin("round", "dynamics", 1, 1));
-  tracer.end(tracer.begin("reply \"x\"", "dynamics", 1, 2));
-  const obs::SpanId open = tracer.begin("dangling", "test");
-  (void)open;  // left open: must not be exported
-  TempFile f("spans.json");
-  tracer.write_chrome_trace(f.path());
-  const std::string json = f.contents();
-  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
-  EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-  // Every declared field appears once per event, and only complete ("X")
-  // events are emitted.
-  std::size_t events = 0;
-  for (std::size_t at = json.find("\"ph\":\"X\""); at != std::string::npos;
-       at = json.find("\"ph\":\"X\"", at + 1)) {
-    ++events;
-  }
-  EXPECT_EQ(events, tracer.size());
-  for (const std::string& field : obs::span_trace_fields()) {
-    std::size_t hits = 0;
-    const std::string needle = "\"" + field + "\":";
-    for (std::size_t at = json.find(needle); at != std::string::npos;
-         at = json.find(needle, at + 1)) {
-      ++hits;
-    }
-    EXPECT_EQ(hits, tracer.size()) << "field " << field;
-  }
-  EXPECT_NE(json.find("reply \\\"x\\\""), std::string::npos);  // escaping
-  EXPECT_EQ(json.find("dangling"), std::string::npos);
-  ASSERT_EQ(obs::span_trace_fields().size(), 8u);
-}
-
 // --- the no-op twins (the disabled build's types) -----------------------
 
 TEST(ObsDisabled, NullTypesAreEmptyNoOps) {
@@ -502,7 +372,6 @@ TEST(ObsDisabled, NullTypesAreEmptyNoOps) {
   static_assert(std::is_empty_v<obs::detail::NullCounter>);
   static_assert(std::is_empty_v<obs::detail::NullTimer>);
   static_assert(std::is_empty_v<obs::detail::NullHistogram>);
-  static_assert(std::is_empty_v<obs::detail::NullSpanTracer>);
   obs::detail::NullCounter c;
   c.add(1000);
   EXPECT_EQ(c.value(), 0u);
@@ -514,11 +383,6 @@ TEST(ObsDisabled, NullTypesAreEmptyNoOps) {
   EXPECT_EQ(t.total_seconds(), 0.0);
   EXPECT_EQ(t.min_seconds(), 0.0);
   EXPECT_EQ(t.max_seconds(), 0.0);
-  {
-    obs::detail::NullScopedTimer scope(t);
-    EXPECT_EQ(scope.elapsed_seconds(), 0.0);
-  }
-  EXPECT_EQ(t.count(), 0u);
 }
 
 TEST(ObsDisabled, NullHistogramRecordsNothing) {
@@ -536,22 +400,6 @@ TEST(ObsDisabled, NullHistogramRecordsNothing) {
   EXPECT_EQ(h.bucket(0), 0u);
 }
 
-TEST(ObsDisabled, NullSpanTracerDiscardsAndWritesNoFiles) {
-  obs::detail::NullSpanTracer tracer;
-  const obs::SpanId id = tracer.begin("round", "dynamics");
-  tracer.end(id);
-  {
-    obs::detail::NullScopedSpan scope(tracer, "reply", "dynamics");
-  }
-  EXPECT_TRUE(tracer.empty());
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.open_spans(), 0u);
-  EXPECT_TRUE(tracer.events().empty());
-  TempFile f("null_spans.json");
-  tracer.write_chrome_trace(f.path());
-  EXPECT_FALSE(std::filesystem::exists(f.path()));
-}
-
 TEST(ObsDisabled, NullRegistryAndSinkDiscardEverything) {
   obs::detail::NullRegistry reg;
   reg.counter("x").add(5);
@@ -559,81 +407,36 @@ TEST(ObsDisabled, NullRegistryAndSinkDiscardEverything) {
   reg.histogram("z").record(1.0);
   EXPECT_EQ(reg.size(), 0u);
   EXPECT_TRUE(reg.snapshot().empty());
-
-  obs::detail::NullTraceSink sink({"a", "b"});
-  sink.record({std::int64_t{1}, 2.0});
-  EXPECT_TRUE(sink.empty());
-  EXPECT_TRUE(sink.rows().empty());
-  EXPECT_TRUE(sink.column_as_doubles("a").empty());
   // write_* must not create files.
-  TempFile f("null_sink.csv");
-  sink.write_csv(f.path());
+  TempFile f("null_registry.csv");
   reg.write_csv(f.path());
+  reg.write_jsonl(f.path());
   EXPECT_FALSE(std::filesystem::exists(f.path()));
 }
 
-// An instrumented call site, templated on the sink type the way the
+// An instrumented call site, templated on the probe type the way the
 // library's call sites are switched by NASHLB_OBS_ENABLED: with the null
-// sink the same code must compile and record nothing.
-template <typename Sink>
-std::size_t instrumented_loop(Sink& sink) {
+// probe the same code must compile and record nothing.
+template <typename Probe>
+std::size_t instrumented_loop(Probe& probe) {
   std::size_t work = 0;
-  for (int i = 0; i < 4; ++i) {
-    work += static_cast<std::size_t>(i);
-    sink.record({static_cast<std::int64_t>(i), static_cast<double>(i) * 0.5});
+  for (std::int64_t round = 1; round <= 4; ++round) {
+    work += static_cast<std::size_t>(round);
+    probe.record_round(round, 0.5 * static_cast<double>(round), 0.0, 0.0,
+                       0.0, 0, 0.0);
   }
   return work;
 }
 
 TEST(ObsDisabled, InstrumentedCallSiteCompilesAgainstBothTwins) {
-  obs::detail::EnabledTraceSink enabled({"i", "v"});
-  obs::detail::NullTraceSink null({"i", "v"});
+  obs::detail::EnabledConvergenceProbe enabled;
+  obs::detail::NullConvergenceProbe null;
   EXPECT_EQ(instrumented_loop(enabled), instrumented_loop(null));
   EXPECT_EQ(enabled.size(), 4u);
   EXPECT_EQ(null.size(), 0u);
 }
 
 // --- instrumentation points in the stack --------------------------------
-
-TEST(ObsWiring, DynamicsEmitsNestedRoundAndReplySpans) {
-  const core::Instance inst = small_instance();
-  obs::SpanTracer spans;
-  core::DynamicsOptions opts;
-  opts.spans = &spans;
-  const core::DynamicsResult r = core::best_reply_dynamics(inst, opts);
-  ASSERT_TRUE(r.converged);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(spans.open_spans(), 0u);
-    std::vector<const obs::SpanEvent*> rounds, replies;
-    for (const obs::SpanEvent& e : spans.events()) {
-      EXPECT_EQ(e.category, "dynamics");
-      if (e.name == "round") rounds.push_back(&e);
-      if (e.name == "reply") replies.push_back(&e);
-    }
-    EXPECT_EQ(rounds.size() + replies.size(), spans.size());
-    ASSERT_EQ(rounds.size(), r.iterations);
-    EXPECT_EQ(replies.size(), r.iterations * inst.num_users());
-    // Round ids are the 1-based round index, in order.
-    for (std::size_t l = 0; l < rounds.size(); ++l) {
-      EXPECT_EQ(rounds[l]->id, static_cast<std::int64_t>(l + 1));
-    }
-    // Every reply span is enclosed by some round span.
-    for (const obs::SpanEvent* reply : replies) {
-      bool enclosed = false;
-      for (const obs::SpanEvent* round : rounds) {
-        if (round->start_us <= reply->start_us &&
-            round->start_us + round->duration_us >=
-                reply->start_us + reply->duration_us) {
-          enclosed = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(enclosed) << "reply for user " << reply->id;
-    }
-  } else {
-    EXPECT_TRUE(spans.empty());
-  }
-}
 
 TEST(ObsWiring, DesKernelAndFacilityPublishCounters) {
   des::Simulator sim;
@@ -698,34 +501,6 @@ TEST(ObsWiring, SystemSimExportsPerComputerSojournHistograms) {
     for (const obs::Histogram& h : run.computer_sojourn) {
       EXPECT_EQ(h.count(), 0u);
     }
-  }
-}
-
-TEST(ObsWiring, ReplicationEmitsOneRowPerReplication) {
-  const core::Instance inst = small_instance();
-  const core::StrategyProfile profile =
-      core::StrategyProfile::proportional(inst);
-  simmodel::ReplicationConfig cfg;
-  cfg.base.horizon = 20.0;
-  cfg.base.warmup = 2.0;
-  cfg.replications = 3;
-  obs::TraceSink sink(simmodel::replication_trace_columns());
-  cfg.trace = &sink;
-  const simmodel::ReplicatedResult rep =
-      simmodel::replicate(inst, profile, cfg);
-  ASSERT_EQ(rep.wall_seconds.size(), 3u);
-  for (double w : rep.wall_seconds) EXPECT_GT(w, 0.0);
-  if constexpr (obs::kEnabled) {
-    ASSERT_EQ(sink.size(), 3u);
-    const std::vector<double> reps = sink.column_as_doubles("replication");
-    for (std::size_t r = 0; r < 3; ++r) {
-      EXPECT_DOUBLE_EQ(reps[r], static_cast<double>(r));
-    }
-    for (double jobs : sink.column_as_doubles("jobs_generated")) {
-      EXPECT_GT(jobs, 0.0);
-    }
-  } else {
-    EXPECT_EQ(sink.size(), 0u);
   }
 }
 

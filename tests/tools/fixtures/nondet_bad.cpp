@@ -1,4 +1,4 @@
-// Golden fixture: raw nondeterminism sources in solver code.
+// Golden fixture: raw nondeterminism sources in library code.
 // Analyzed as if at src/core/nondet_bad.cpp.
 namespace std {
 struct random_device {

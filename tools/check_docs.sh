@@ -43,7 +43,7 @@ done
 
 # The observability doc must describe every exported instrument family;
 # new sections guard against the doc silently lagging the obs layer.
-for section in "## Histograms" "## Span tracing" "## Sharded registries" \
+for section in "## Histograms" "## Sharded registries" \
                "## Event journal" "## Convergence telemetry" \
                "## Run manifests & nashlb-report"; do
     if [ -f "$root/docs/OBSERVABILITY.md" ] && \

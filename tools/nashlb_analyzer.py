@@ -32,10 +32,10 @@ Nine rules, each protecting a guarantee the reproduction rests on
 
   nondeterminism-sources
       No std::random_device, rand()/srand(), time()/clock(), or
-      std::chrono::*_clock::now() in src/core, src/des or
-      src/distributed. All randomness goes through the seeded stats::
-      RNG seams and all timing through the obs layer. Wall-clock reads
-      that only feed a trace column carry a reasoned waiver.
+      std::chrono::*_clock::now() anywhere in src/. All randomness goes
+      through the seeded stats:: RNG seams, and the library reads no
+      clock: timing belongs in bench/ and nashbench/, which measure the
+      library from outside.
 
   contract-coverage
       Every public function in src/core (declared in a core header)
@@ -58,10 +58,9 @@ Nine rules, each protecting a guarantee the reproduction rests on
   trace-arity
       In a src/ file that defines a `*_trace_columns()`,
       `*_trace_fields()` or `*_export_columns()` schema, every
-      `record({...})`, `add_row({...})` and `emit_event(..., {...})`
-      call must pass exactly as many cells as the schema declares
-      columns. The sinks check this at runtime, but only on
-      instrumented runs.
+      `record({...})` and `add_row({...})` call must pass exactly as
+      many cells as the schema declares columns. The writers check this
+      at runtime, but only on instrumented runs.
 
   journal-arity
       Wherever a src/ file registers a journal event schema
@@ -160,8 +159,9 @@ ALLOC_WRAPPERS = {"best_reply", "waterfill_sqrt", "waterfill_linear",
 WRAPPER_BAN_FILES = ("src/core/dynamics.cpp",
                      "src/distributed/ring_protocol.cpp")
 
-# Directories rule 3 polices (src-relative path prefixes).
-NONDET_DIRS = ("src/core", "src/des", "src/distributed")
+# Directories rule 3 polices (src-relative path prefixes): the whole
+# library.
+NONDET_DIRS = ("src/",)
 NONDET_FREE_FUNCS = {"rand", "srand", "time", "clock"}
 
 CONTRACT_MACROS = {"NASHLB_EXPECT", "NASHLB_ENSURE", "NASHLB_INVARIANT"}
@@ -182,7 +182,7 @@ OBS_DIR = "src/obs"
 
 SCHEMA_FUNC_RE = re.compile(
     r"\w+_(?:trace_columns|trace_fields|export_columns)$")
-ARITY_CALLS = ("record", "add_row", "emit_event")
+ARITY_CALLS = ("record", "add_row")
 
 HISTOGRAM_HPP = "src/obs/histogram.hpp"
 HISTOGRAM_API = ("bucket_count", "bucket_lower_bound", "bucket_upper_bound")
@@ -787,13 +787,14 @@ def rule_nondeterminism(path, toks, waivers, out):
               and not (i >= 2 and toks[i - 1].text == "::"
                        and toks[i - 2].text != "std")):
             _emit(out, waivers, path, t.line, "nondeterminism-sources",
-                  "%s(): wall-clock/CRT randomness in solver code" % t.text)
+                  "%s(): wall-clock/CRT randomness in library code"
+                  % t.text)
         elif (t.text == "now" and i >= 2 and toks[i - 1].text == "::"
               and toks[i - 2].kind == "id"
               and toks[i - 2].text.endswith("_clock")):
             _emit(out, waivers, path, t.line, "nondeterminism-sources",
-                  "std::chrono::%s::now(): raw clock read in solver code; "
-                  "route timing through obs or waive with a reason"
+                  "std::chrono::%s::now(): clock read in library code; "
+                  "timing belongs in bench/ and nashbench/"
                   % toks[i - 2].text)
 
 
@@ -890,21 +891,13 @@ def rule_trace_arity(path, toks, funcs, waivers, out):
         close = match_paren(toks, i + 1)
         if close is None:
             continue
-        if t.text == "emit_event":
-            # The cell list is one argument among several; a match with
-            # no list at all is the function's own definition.
-            k = _first_brace(toks, i + 2, close)
-            if k is None:
-                continue
-        elif (toks[i + 2].text == "{"
-              and match_paren(toks, i + 2, "{", "}") == close - 1):
-            k = i + 2
-        else:
+        if (toks[i + 2].text != "{"
+                or match_paren(toks, i + 2, "{", "}") != close - 1):
             _emit(out, waivers, path, t.line, "trace-arity",
                   "%s() argument is not a braced cell list; cannot check "
                   "arity against %s()" % (t.text, schema.name))
             continue
-        cells = _brace_cells(toks, k)
+        cells = _brace_cells(toks, i + 2)
         if cells != columns:
             _emit(out, waivers, path, t.line, "trace-arity",
                   "%s() passes %d cells but %s() declares %d columns"
@@ -1295,16 +1288,20 @@ SELFTEST_SNIPPETS = [
         struct Sim { double now() const; };
         double sim_time(const Sim& sim) { return sim.now(); }
     """),
-    ("nondeterminism-sources", "src/stats/snippet.cpp", False, """
+    ("nondeterminism-sources", "src/stats/snippet.cpp", True, """
         namespace std { struct random_device { unsigned operator()(); }; }
         unsigned entropy() { std::random_device rd; return rd(); }
+    """),
+    ("nondeterminism-sources", "bench/snippet.cpp", False, """
+        namespace std { namespace chrono { struct steady_clock {
+          static int now(); }; } }
+        int stamp() { return std::chrono::steady_clock::now(); }
     """),
     ("nondeterminism-sources", "src/core/snippet.cpp", False, """
         namespace std { namespace chrono { struct steady_clock {
           static int now(); }; } }
         int stamp() {
-          // wall-clock feeds the trace only
-          return std::chrono::steady_clock::now();  // nashlb-analyzer: allow(nondeterminism-sources) -- trace-only wall clock
+          return std::chrono::steady_clock::now();  // nashlb-analyzer: allow(nondeterminism-sources) -- selftest waiver
         }
     """),
     ("contract-coverage", "src/core/snippet.hpp", True, """
@@ -1396,20 +1393,12 @@ SELFTEST_SNIPPETS = [
         }
         void dump(Writer& w, const Row& cells) { w.add_row(cells); }
     """),
-    ("trace-arity", "src/obs/snippet.cpp", True, """
-        std::vector<std::string> probe_trace_fields() {
-          return {"name", "ts", "dur"};
-        }
-        void dump(std::ofstream& out) { emit_event(out, fields, {"a"}); }
-    """),
     ("trace-arity", "src/obs/snippet.cpp", False, """
         std::vector<std::string> probe_trace_fields() {
           return {"name", "ts", "dur"};
         }
-        void emit_event(std::ofstream& out, const Fields& values);
-        void dump(Sink& t, std::ofstream& out, const Row& cells) {
+        void dump(Sink& t, const Row& cells) {
           t.record({a, {b, c}, f(d, e)});
-          emit_event(out, fields, {"a", "b", "c"});
           // nashlb-analyzer: allow(trace-arity) -- arity pinned by Row
           t.record(cells);
         }
