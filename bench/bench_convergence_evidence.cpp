@@ -14,6 +14,7 @@
 #include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
 #include "stats/moments.hpp"
+#include "stats/rng.hpp"
 #include "workload/random.hpp"
 
 int main() {

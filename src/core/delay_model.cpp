@@ -4,9 +4,35 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "queueing/mmc.hpp"
-
 namespace nashlb::core {
+
+namespace {
+
+/// Erlang-C: probability an arriving job waits in an M/M/c queue with
+/// offered load a = lambda / mu_core and c servers. Requires a < c.
+double erlang_c(unsigned servers, double offered_load) {
+  if (servers == 0) {
+    throw std::invalid_argument("erlang_c: need at least one server");
+  }
+  const double a = offered_load;
+  const double c = static_cast<double>(servers);
+  if (!(a >= 0.0) || !(a < c)) {
+    throw std::invalid_argument("erlang_c: need 0 <= offered load < c");
+  }
+  if (a == 0.0) return 0.0;
+
+  // Recurrence on the Erlang-B blocking probability (numerically stable):
+  // B(0, a) = 1; B(k, a) = a B(k-1, a) / (k + a B(k-1, a)).
+  double b = 1.0;
+  for (unsigned k = 1; k <= servers; ++k) {
+    b = a * b / (static_cast<double>(k) + a * b);
+  }
+  // Erlang-C from Erlang-B: C = B / (1 - rho (1 - B)), rho = a / c.
+  const double rho = a / c;
+  return b / (1.0 - rho * (1.0 - b));
+}
+
+}  // namespace
 
 MM1Delay::MM1Delay(double mu) : mu_(mu) {
   if (!(mu > 0.0) || !std::isfinite(mu)) {
@@ -41,7 +67,15 @@ double MMCDelay::capacity() const {
 }
 
 double MMCDelay::response_time(double lambda) const {
-  return queueing::MMC(lambda, mu_, c_).mean_response_time();
+  if (!(lambda >= 0.0) || !(lambda < capacity())) {
+    throw std::invalid_argument("MMCDelay: load out of [0, capacity)");
+  }
+  // Mean wait in queue, C(c, a) / (c mu - lambda), plus one service.
+  const double wait =
+      lambda == 0.0 ? 0.0
+                    : erlang_c(c_, lambda / mu_) /
+                          (static_cast<double>(c_) * mu_ - lambda);
+  return wait + 1.0 / mu_;
 }
 
 double MMCDelay::response_time_derivative(double lambda) const {
@@ -58,41 +92,6 @@ double MMCDelay::response_time_derivative(double lambda) const {
   const double lo = std::max(0.0, lambda - h);
   const double hi = lambda + h;
   return (response_time(hi) - response_time(lo)) / (hi - lo);
-}
-
-ShiftedDelay::ShiftedDelay(DelayModelPtr inner, double shift)
-    : inner_(std::move(inner)), shift_(shift) {
-  if (!inner_) {
-    throw std::invalid_argument("ShiftedDelay: null inner model");
-  }
-  if (!(shift >= 0.0) || !std::isfinite(shift)) {
-    throw std::invalid_argument(
-        "ShiftedDelay: shift must be finite and >= 0");
-  }
-}
-
-double ShiftedDelay::response_time(double lambda) const {
-  return inner_->response_time(lambda) + shift_;
-}
-
-double ShiftedDelay::response_time_derivative(double lambda) const {
-  return inner_->response_time_derivative(lambda);
-}
-
-double ShiftedDelay::capacity() const { return inner_->capacity(); }
-
-std::vector<DelayModelPtr> mm1_models_with_comm(
-    const std::vector<double>& mu, const std::vector<double>& comm_delay) {
-  if (mu.size() != comm_delay.size()) {
-    throw std::invalid_argument("mm1_models_with_comm: size mismatch");
-  }
-  std::vector<DelayModelPtr> models;
-  models.reserve(mu.size());
-  for (std::size_t i = 0; i < mu.size(); ++i) {
-    models.push_back(std::make_shared<ShiftedDelay>(
-        std::make_shared<MM1Delay>(mu[i]), comm_delay[i]));
-  }
-  return models;
 }
 
 std::vector<DelayModelPtr> mm1_models(const std::vector<double>& mu) {

@@ -82,9 +82,9 @@ struct DynamicsOptions {
   /// one round is O(classes · n) regardless of the population size m,
   /// and the tolerance keeps its per-user meaning. All three update orders and
   /// `threads` compose as usual. The returned DynamicsResult is
-  /// class-level: `profile` has num_classes rows (expand to the full
-  /// per-user profile with UserClassPartition::expand; certify the
-  /// equilibrium error with certify_eps_nash) and `user_times` holds the
+  /// class-level: `profile` has num_classes rows (user j plays the row of
+  /// class_of(j); certify the equilibrium error of that per-user profile
+  /// with certify_eps_nash) and `user_times` holds the
   /// per-class representative response times. With the `singletons`
   /// partition the run is bitwise identical to the per-user solver. See
   /// docs/SCALING.md.

@@ -1,22 +1,11 @@
-// Nash equilibrium verification (Definition 2.1 and the KKT conditions of
-// the appendix proof).
-//
-// Three independent certificates, used by tests and by callers that want
-// to assert a computed profile really is an equilibrium:
-//   1. best-reply gap: no user's unique best reply improves on its
-//      current strategy (the definition, checked constructively);
-//   2. KKT residual: the first-order conditions of the appendix —
-//      marginal costs equal on each user's support, no smaller off it;
-//   3. random feasible perturbations of one user's strategy never reduce
-//      that user's expected response time (a falsification probe used by
-//      the property tests).
+// Nash equilibrium verification (Definition 2.1): the best-reply gap —
+// no user's unique best reply improves on its current strategy (the
+// definition, checked constructively).
 #pragma once
 
-#include <cstddef>
 #include <span>
 
 #include "core/types.hpp"
-#include "stats/rng.hpp"
 
 namespace nashlb::core {
 
@@ -37,31 +26,5 @@ namespace nashlb::core {
 [[nodiscard]] bool is_nash_equilibrium(const Instance& inst,
                                        const StrategyProfile& s,
                                        double tolerance = 1e-6);
-
-/// First-order (KKT) residual of user `user` at profile `s`, normalized by
-/// the user's smallest marginal cost. The marginal cost of pushing flow to
-/// computer i is g_i = mu^j_i / (mu^j_i - s_ji phi_j)^2; at the user's
-/// optimum g_i = alpha on its support and g_i >= alpha off it. Returns
-///   max( max_support |g_i - alpha| , max_off max(0, alpha - g_i) ) / alpha
-/// with alpha the flow-weighted mean of support marginals. Zero (up to
-/// rounding) certifies the appendix's optimality conditions.
-[[nodiscard]] double kkt_residual(const Instance& inst,
-                                  const StrategyProfile& s, std::size_t user);
-
-/// As above, with the aggregate loads precomputed — O(n) per user.
-[[nodiscard]] double kkt_residual(const Instance& inst,
-                                  const StrategyProfile& s, std::size_t user,
-                                  std::span<const double> loads);
-
-/// Probes `trials` random feasible deviations of `user`'s strategy (moving
-/// up to `step` of its traffic between computer pairs) and returns the best
-/// improvement found (positive = the profile is NOT an equilibrium for this
-/// user). Used by property tests as an adversarial falsifier.
-[[nodiscard]] double best_random_deviation_gain(const Instance& inst,
-                                                const StrategyProfile& s,
-                                                std::size_t user,
-                                                stats::Xoshiro256& rng,
-                                                std::size_t trials = 100,
-                                                double step = 0.05);
 
 }  // namespace nashlb::core

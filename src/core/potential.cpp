@@ -3,9 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/cost.hpp"
-#include "core/dynamics.hpp"
-#include "core/waterfill.hpp"
 #include "util/contracts.hpp"
 
 namespace nashlb::core {
@@ -28,31 +25,6 @@ double beckmann_potential(std::span<const double> lambda,
   // descent argument for best-reply convergence needs this floor.
   NASHLB_ENSURE(b >= 0.0, "negative potential %.17g on feasible loads", b);
   return b;
-}
-
-InefficiencyReport inefficiency_report(const Instance& inst,
-                                       double nash_tolerance) {
-  inst.validate();
-  const double phi = inst.total_arrival_rate();
-
-  InefficiencyReport report;
-  report.social_optimum = overall_response_time_from_loads(
-      waterfill_sqrt(inst.mu, phi).lambda, inst.mu);
-  report.wardrop_cost = overall_response_time_from_loads(
-      waterfill_linear(inst.mu, phi).lambda, inst.mu);
-
-  DynamicsOptions opts;
-  opts.tolerance = nash_tolerance;
-  opts.max_iterations = 10000;
-  const DynamicsResult res = best_reply_dynamics(inst, opts);
-  if (!res.converged) {
-    throw std::runtime_error(
-        "inefficiency_report: best-reply dynamics did not converge");
-  }
-  report.nash_cost = overall_response_time(inst, res.profile);
-  report.nash_ratio = report.nash_cost / report.social_optimum;
-  report.wardrop_ratio = report.wardrop_cost / report.social_optimum;
-  return report;
 }
 
 }  // namespace nashlb::core

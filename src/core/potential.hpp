@@ -1,20 +1,11 @@
-// Potentials and inefficiency ratios — the theory toolbox around the
-// game's operating points.
-//
-// * The Wardrop equilibrium (IOS) is the minimizer of the Beckmann
-//   potential  B(lambda) = sum_i integral_0^{lambda_i} F_i(x) dx
-//   = sum_i [ ln(mu_i) - ln(mu_i - lambda_i) ]  for M/M/1 delays — the
-//   classical route to existence/uniqueness, and a property the tests
-//   exercise against waterfill_linear.
-// * The "price of anarchy" (Koutsoupias & Papadimitriou [11], cited in
-//   the paper's intro) compares an equilibrium's social cost to the
-//   social optimum: we expose both the per-user Nash ratio
-//   D_NASH / D_GOS and the per-job Wardrop ratio D_IOS / D_GOS.
+// The Beckmann potential. The Wardrop equilibrium (IOS) is its minimizer:
+//   B(lambda) = sum_i integral_0^{lambda_i} F_i(x) dx
+//             = sum_i [ ln(mu_i) - ln(mu_i - lambda_i) ]  for M/M/1 delays
+// — the classical route to existence/uniqueness, and a property the tests
+// exercise against waterfill_linear.
 #pragma once
 
 #include <span>
-
-#include "core/types.hpp"
 
 namespace nashlb::core {
 
@@ -23,20 +14,5 @@ namespace nashlb::core {
 /// throws std::invalid_argument otherwise.
 [[nodiscard]] double beckmann_potential(std::span<const double> lambda,
                                         std::span<const double> mu);
-
-/// Inefficiency ratios of the three operating points of an instance.
-struct InefficiencyReport {
-  double social_optimum = 0.0;   ///< D under GOS (overall optimum)
-  double nash_cost = 0.0;        ///< D at the per-user Nash equilibrium
-  double wardrop_cost = 0.0;     ///< D at the per-job Wardrop equilibrium
-  double nash_ratio = 1.0;       ///< nash_cost / social_optimum
-  double wardrop_ratio = 1.0;    ///< wardrop_cost / social_optimum
-};
-
-/// Computes all three operating points analytically. `nash_tolerance` is
-/// the best-reply dynamics' epsilon. Throws on invalid instances and
-/// std::runtime_error if the dynamics fails to converge.
-[[nodiscard]] InefficiencyReport inefficiency_report(
-    const Instance& inst, double nash_tolerance = 1e-8);
 
 }  // namespace nashlb::core

@@ -14,8 +14,8 @@ namespace nashlb::core {
 
 namespace {
 
-/// The class map's "unassigned" sentinel; it also caps m below 2^32 − 1.
-constexpr std::uint32_t kUnassigned = std::numeric_limits<std::uint32_t>::max();
+/// The 32-bit class map caps m below 2^32 − 1.
+constexpr std::uint32_t kMaxUsers = std::numeric_limits<std::uint32_t>::max();
 
 [[noreturn]] void reject(const char* factory, const std::string& why) {
   throw std::invalid_argument(std::string("UserClassPartition::") + factory +
@@ -33,7 +33,7 @@ struct DemandRange {
 /// (Instance::validate's rule). Returns the smallest and largest demand.
 DemandRange checked_demand_range(const Instance& inst, const char* factory) {
   const std::size_t m = inst.num_users();
-  if (m == 0 || m >= kUnassigned) {
+  if (m == 0 || m >= kMaxUsers) {
     reject(factory, "needs 1 to 2^32 - 2 users, got " + std::to_string(m));
   }
   DemandRange range;
@@ -77,26 +77,14 @@ UserClassPartition UserClassPartition::build(
   const std::size_t m = inst.num_users();
   const std::size_t groups = counts.size();
   UserClassPartition part;
-  part.offsets_.assign(groups + 1, 0);
-  std::inclusive_scan(counts.begin(), counts.end(),
-                      part.offsets_.begin() + 1);
-  NASHLB_EXPECT(part.offsets_.back() == m,
-                "partition covers %zu of %zu users (incomplete)",
-                part.offsets_.back(), m);
-  part.members_.resize(part.offsets_.back());
-  std::vector<std::size_t> next(part.offsets_.begin(),
-                                part.offsets_.end() - 1);
   UserClass blank;
   blank.phi_min = std::numeric_limits<double>::infinity();
   blank.phi_max = -std::numeric_limits<double>::infinity();
   part.classes_.assign(groups, blank);
-  // Users in index order, so each class places, sums and scans its
-  // members in ascending order, the order of its member list.
+  // Users in index order, so each class sums and scans its members in
+  // ascending order.
   for (std::size_t j = 0; j < m; ++j) {
-    const std::size_t k = user_class[j];
-    if (k >= groups) continue;  // unchecked builds: a user in no class
-    part.members_[next[k]++] = j;
-    UserClass& cls = part.classes_[k];
+    UserClass& cls = part.classes_[user_class[j]];
     const double phi = inst.phi[j];
     cls.weight += phi;
     if (phi < cls.phi_min) {
@@ -224,54 +212,11 @@ UserClassPartition UserClassPartition::singletons(const Instance& inst) {
                std::vector<std::size_t>(inst.num_users(), 1));
 }
 
-UserClassPartition UserClassPartition::from_members(
-    const Instance& inst,
-    const std::vector<std::vector<std::size_t>>& members) {
-  static_cast<void>(checked_demand_range(inst, "from_members"));
-  const std::size_t m = inst.num_users();
-  std::vector<std::uint32_t> user_class(m, kUnassigned);
-  std::vector<std::size_t> counts;
-  for (const std::vector<std::size_t>& group : members) {
-    const std::size_t k = counts.size();
-    NASHLB_EXPECT(!group.empty(), "class %zu of the partition is empty", k);
-    std::size_t count = 0;
-    for (std::size_t pos = 0; pos < group.size(); ++pos) {
-      const std::size_t j = group[pos];
-      NASHLB_EXPECT(j < m, "class %zu names user %zu but the instance has "
-                    "only %zu users", k, j, m);
-      if (j >= m) continue;  // unchecked builds: drop, don't index OOB
-      NASHLB_EXPECT(pos == 0 || j > group[pos - 1],
-                    "class %zu members not strictly ascending at user %zu",
-                    k, j);
-      NASHLB_EXPECT(user_class[j] == kUnassigned,
-                    "user %zu appears in classes %zu and %zu (overlap)", j,
-                    static_cast<std::size_t>(user_class[j]), k);
-      if (user_class[j] != kUnassigned) continue;  // unchecked: first wins
-      user_class[j] = static_cast<std::uint32_t>(k);
-      ++count;
-    }
-    if (count > 0) counts.push_back(count);  // unchecked builds: drop empty
-  }
-  return build(inst, std::move(user_class), counts);
-}
-
-std::span<const std::size_t> UserClassPartition::members(std::size_t k) const {
-  if (k >= classes_.size()) {
-    throw std::out_of_range("UserClassPartition::members: class out of range");
-  }
-  return std::span<const std::size_t>(members_).subspan(
-      offsets_[k], offsets_[k + 1] - offsets_[k]);
-}
-
 std::size_t UserClassPartition::class_of(std::size_t user) const {
   if (user >= user_class_.size()) {
     throw std::out_of_range("UserClassPartition::class_of: user out of range");
   }
   return user_class_[user];
-}
-
-bool UserClassPartition::all_singletons() const noexcept {
-  return classes_.size() == user_class_.size();
 }
 
 Instance UserClassPartition::aggregate_instance(const Instance& inst) const {
@@ -280,46 +225,6 @@ Instance UserClassPartition::aggregate_instance(const Instance& inst) const {
   agg.phi.reserve(classes_.size());
   for (const UserClass& cls : classes_) agg.phi.push_back(cls.weight);
   return agg;
-}
-
-StrategyProfile UserClassPartition::expand(
-    const StrategyProfile& class_profile) const {
-  if (class_profile.num_users() != classes_.size()) {
-    throw std::invalid_argument(
-        "UserClassPartition::expand: profile has " +
-        std::to_string(class_profile.num_users()) + " rows, partition has " +
-        std::to_string(classes_.size()) + " classes");
-  }
-  StrategyProfile full(user_class_.size(), class_profile.num_computers());
-  for (std::size_t k = 0; k < classes_.size(); ++k) {
-    const std::span<const double> row = class_profile.row(k);
-    for (std::size_t j : members(k)) full.set_row(j, row);
-  }
-  // Every user belongs to exactly one class (ctor invariant), so the
-  // expansion writes each of the m rows exactly once; a partition with
-  // orphaned users would leave all-zero (infeasible) rows here.
-  NASHLB_ENSURE(full.num_users() == num_users(),
-                "expanded %zu rows for %zu users", full.num_users(),
-                num_users());
-  return full;
-}
-
-StrategyProfile UserClassPartition::collapse(
-    const StrategyProfile& full_profile) const {
-  if (full_profile.num_users() != user_class_.size()) {
-    throw std::invalid_argument(
-        "UserClassPartition::collapse: profile has " +
-        std::to_string(full_profile.num_users()) + " rows, partition covers " +
-        std::to_string(user_class_.size()) + " users");
-  }
-  StrategyProfile cls(classes_.size(), full_profile.num_computers());
-  for (std::size_t k = 0; k < classes_.size(); ++k) {
-    cls.set_row(k, full_profile.row(members(k).front()));
-  }
-  NASHLB_ENSURE(cls.num_users() == num_classes(),
-                "collapsed to %zu rows for %zu classes", cls.num_users(),
-                num_classes());
-  return cls;
 }
 
 std::vector<double> UserClassPartition::expanded_loads(

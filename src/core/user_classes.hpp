@@ -41,7 +41,8 @@
 namespace nashlb::core {
 
 /// One weighted class of interchangeable (or near-interchangeable) users.
-/// Its member list lives in the partition: `UserClassPartition::members`.
+/// The partition keeps no member lists: user j belongs to class
+/// `UserClassPartition::class_of(j)`.
 struct UserClass {
   /// W_k = sum of member phi_j — the class's contribution weight in the
   /// aggregate loads lambda_i = sum_k W_k s_ki.
@@ -88,14 +89,6 @@ class UserClassPartition {
   /// One class per user, class k = {user k}: the identity partition.
   [[nodiscard]] static UserClassPartition singletons(const Instance& inst);
 
-  /// Builds a partition from explicit member lists. Contract (checked
-  /// builds abort via NASHLB_EXPECT, see util/contracts.hpp): every
-  /// class non-empty, members strictly ascending, classes disjoint, and
-  /// together covering exactly the instance's users.
-  [[nodiscard]] static UserClassPartition from_members(
-      const Instance& inst,
-      const std::vector<std::vector<std::size_t>>& members);
-
   [[nodiscard]] std::size_t num_users() const noexcept {
     return user_class_.size();
   }
@@ -105,9 +98,6 @@ class UserClassPartition {
   [[nodiscard]] const std::vector<UserClass>& classes() const noexcept {
     return classes_;
   }
-  /// Member user indices of class `k`, strictly ascending: a view into
-  /// the partition's one class-major member array.
-  [[nodiscard]] std::span<const std::size_t> members(std::size_t k) const;
   /// Class index of `user`.
   [[nodiscard]] std::size_t class_of(std::size_t user) const;
 
@@ -125,8 +115,6 @@ class UserClassPartition {
   /// in checked builds).
   [[nodiscard]] double total_weight() const noexcept { return total_weight_; }
 
-  [[nodiscard]] bool all_singletons() const noexcept;
-
   /// Worst bucketing error: max_j |phi_j − rep_phi_{class(j)}|, and the
   /// same relative to rep_phi. Zero in exact mode.
   [[nodiscard]] double max_abs_deviation() const noexcept {
@@ -141,22 +129,10 @@ class UserClassPartition {
   /// the original Phi (up to summation order), so stability carries over.
   [[nodiscard]] Instance aggregate_instance(const Instance& inst) const;
 
-  /// Expands a class-level profile (num_classes × n) to the full
-  /// per-user profile: member j of class k gets row s_k. O(m·n) memory —
-  /// at m = 10^6, n = 64 this is ~0.5 GB, so large-scale callers should
-  /// work from `expanded_loads` instead.
-  [[nodiscard]] StrategyProfile expand(const StrategyProfile& class_profile)
-      const;
-
-  /// Collapses a full per-user profile to class level by taking each
-  /// class's *first member's* row (the inverse of `expand`:
-  /// collapse(expand(s)) == s bitwise; pinned by the round-trip test).
-  [[nodiscard]] StrategyProfile collapse(const StrategyProfile& full_profile)
-      const;
-
-  /// Aggregate loads of the expanded profile, lambda_i = sum_k W_k s_ki,
-  /// without materializing it — O(classes · n). Equals
-  /// expand(s).loads(inst) up to floating-point summation order.
+  /// Aggregate loads of the expanded profile (user j playing the row of
+  /// class_of(j)), lambda_i = sum_k W_k s_ki, without materializing it —
+  /// O(classes · n). Equals the expanded profile's loads up to
+  /// floating-point summation order.
   [[nodiscard]] std::vector<double> expanded_loads(
       const Instance& inst, const StrategyProfile& class_profile) const;
 
@@ -169,16 +145,14 @@ class UserClassPartition {
   UserClassPartition() = default;
   /// Shared tail of every factory. `user_class` maps each user to a class
   /// id below counts.size(), and class k has counts[k] members. One pass
-  /// over the users in index order places each in the CSR member array
-  /// and folds its demand into its class (weight, extremes); one pass
-  /// over the classes adds representatives and deviation stats.
+  /// over the users in index order folds each demand into its class
+  /// (weight, extremes); one pass over the classes adds representatives
+  /// and deviation stats.
   static UserClassPartition build(const Instance& inst,
                                   std::vector<std::uint32_t> user_class,
                                   const std::vector<std::size_t>& counts);
 
   std::vector<UserClass> classes_;
-  std::vector<std::size_t> members_;       // class-major, CSR
-  std::vector<std::size_t> offsets_;       // num_classes + 1 bounds
   std::vector<std::uint32_t> user_class_;  // user -> class index
   std::vector<double> rep_phi_;            // per class
   std::vector<double> counts_;             // per class, |members| as double

@@ -51,10 +51,4 @@ Event EventQueue::pop() {
   return event;
 }
 
-void EventQueue::clear() noexcept {
-  heap_.clear();
-  slots_.clear();
-  free_.clear();
-}
-
 }  // namespace nashlb::des

@@ -160,9 +160,6 @@ class EventQueue {
   /// throws std::logic_error when empty.
   Event pop();
 
-  /// Discards all pending events, destroying their callables.
-  void clear() noexcept;
-
  private:
   struct Entry {
     SimTime time;

@@ -23,40 +23,14 @@ void Simulator::schedule_at(SimTime t, EventFn fn) {
 }
 
 StopReason Simulator::run(std::uint64_t max_events) {
-  stop_requested_ = false;
   std::uint64_t executed = 0;
   while (!queue_.empty()) {
-    if (stop_requested_) return StopReason::Stopped;
     if (max_events != 0 && executed >= max_events) {
       return StopReason::EventLimit;
     }
     dispatch(queue_.pop());
     ++executed;
   }
-  return stop_requested_ ? StopReason::Stopped : StopReason::Exhausted;
-}
-
-StopReason Simulator::run_until(SimTime horizon, std::uint64_t max_events) {
-  if (!(horizon >= now_) || !std::isfinite(horizon)) {
-    throw std::invalid_argument(
-        "Simulator::run_until: horizon must be finite and >= now()");
-  }
-  stop_requested_ = false;
-  std::uint64_t executed = 0;
-  while (!queue_.empty()) {
-    if (stop_requested_) return StopReason::Stopped;
-    if (max_events != 0 && executed >= max_events) {
-      return StopReason::EventLimit;
-    }
-    if (queue_.next_time() > horizon) {
-      now_ = horizon;
-      return StopReason::TimeLimit;
-    }
-    dispatch(queue_.pop());
-    ++executed;
-  }
-  if (stop_requested_) return StopReason::Stopped;
-  now_ = horizon;
   return StopReason::Exhausted;
 }
 
@@ -64,12 +38,6 @@ bool Simulator::step() {
   if (queue_.empty()) return false;
   dispatch(queue_.pop());
   return true;
-}
-
-void Simulator::reset(SimTime t0) noexcept {
-  queue_.clear();
-  now_ = t0;
-  stop_requested_ = false;
 }
 
 void Simulator::dispatch(Event event) {

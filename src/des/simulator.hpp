@@ -2,9 +2,10 @@
 //
 // A clean-room functional substitute for the event-scheduling core of
 // Sim++ (Cubert & Fishwick, 1995 — the paper's reference [4]), which is
-// what §4.1 uses: schedule events, advance a virtual clock, run to a time
-// horizon or event budget. Single-threaded by design; experiment-level
-// parallelism runs independent Simulator instances on separate threads.
+// what §4.1 uses: schedule events, advance a virtual clock, run until the
+// calendar drains or an event budget is spent. Single-threaded by design;
+// experiment-level parallelism runs independent Simulator instances on
+// separate threads.
 #pragma once
 
 #include <cstdint>
@@ -16,12 +17,10 @@
 
 namespace nashlb::des {
 
-/// Why a call to run()/run_until() returned.
+/// Why a call to run() returned.
 enum class StopReason {
   Exhausted,    ///< no pending events remain
-  TimeLimit,    ///< the clock reached the requested horizon
   EventLimit,   ///< the event budget was spent
-  Stopped,      ///< an event called Simulator::stop()
 };
 
 /// The simulation kernel: a clock plus the pending-event calendar.
@@ -44,32 +43,16 @@ class Simulator {
   /// Schedules `fn` at absolute time `t >= now()`.
   void schedule_at(SimTime t, EventFn fn);
 
-  /// Runs until the calendar is empty, an event calls stop(), or the
-  /// event budget (0 = unlimited) is exhausted.
+  /// Runs until the calendar is empty or the event budget (0 =
+  /// unlimited) is exhausted.
   StopReason run(std::uint64_t max_events = 0);
-
-  /// Runs until the clock would pass `horizon`. Events at exactly
-  /// `horizon` still fire; the clock never exceeds it. The clock moves to
-  /// `horizon` on TimeLimit and Exhausted; on Stopped and EventLimit it
-  /// stays at the last event fired. Throws std::invalid_argument on a
-  /// horizon before now() or a non-finite one.
-  StopReason run_until(SimTime horizon, std::uint64_t max_events = 0);
 
   /// Executes exactly one event if any is pending; returns whether it did.
   bool step();
 
-  /// Requests the innermost run()/run_until() to return after the current
-  /// event completes.
-  void stop() noexcept { stop_requested_ = true; }
-
   /// Total events executed since construction.
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
     return events_executed_;
-  }
-
-  /// Total events ever scheduled.
-  [[nodiscard]] std::uint64_t events_scheduled() const noexcept {
-    return events_scheduled_;
   }
 
   /// Publishes the kernel's counters into `reg` under `<prefix>.*`:
@@ -83,10 +66,6 @@ class Simulator {
     return queue_.size();
   }
 
-  /// Drops all pending events and (optionally) resets the clock. Used
-  /// between replications when reusing a simulator instance.
-  void reset(SimTime t0 = 0.0) noexcept;
-
  private:
   void dispatch(Event event);
 
@@ -94,7 +73,6 @@ class Simulator {
   SimTime now_ = 0.0;
   std::uint64_t events_executed_ = 0;
   std::uint64_t events_scheduled_ = 0;
-  bool stop_requested_ = false;
 };
 
 }  // namespace nashlb::des

@@ -136,36 +136,4 @@ AgentOutcome evaluate_agent(std::span<const double> bids, double phi,
   return outcome;
 }
 
-double best_misreport_gain(std::span<const double> true_costs, double phi,
-                           std::size_t agent,
-                           std::span<const double> factors) {
-  if (agent >= true_costs.size()) {
-    throw std::out_of_range("best_misreport_gain: agent out of range");
-  }
-  // High quadrature resolution: the probe compares profits whose
-  // difference is dominated by integration error otherwise.
-  constexpr std::size_t kProbePoints = 8192;
-  std::vector<double> bids(true_costs.begin(), true_costs.end());
-  const double truthful_profit =
-      evaluate_agent(bids, phi, agent, kProbePoints)
-          .profit(true_costs[agent]);
-
-  double best = 0.0;
-  for (double factor : factors) {
-    if (!(factor > 0.0)) {
-      throw std::invalid_argument(
-          "best_misreport_gain: factors must be > 0");
-    }
-    bids[agent] = true_costs[agent] * factor;
-    // Skip bid vectors the mechanism would reject outright.
-    double cap = 0.0;
-    for (double b : bids) cap += 1.0 / b;
-    if (!(phi < cap)) continue;
-    const double profit = evaluate_agent(bids, phi, agent, kProbePoints)
-                              .profit(true_costs[agent]);
-    best = std::max(best, profit - truthful_profit);
-  }
-  return best;
-}
-
 }  // namespace nashlb::mechanism

@@ -63,12 +63,4 @@ struct AgentOutcome {
                                           double phi, std::size_t agent,
                                           std::size_t quad_points = 512);
 
-/// Truthfulness probe: the agent's best profit over a multiplicative
-/// misreport grid, relative to its truthful profit. A (numerically)
-/// truthful mechanism returns <= ~0; used by tests and the bench.
-/// `factors` are multipliers applied to the true cost.
-[[nodiscard]] double best_misreport_gain(std::span<const double> true_costs,
-                                         double phi, std::size_t agent,
-                                         std::span<const double> factors);
-
 }  // namespace nashlb::mechanism

@@ -52,11 +52,6 @@ class EnabledCounter {
 /// observed extremes.
 class EnabledTimer {
  public:
-  void add_seconds(double s) noexcept {
-    total_seconds_ += s;
-    ++count_;
-    note_extreme(s, s);
-  }
   /// Folds a pre-aggregated batch: `total` seconds over `n` observations.
   /// The batch carries no per-observation extremes, so min/max are
   /// untouched; use the 4-argument overload when the producer knows them.
@@ -89,11 +84,6 @@ class EnabledTimer {
   }
   [[nodiscard]] double max_seconds() const noexcept {
     return min_ <= max_ ? max_ : 0.0;
-  }
-  /// Mean seconds per observation (0 if none recorded).
-  [[nodiscard]] double mean_seconds() const noexcept {
-    return count_ == 0 ? 0.0
-                       : total_seconds_ / static_cast<double>(count_);
   }
   void reset() noexcept {
     total_seconds_ = 0.0;
@@ -132,7 +122,6 @@ class NullCounter {
 
 class NullTimer {
  public:
-  void add_seconds(double) noexcept {}
   void add_batch(double, std::uint64_t) noexcept {}
   void add_batch(double, std::uint64_t, double, double) noexcept {}
   void merge(const NullTimer&) noexcept {}
@@ -140,7 +129,6 @@ class NullTimer {
   [[nodiscard]] constexpr std::uint64_t count() const noexcept { return 0; }
   [[nodiscard]] constexpr double min_seconds() const noexcept { return 0.0; }
   [[nodiscard]] constexpr double max_seconds() const noexcept { return 0.0; }
-  [[nodiscard]] constexpr double mean_seconds() const noexcept { return 0.0; }
   void reset() noexcept {}
 };
 

@@ -2,13 +2,11 @@
 
 #include <stdexcept>
 
-#include "core/user_classes.hpp"
-
 namespace nashlb::schemes {
 
 core::DynamicsResult NashScheme::solve_with_trace(
     const core::Instance& inst) const {
-  core::DynamicsOptions opts = base_options_;
+  core::DynamicsOptions opts;
   opts.init = init_;
   opts.tolerance = tolerance_;
   opts.max_iterations = max_iterations_;
@@ -21,11 +19,6 @@ core::StrategyProfile NashScheme::solve(const core::Instance& inst) const {
     throw std::runtime_error(
         name() + ": best-reply dynamics did not converge within " +
         std::to_string(max_iterations_) + " iterations");
-  }
-  if (base_options_.classes != nullptr) {
-    // Class-mode runs return a class-level profile; the Scheme contract
-    // promises a full m x n strategy profile, so expand it here.
-    return base_options_.classes->expand(res.profile);
   }
   return std::move(res.profile);
 }

@@ -37,22 +37,10 @@ class NashScheme final : public Scheme {
   [[nodiscard]] core::DynamicsResult solve_with_trace(
       const core::Instance& inst) const;
 
-  /// Extra dynamics knobs (update order, trace sink, certificate stride,
-  /// order seed, user-class partition). The constructor's
-  /// init/tolerance/max_iterations still take precedence over the
-  /// corresponding fields here. When `classes` is set, solve() expands
-  /// the class-level equilibrium back to the full per-user profile
-  /// (solve_with_trace returns the raw class-level result; see
-  /// docs/SCALING.md).
-  void set_dynamics_options(const core::DynamicsOptions& base) {
-    base_options_ = base;
-  }
-
  private:
   core::Initialization init_;
   double tolerance_;
   std::size_t max_iterations_;
-  core::DynamicsOptions base_options_;
 };
 
 }  // namespace nashlb::schemes

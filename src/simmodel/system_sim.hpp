@@ -40,9 +40,9 @@ struct SimConfig {
   /// Replication index (selects independent RNG streams).
   std::uint64_t replication = 0;
   /// Optional per-job hook: called for every post-warm-up completion with
-  /// (user, response time), in completion order. Feeds batch-means
-  /// analysis (stats::BatchMeans) and response-time histograms without
-  /// the simulator having to store per-job records.
+  /// (user, response time), in completion order. Feeds per-job analyses
+  /// such as response-time histograms without the simulator having to
+  /// store per-job records.
   std::function<void(std::size_t, double)> on_sample;
   /// Optional metrics sink (not owned, may be null): when the run
   /// drains, the DES kernel and every facility publish their counters,

@@ -15,10 +15,7 @@ bool looks_like_option(const std::string& s) {
 Args::Args(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (!looks_like_option(arg)) {
-      positional_.push_back(arg);
-      continue;
-    }
+    if (!looks_like_option(arg)) continue;
     const std::string body = arg.substr(2);
     const auto eq = body.find('=');
     if (eq != std::string::npos) {
@@ -29,10 +26,6 @@ Args::Args(int argc, const char* const* argv) {
       options_[body] = "";  // bare flag
     }
   }
-}
-
-bool Args::has(const std::string& name) const {
-  return options_.count(name) != 0;
 }
 
 std::string Args::get(const std::string& name,
@@ -63,17 +56,6 @@ double Args::get_double(const std::string& name, double fallback) const {
                                 it->second + "'");
   }
   return v;
-}
-
-bool Args::get_bool(const std::string& name, bool fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  const std::string& v = it->second;
-  if (v.empty() || v == "1" || v == "true" || v == "yes" || v == "on") {
-    return true;
-  }
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("--" + name + ": not a boolean: '" + v + "'");
 }
 
 }  // namespace nashlb::util

@@ -1,26 +1,21 @@
 // Tiny command-line option parser shared by examples and benches.
 //
-// Supports `--key=value` and `--key value` long options plus bare `--flag`
-// booleans; anything else is a positional argument. Deliberately small:
+// Supports `--key=value` and `--key value` long options; a bare `--flag`
+// has the empty value, and anything else is skipped. Deliberately small:
 // the examples need a handful of numeric knobs, not a framework.
 #pragma once
 
-#include <cstddef>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace nashlb::util {
 
-/// Parsed command line: option map + positionals, with typed accessors.
+/// Parsed command line: an option map with typed accessors.
 class Args {
  public:
   /// Parses argv[1..argc). Unrecognized syntax never throws at parse time;
   /// typed accessors throw std::invalid_argument on malformed values.
   Args(int argc, const char* const* argv);
-
-  /// True if `--name` was present (with or without a value).
-  [[nodiscard]] bool has(const std::string& name) const;
 
   /// Value of `--name`, or `fallback` when absent.
   [[nodiscard]] std::string get(const std::string& name,
@@ -31,16 +26,9 @@ class Args {
   [[nodiscard]] long get_int(const std::string& name, long fallback) const;
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
-  [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
-
-  /// Positional arguments in order of appearance.
-  [[nodiscard]] const std::vector<std::string>& positional() const {
-    return positional_;
-  }
 
  private:
   std::map<std::string, std::string> options_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace nashlb::util

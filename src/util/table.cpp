@@ -1,24 +1,17 @@
 #include "util/table.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 namespace nashlb::util {
 
 Table::Table(std::vector<std::string> headers)
-    : headers_(std::move(headers)), aligns_(headers_.size(), Align::Right) {
+    : headers_(std::move(headers)) {
   if (headers_.empty()) {
     throw std::invalid_argument("Table: need at least one column");
   }
-}
-
-void Table::set_align(std::size_t col, Align align) {
-  if (col >= aligns_.size()) {
-    throw std::out_of_range("Table::set_align: column out of range");
-  }
-  aligns_[col] = align;
 }
 
 void Table::add_row(std::vector<std::string> cells) {
@@ -41,12 +34,7 @@ std::string Table::str() const {
 
   std::ostringstream out;
   auto emit_cell = [&](const std::string& cell, std::size_t c) {
-    const std::size_t pad = width[c] - cell.size();
-    if (aligns_[c] == Align::Right) {
-      out << std::string(pad, ' ') << cell;
-    } else {
-      out << cell << std::string(pad, ' ');
-    }
+    out << std::string(width[c] - cell.size(), ' ') << cell;
     if (c + 1 < width.size()) out << "  ";
   };
 
@@ -63,8 +51,6 @@ std::string Table::str() const {
   }
   return out.str();
 }
-
-void Table::print(std::ostream& os) const { os << str(); }
 
 std::string format_fixed(double v, int digits) {
   char buf[64];

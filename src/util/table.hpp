@@ -5,20 +5,16 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace nashlb::util {
 
-/// Column alignment inside a rendered table.
-enum class Align { Left, Right };
-
 /// An ASCII table builder: set a header, append rows, render.
 ///
 /// Cells are strings; numeric formatting is the caller's concern (see
-/// `format_fixed` / `format_sig`). Rendering pads each column to its widest
-/// cell and separates the header with a rule, e.g.:
+/// `format_fixed` / `format_sig`). Rendering right-aligns each column to
+/// its widest cell and separates the header with a rule, e.g.:
 ///
 ///   utilization  NASH    GOS     IOS     PS
 ///   -----------  ------  ------  ------  ------
@@ -29,9 +25,6 @@ class Table {
   /// must have exactly `headers.size()` cells.
   explicit Table(std::vector<std::string> headers);
 
-  /// Sets the alignment of column `col` (default: Right for all columns).
-  void set_align(std::size_t col, Align align);
-
   /// Appends one row; throws std::invalid_argument on arity mismatch.
   void add_row(std::vector<std::string> cells);
 
@@ -41,12 +34,8 @@ class Table {
   /// Renders the table to a string (trailing newline included).
   [[nodiscard]] std::string str() const;
 
-  /// Renders the table to a stream.
-  void print(std::ostream& os) const;
-
  private:
   std::vector<std::string> headers_;
-  std::vector<Align> aligns_;
   std::vector<std::vector<std::string>> rows_;
 };
 

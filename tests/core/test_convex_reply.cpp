@@ -10,9 +10,13 @@
 #include "core/dynamics.hpp"
 #include "core/waterfill.hpp"
 #include "stats/rng.hpp"
+#include "support/shifted_delay.hpp"
 
 namespace nashlb::core {
 namespace {
+
+using test_support::mm1_models_with_comm;
+using test_support::ShiftedDelay;
 
 TEST(DelayModel, MM1MatchesFormulas) {
   const MM1Delay d(10.0);

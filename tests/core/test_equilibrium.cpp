@@ -7,9 +7,13 @@
 #include <stdexcept>
 
 #include "core/dynamics.hpp"
+#include "support/oracles.hpp"
 
 namespace nashlb::core {
 namespace {
+
+using test_support::best_random_deviation_gain;
+using test_support::kkt_residual;
 
 Instance instance(std::size_t users = 4, double util = 0.6) {
   Instance inst;

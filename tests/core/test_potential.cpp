@@ -72,38 +72,5 @@ TEST(Beckmann, WardropLoadsMinimizeThePotential) {
   }
 }
 
-TEST(Inefficiency, RatiosAreAtLeastOneAndOrdered) {
-  Instance inst;
-  inst.mu = {10.0, 20.0, 50.0, 100.0};
-  inst.phi = {40.0, 35.0, 33.0};
-  const InefficiencyReport r = inefficiency_report(inst);
-  EXPECT_GT(r.social_optimum, 0.0);
-  EXPECT_GE(r.nash_ratio, 1.0 - 1e-9);
-  EXPECT_GE(r.wardrop_ratio, 1.0 - 1e-9);
-  // Finitely many users hurt less than infinitely many (Haurie-Marcotte:
-  // Wardrop is the many-player limit of Nash; at fixed load the per-user
-  // equilibrium is at least as efficient here).
-  EXPECT_LE(r.nash_ratio, r.wardrop_ratio + 1e-9);
-  EXPECT_NEAR(r.nash_cost, r.nash_ratio * r.social_optimum, 1e-12);
-}
-
-TEST(Inefficiency, VanishesAtLowLoad) {
-  Instance inst;
-  inst.mu = {10.0, 20.0, 50.0, 100.0};
-  inst.phi = {6.0, 6.0, 6.0};  // 10% utilization
-  const InefficiencyReport r = inefficiency_report(inst);
-  EXPECT_LT(r.nash_ratio, 1.02);
-  EXPECT_LT(r.wardrop_ratio, 1.02);
-}
-
-TEST(Inefficiency, SingleUserNashIsSociallyOptimal) {
-  // One user's selfish optimum IS the overall optimum (same objective).
-  Instance inst;
-  inst.mu = {10.0, 20.0, 50.0};
-  inst.phi = {40.0};
-  const InefficiencyReport r = inefficiency_report(inst);
-  EXPECT_NEAR(r.nash_ratio, 1.0, 1e-6);
-}
-
 }  // namespace
 }  // namespace nashlb::core

@@ -1,7 +1,7 @@
 // User-class aggregation (core/user_classes): partition construction,
-// the expand/collapse round trip, the eps-Nash certificate, and the
-// structural pin that the singleton partition makes the class dynamics
-// bitwise identical to the per-user solver. See docs/SCALING.md.
+// the expanded loads, the eps-Nash certificate, and the structural pin
+// that the singleton partition makes the class dynamics bitwise identical
+// to the per-user solver. See docs/SCALING.md.
 #include "core/user_classes.hpp"
 
 #include <gtest/gtest.h>
@@ -19,14 +19,14 @@
 #include "core/cost.hpp"
 #include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
-#include "schemes/nash.hpp"
 #include "stats/rng.hpp"
 #include "support/fixtures.hpp"
-#include "util/contracts.hpp"
+#include "support/oracles.hpp"
 
 namespace nashlb::core {
 namespace {
 
+using test_support::expand;
 using test_support::expect_bitwise_equal;
 using test_support::log_uniform_instance;
 
@@ -59,13 +59,13 @@ TEST(UserClasses, ExactGroupsEqualDemandsAndKeepsWeightInvariant) {
   EXPECT_NEAR(part.total_weight(), phi_total, 1e-9 * phi_total);
   for (std::size_t k = 0; k < part.num_classes(); ++k) {
     const UserClass& cls = part.classes()[k];
-    EXPECT_EQ(part.members(k).size(), 10u);
+    EXPECT_EQ(part.member_counts()[k], 10.0);
     EXPECT_DOUBLE_EQ(cls.phi_min, cls.phi_max);
     EXPECT_DOUBLE_EQ(cls.rep_phi, cls.phi_min);
-    // Every member maps back to its class.
-    for (std::size_t j : part.members(k)) {
-      EXPECT_EQ(&part.classes()[part.class_of(j)], &cls);
-    }
+  }
+  // Every user maps to the class of its own demand.
+  for (std::size_t j = 0; j < inst.num_users(); ++j) {
+    EXPECT_EQ(part.classes()[part.class_of(j)].rep_phi, inst.phi[j]);
   }
 }
 
@@ -239,11 +239,6 @@ TEST(UserClasses, QuantizedMatchesSortedReference) {
               sorted_reference(inst, w.eps_phi, w.max_classes);
           ASSERT_EQ(part.num_classes(), ref.groups.size());
           for (std::size_t k = 0; k < ref.groups.size(); ++k) {
-            const std::span<const std::size_t> members = part.members(k);
-            ASSERT_TRUE(std::equal(members.begin(), members.end(),
-                                   ref.groups[k].begin(),
-                                   ref.groups[k].end()))
-                << "class " << k;
             const UserClass& got = part.classes()[k];
             const UserClass& want = ref.classes[k];
             EXPECT_EQ(bits(got.weight), bits(want.weight)) << "class " << k;
@@ -268,79 +263,13 @@ TEST(UserClasses, QuantizedMatchesSortedReference) {
   }
 }
 
-TEST(UserClasses, FromMembersMatchesQuantized) {
-  // Every factory feeds the same build, so a quantized partition's own
-  // member lists, handed back through from_members, rebuild it bitwise.
-  struct Width {
-    double eps_phi;
-    std::size_t max_classes;
-  };
-  const Width widths[] = {{0.1, 0}, {1e-3, 0}, {1e-3, 512}, {1e-6, 8}};
-  for (const std::size_t m : {1u, 7u, 400u, 5000u}) {
-    const Instance inst = log_uniform_instance(m, 3 * m + 1);
-    for (const Width& w : widths) {
-      SCOPED_TRACE(testing::Message() << "m=" << m << " eps=" << w.eps_phi
-                                      << " K=" << w.max_classes);
-      const UserClassPartition want =
-          UserClassPartition::quantized(inst, w.eps_phi, w.max_classes);
-      std::vector<std::vector<std::size_t>> lists;
-      for (std::size_t k = 0; k < want.num_classes(); ++k) {
-        lists.emplace_back(want.members(k).begin(), want.members(k).end());
-      }
-      const UserClassPartition got =
-          UserClassPartition::from_members(inst, lists);
-      ASSERT_EQ(got.num_classes(), want.num_classes());
-      for (std::size_t k = 0; k < want.num_classes(); ++k) {
-        const std::span<const std::size_t> members = got.members(k);
-        ASSERT_TRUE(std::equal(members.begin(), members.end(),
-                               lists[k].begin(), lists[k].end()))
-            << "class " << k;
-        const UserClass& a = got.classes()[k];
-        const UserClass& b = want.classes()[k];
-        EXPECT_EQ(bits(a.weight), bits(b.weight)) << "class " << k;
-        EXPECT_EQ(bits(a.rep_phi), bits(b.rep_phi)) << "class " << k;
-        EXPECT_EQ(bits(a.phi_min), bits(b.phi_min)) << "class " << k;
-        EXPECT_EQ(bits(a.phi_max), bits(b.phi_max)) << "class " << k;
-        EXPECT_EQ(a.user_min, b.user_min) << "class " << k;
-        EXPECT_EQ(a.user_max, b.user_max) << "class " << k;
-        EXPECT_EQ(bits(got.rep_phi()[k]), bits(want.rep_phi()[k]));
-        EXPECT_EQ(got.member_counts()[k], want.member_counts()[k]);
-      }
-      for (std::size_t j = 0; j < m; ++j) {
-        ASSERT_EQ(got.class_of(j), want.class_of(j)) << "user " << j;
-      }
-      EXPECT_EQ(bits(got.total_weight()), bits(want.total_weight()));
-      EXPECT_EQ(bits(got.max_abs_deviation()), bits(want.max_abs_deviation()));
-      EXPECT_EQ(bits(got.max_rel_deviation()), bits(want.max_rel_deviation()));
-    }
-  }
-}
-
-TEST(UserClasses, ExpandCollapseRoundTrip) {
-  const Instance inst = log_uniform_instance(100, 3);
-  const UserClassPartition part = UserClassPartition::quantized(inst, 0.05);
-  const Instance agg = part.aggregate_instance(inst);
-  const StrategyProfile cls = StrategyProfile::proportional(agg);
-  const StrategyProfile full = part.expand(cls);
-  EXPECT_EQ(full.num_users(), inst.num_users());
-  // Every member plays its class's row, bitwise.
-  for (std::size_t j = 0; j < inst.num_users(); ++j) {
-    const std::size_t k = part.class_of(j);
-    for (std::size_t i = 0; i < inst.num_computers(); ++i) {
-      EXPECT_EQ(full.row(j)[i], cls.row(k)[i]);
-    }
-  }
-  const StrategyProfile back = part.collapse(full);
-  EXPECT_EQ(back.max_difference(cls), 0.0);
-}
-
 TEST(UserClasses, ExpandedLoadsMatchExpandedProfile) {
   const Instance inst = log_uniform_instance(100, 5);
   const UserClassPartition part = UserClassPartition::quantized(inst, 0.05);
   const Instance agg = part.aggregate_instance(inst);
   const StrategyProfile cls = StrategyProfile::proportional(agg);
   const std::vector<double> fast = part.expanded_loads(inst, cls);
-  const std::vector<double> slow = part.expand(cls).loads(inst);
+  const std::vector<double> slow = expand(part, cls).loads(inst);
   ASSERT_EQ(fast.size(), slow.size());
   for (std::size_t i = 0; i < fast.size(); ++i) {
     EXPECT_NEAR(fast[i], slow[i], 1e-9 * (1.0 + slow[i]));
@@ -353,7 +282,7 @@ TEST(UserClasses, SingletonDynamicsBitwiseMatchesPerUserSolver) {
   for (const std::uint64_t seed : {11ull, 42ull, 2002ull}) {
     const Instance inst = log_uniform_instance(24, seed);
     const UserClassPartition part = UserClassPartition::singletons(inst);
-    ASSERT_TRUE(part.all_singletons());
+    ASSERT_EQ(part.num_classes(), part.num_users());
     for (const UpdateOrder order : {UpdateOrder::RoundRobin,
                                     UpdateOrder::Simultaneous,
                                     UpdateOrder::RandomOrder}) {
@@ -409,7 +338,7 @@ TEST(UserClasses, ExactClassEquilibriumCertifiesNearZeroEps) {
   EXPECT_LT(cert.eps_nash, 1e-8);
   EXPECT_LT(cert.analytic_bound, 1e-6);
   EXPECT_TRUE(
-      is_nash_equilibrium(inst, part.expand(res.profile), 1e-6));
+      is_nash_equilibrium(inst, expand(part, res.profile), 1e-6));
 }
 
 TEST(UserClasses, QuantizedCertificateBoundsEveryUsersGain) {
@@ -431,7 +360,7 @@ TEST(UserClasses, QuantizedCertificateBoundsEveryUsersGain) {
 
   // The analytic bound must dominate the *brute-force* relative gain of
   // every user, not just the probed bucket extremes.
-  const StrategyProfile full = part.expand(res.profile);
+  const StrategyProfile full = expand(part, res.profile);
   double brute = 0.0;
   for (std::size_t j = 0; j < inst.num_users(); ++j) {
     const double gain = best_reply_gain(inst, full, j);
@@ -468,81 +397,6 @@ TEST(UserClasses, FinerBucketsTightenTheCertificate) {
   // regime the scale bench gates (see bench/bench_scale.cpp).
   EXPECT_LT(prev_bound, 1e-3);
 }
-
-// --- scheme integration --------------------------------------------------
-
-TEST(UserClasses, NashSchemeExpandsClassModeToFullProfile) {
-  const Instance inst = log_uniform_instance(80, 17);
-  const UserClassPartition part = UserClassPartition::quantized(inst, 0.01);
-  schemes::NashScheme scheme(Initialization::Proportional, 1e-7);
-  DynamicsOptions base;
-  base.classes = &part;
-  scheme.set_dynamics_options(base);
-  const StrategyProfile full = scheme.solve(inst);
-  EXPECT_EQ(full.num_users(), inst.num_users());
-  EXPECT_EQ(full.num_computers(), inst.num_computers());
-  EXPECT_TRUE(full.is_feasible(inst));
-}
-
-// --- contracts -----------------------------------------------------------
-
-#if NASHLB_CHECK_ENABLED
-
-
-TEST(UserClassesDeathTest, OverlappingClassesAbort) {
-  const Instance inst = log_uniform_instance(4, 1);
-  EXPECT_DEATH(static_cast<void>(UserClassPartition::from_members(
-                   inst, {{0, 1}, {1, 2, 3}})),
-               "NASHLB_EXPECT.*overlap");
-}
-
-TEST(UserClassesDeathTest, EmptyClassAborts) {
-  const Instance inst = log_uniform_instance(4, 1);
-  EXPECT_DEATH(static_cast<void>(UserClassPartition::from_members(
-                   inst, {{0, 1, 2, 3}, {}})),
-               "NASHLB_EXPECT.*empty");
-}
-
-TEST(UserClassesDeathTest, IncompletePartitionAborts) {
-  const Instance inst = log_uniform_instance(4, 1);
-  EXPECT_DEATH(static_cast<void>(
-                   UserClassPartition::from_members(inst, {{0, 1, 3}})),
-               "NASHLB_EXPECT.*incomplete");
-}
-
-#else
-
-TEST(UserClassesDeathTest, SkippedWithoutContractLayer) {
-  GTEST_SKIP() << "partition contracts compile to no-ops without "
-                  "-DNASHLB_CHECK=ON";
-}
-
-TEST(UserClasses, InvalidMemberListsStayInBoundsWithoutContracts) {
-  // Unchecked builds do not diagnose an invalid list, but the build must
-  // still keep every index inside its tables (the sanitizer build checks
-  // the accesses): overlap, empty, incomplete, out of range, descending.
-  const Instance inst = log_uniform_instance(4, 1);
-  const std::vector<std::vector<std::vector<std::size_t>>> invalid = {
-      {{0, 1}, {1, 2, 3}}, {{0, 1, 2, 3}, {}}, {{0, 1, 3}},
-      {{0, 1, 2, 3, 9}},   {{3, 2}, {1, 0}},
-  };
-  for (const auto& lists : invalid) {
-    const UserClassPartition part =
-        UserClassPartition::from_members(inst, lists);
-    std::size_t placed = 0;
-    for (std::size_t k = 0; k < part.num_classes(); ++k) {
-      EXPECT_FALSE(part.members(k).empty());
-      for (std::size_t j : part.members(k)) {
-        ASSERT_LT(j, inst.num_users());
-        EXPECT_EQ(part.class_of(j), k);
-        ++placed;
-      }
-    }
-    EXPECT_LE(placed, inst.num_users());
-  }
-}
-
-#endif
 
 TEST(UserClasses, MismatchedPartitionThrows) {
   const Instance inst = log_uniform_instance(20, 1);

@@ -54,14 +54,6 @@ TEST(EventQueue, NextTimePeeksWithoutPopping) {
   EXPECT_EQ(q.size(), 2u);
 }
 
-TEST(EventQueue, ClearDropsEverything) {
-  EventQueue q;
-  q.push(1.0, [](SimTime) {});
-  q.push(2.0, [](SimTime) {});
-  q.clear();
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(EventQueue, HeapStressRandomOrder) {
   EventQueue q;
   // Insert times in a scrambled deterministic order; verify sorted pops.

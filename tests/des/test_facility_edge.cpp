@@ -21,7 +21,7 @@ TEST(FacilityEdge, MultiServerFillsIdleBeforePreempting) {
   f.request(1.0, [](SimTime) {});
   EXPECT_EQ(f.busy_servers(), 2u);
   EXPECT_EQ(f.queue_length(), 0u);
-  sim.run_until(2.0);
+  sim.step();  // the short job completes at t = 1
   EXPECT_EQ(f.completed(), 1u);
   EXPECT_EQ(f.busy_servers(), 1u);  // the long job still runs
 }

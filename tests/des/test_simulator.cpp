@@ -69,28 +69,6 @@ TEST(Simulator, EventsCanScheduleEvents) {
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
 }
 
-TEST(Simulator, RunUntilStopsAtHorizon) {
-  Simulator sim;
-  int fired = 0;
-  for (int i = 1; i <= 10; ++i) {
-    sim.schedule(static_cast<double>(i), [&](SimTime) { ++fired; });
-  }
-  EXPECT_EQ(sim.run_until(4.5), StopReason::TimeLimit);
-  EXPECT_EQ(fired, 4);
-  EXPECT_DOUBLE_EQ(sim.now(), 4.5);
-  // Remaining events still pending; a second call finishes them.
-  EXPECT_EQ(sim.run_until(100.0), StopReason::Exhausted);
-  EXPECT_EQ(fired, 10);
-}
-
-TEST(Simulator, EventExactlyAtHorizonFires) {
-  Simulator sim;
-  bool fired = false;
-  sim.schedule(2.0, [&](SimTime) { fired = true; });
-  sim.run_until(2.0);
-  EXPECT_TRUE(fired);
-}
-
 TEST(Simulator, EventLimit) {
   Simulator sim;
   int fired = 0;
@@ -99,19 +77,6 @@ TEST(Simulator, EventLimit) {
   }
   EXPECT_EQ(sim.run(3), StopReason::EventLimit);
   EXPECT_EQ(fired, 3);
-}
-
-TEST(Simulator, StopRequestHonored) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(1.0, [&](SimTime) {
-    ++fired;
-    sim.stop();
-  });
-  sim.schedule(2.0, [&](SimTime) { ++fired; });
-  EXPECT_EQ(sim.run(), StopReason::Stopped);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.pending_events(), 1u);
 }
 
 TEST(Simulator, NegativeDelayRejected) {
@@ -143,32 +108,6 @@ TEST(Simulator, StepExecutesSingleEvent) {
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.step());
   EXPECT_FALSE(sim.step());
-}
-
-TEST(Simulator, ResetDropsPendingAndRewindsClock) {
-  Simulator sim;
-  sim.schedule(1.0, [](SimTime) {});
-  sim.schedule(9.0, [](SimTime) {});
-  sim.run_until(1.0);
-  sim.reset();
-  EXPECT_DOUBLE_EQ(sim.now(), 0.0);
-  EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_EQ(sim.run(), StopReason::Exhausted);
-}
-
-TEST(Simulator, StopInLastEventKeepsClock) {
-  // Stopped leaves the clock at the stopping event, whether or not other
-  // events are still pending.
-  Simulator sim;
-  sim.schedule(1.0, [&](SimTime) { sim.stop(); });
-  EXPECT_EQ(sim.run_until(10.0), StopReason::Stopped);
-  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
-  sim.schedule(1.0, [&](SimTime) { sim.stop(); });
-  sim.schedule(5.0, [](SimTime) {});
-  EXPECT_EQ(sim.run_until(10.0), StopReason::Stopped);
-  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-  EXPECT_EQ(sim.run_until(10.0), StopReason::Exhausted);
-  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
 }
 
 TEST(Simulator, EmptyStdFunctionFiresAsNoOp) {
@@ -203,11 +142,9 @@ TEST(Simulator, PendingClosuresAreDestroyed) {
     EXPECT_EQ(token.use_count(), 3);
     EXPECT_TRUE(sim.step());  // a fired closure is destroyed after it runs
     EXPECT_EQ(token.use_count(), 2);
-    sim.reset();
-    EXPECT_EQ(token.use_count(), 1);
     schedule_both(sim);
-    EXPECT_EQ(token.use_count(), 3);
-  }  // destroyed with both events still pending
+    EXPECT_EQ(token.use_count(), 4);
+  }  // destroyed with three events still pending
   EXPECT_EQ(token.use_count(), 1);
 }
 
@@ -240,20 +177,6 @@ TEST(Simulator, SteadyStateJobsDoNotAllocate) {
   const std::size_t before = g_alloc_count;
   while (q.completed < 20000) q.sim.step();
   EXPECT_EQ(g_alloc_count - before, 0u);
-}
-
-TEST(Simulator, RunUntilPastHorizonRejected) {
-  Simulator sim;
-  sim.schedule(5.0, [](SimTime) {});
-  sim.run();
-  EXPECT_THROW(sim.run_until(1.0), std::invalid_argument);
-  // A non-finite horizon would move the clock to inf (or NaN) once the
-  // calendar runs dry, and every time average after it would be NaN.
-  EXPECT_THROW(sim.run_until(std::numeric_limits<double>::infinity()),
-               std::invalid_argument);
-  EXPECT_THROW(sim.run_until(std::numeric_limits<double>::quiet_NaN()),
-               std::invalid_argument);
-  EXPECT_EQ(sim.now(), 5.0);
 }
 
 }  // namespace

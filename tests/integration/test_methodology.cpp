@@ -11,7 +11,8 @@
 #include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
 #include "simmodel/replication.hpp"
-#include "stats/batch_means.hpp"
+#include "support/batch_means.hpp"
+#include "support/oracles.hpp"
 #include "workload/configs.hpp"
 #include "workload/random.hpp"
 
@@ -34,7 +35,7 @@ TEST(Methodology, BatchMeansAgreesWithReplications) {
   const simmodel::ReplicatedResult reps =
       simmodel::replicate(inst, s, rep_cfg);
 
-  stats::BatchMeans bm(2000);  // ~30 batches at Phi * horizon samples
+  test_support::BatchMeans bm(2000);  // ~30 batches at Phi * horizon samples
   simmodel::SimConfig long_run;
   long_run.horizon = 10000.0;
   long_run.warmup = 100.0;
@@ -113,7 +114,7 @@ TEST_P(ConvergenceFuzz, RandomInstancesConvergeAndCertify) {
       << " rho=" << opts.utilization;
   EXPECT_TRUE(core::is_nash_equilibrium(inst, res.profile, 1e-5));
   for (std::size_t j = 0; j < inst.num_users(); ++j) {
-    EXPECT_LT(core::kkt_residual(inst, res.profile, j), 1e-3);
+    EXPECT_LT(test_support::kkt_residual(inst, res.profile, j), 1e-3);
   }
 }
 

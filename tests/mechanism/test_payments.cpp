@@ -7,8 +7,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "support/oracles.hpp"
+
 namespace nashlb::mechanism {
 namespace {
+
+using test_support::best_misreport_gain;
 
 // True cost parameters (1/mu) of a 4-computer system with rates
 // {10, 20, 50, 100} jobs/s.

@@ -70,11 +70,10 @@ TEST(ObsMetrics, CounterAccumulates) {
 
 TEST(ObsMetrics, TimerAccumulatesAndAverages) {
   obs::detail::EnabledTimer t;
-  t.add_seconds(0.5);
-  t.add_seconds(1.5);
+  t.add_batch(0.5, 1, 0.5, 0.5);
+  t.add_batch(1.5, 1, 1.5, 1.5);
   EXPECT_EQ(t.count(), 2u);
   EXPECT_DOUBLE_EQ(t.total_seconds(), 2.0);
-  EXPECT_DOUBLE_EQ(t.mean_seconds(), 1.0);
   t.add_batch(3.0, 3);
   EXPECT_EQ(t.count(), 5u);
   EXPECT_DOUBLE_EQ(t.total_seconds(), 5.0);
@@ -84,8 +83,8 @@ TEST(ObsMetrics, TimerTracksExtremes) {
   obs::detail::EnabledTimer t;
   EXPECT_DOUBLE_EQ(t.min_seconds(), 0.0);  // empty: no extremes yet
   EXPECT_DOUBLE_EQ(t.max_seconds(), 0.0);
-  t.add_seconds(1.5);
-  t.add_seconds(0.5);
+  t.add_batch(1.5, 1, 1.5, 1.5);
+  t.add_batch(0.5, 1, 0.5, 0.5);
   EXPECT_DOUBLE_EQ(t.min_seconds(), 0.5);
   EXPECT_DOUBLE_EQ(t.max_seconds(), 1.5);
   // The 2-arg batch carries no extremes and must not disturb them.
@@ -119,9 +118,9 @@ TEST(ObsMetrics, CounterMergeSumsShards) {
 TEST(ObsMetrics, TimerMergeFoldsTotalsAndExtremes) {
   obs::detail::EnabledTimer a;
   obs::detail::EnabledTimer b;
-  a.add_seconds(1.0);
-  b.add_seconds(0.25);
-  b.add_seconds(4.0);
+  a.add_batch(1.0, 1, 1.0, 1.0);
+  b.add_batch(0.25, 1, 0.25, 0.25);
+  b.add_batch(4.0, 1, 4.0, 4.0);
   a.merge(b);
   EXPECT_EQ(a.count(), 3u);
   EXPECT_DOUBLE_EQ(a.total_seconds(), 5.25);
@@ -151,11 +150,11 @@ TEST(ObsMetrics, RegistryMergeReducesShardsMetricByMetric) {
   obs::detail::EnabledRegistry shard2;
   total.counter("jobs").add(1);
   shard1.counter("jobs").add(10);
-  shard1.timer("busy").add_seconds(0.5);
+  shard1.timer("busy").add_batch(0.5, 1, 0.5, 0.5);
   shard1.histogram("sojourn").record(0.125);
   shard2.counter("jobs").add(100);
   shard2.counter("only_in_shard2").add(7);
-  shard2.timer("busy").add_seconds(1.5);
+  shard2.timer("busy").add_batch(1.5, 1, 1.5, 1.5);
   shard2.histogram("sojourn").record(2.0);
   total.merge(shard1);
   total.merge(shard2);
@@ -198,7 +197,7 @@ TEST(ObsMetrics, RegistryReferencesAreStable) {
   for (int i = 0; i < 100; ++i) {
     const std::string suffix = std::to_string(i);
     reg.counter("c" + suffix).add();
-    reg.timer("t" + suffix).add_seconds(0.1);
+    reg.timer("t" + suffix).add_batch(0.1, 1);
   }
   a.add(7);
   EXPECT_EQ(reg.counter("a").value(), 7u);
@@ -376,7 +375,6 @@ TEST(ObsDisabled, NullTypesAreEmptyNoOps) {
   c.add(1000);
   EXPECT_EQ(c.value(), 0u);
   obs::detail::NullTimer t;
-  t.add_seconds(5.0);
   t.add_batch(5.0, 5);
   t.add_batch(5.0, 5, 1.0, 4.0);
   EXPECT_EQ(t.count(), 0u);
@@ -403,7 +401,7 @@ TEST(ObsDisabled, NullHistogramRecordsNothing) {
 TEST(ObsDisabled, NullRegistryAndSinkDiscardEverything) {
   obs::detail::NullRegistry reg;
   reg.counter("x").add(5);
-  reg.timer("y").add_seconds(1.0);
+  reg.timer("y").add_batch(1.0, 1);
   reg.histogram("z").record(1.0);
   EXPECT_EQ(reg.size(), 0u);
   EXPECT_TRUE(reg.snapshot().empty());

@@ -1,4 +1,4 @@
-#include "stats/batch_means.hpp"
+#include "support/batch_means.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,8 @@
 
 namespace nashlb::stats {
 namespace {
+
+using test_support::BatchMeans;
 
 TEST(BatchMeans, RejectsZeroBatchSize) {
   EXPECT_THROW(BatchMeans(0), std::invalid_argument);

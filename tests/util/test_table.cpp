@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 
 namespace nashlb::util {
@@ -24,15 +23,6 @@ TEST(Table, RightAlignsByDefault) {
   EXPECT_NE(t.str().find("  x"), std::string::npos);
 }
 
-TEST(Table, LeftAlignWorks) {
-  Table t({"col"});
-  t.set_align(0, Align::Left);
-  t.add_row({"x"});
-  const std::string out = t.str();
-  // The data line should start with "x", padded on the right.
-  EXPECT_NE(out.find("\nx  "), std::string::npos) << out;
-}
-
 TEST(Table, ColumnWidthTracksWidestCell) {
   Table t({"h"});
   t.add_row({"wide-cell"});
@@ -51,25 +41,12 @@ TEST(Table, EmptyHeaderThrows) {
   EXPECT_THROW(Table({}), std::invalid_argument);
 }
 
-TEST(Table, SetAlignOutOfRangeThrows) {
-  Table t({"a"});
-  EXPECT_THROW(t.set_align(1, Align::Left), std::out_of_range);
-}
-
 TEST(Table, RowCountTracksAdds) {
   Table t({"a"});
   EXPECT_EQ(t.row_count(), 0u);
   t.add_row({"1"});
   t.add_row({"2"});
   EXPECT_EQ(t.row_count(), 2u);
-}
-
-TEST(Table, PrintWritesToStream) {
-  Table t({"a"});
-  t.add_row({"1"});
-  std::ostringstream os;
-  t.print(os);
-  EXPECT_EQ(os.str(), t.str());
 }
 
 TEST(Format, FixedDigits) {

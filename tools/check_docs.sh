@@ -3,7 +3,7 @@
 #
 # Fails if:
 #   * a src/<module>/ directory has no `<module>` row in README.md's
-#     Architecture table;
+#     Architecture table, or a row of that table names no src/<module>/;
 #   * docs/OBSERVABILITY.md, docs/STATIC_ANALYSIS.md or docs/SCALING.md
 #     is missing, or README.md does not link it;
 #   * a bench/bench_*.cpp is not named in EXPERIMENTS.md.
@@ -28,6 +28,15 @@ for dir in "$root"/src/*/; do
     module=$(basename "$dir")
     if ! grep -q "| \`$module\`" "$readme"; then
         fail "src/$module/ has no \`$module\` row in README.md's Architecture table"
+    fi
+done
+# ...and every row of that table must name an existing module directory,
+# so a row cannot outlive its library.
+for module in $(awk '/^## Architecture/ { on = 1; next } /^## / { on = 0 }
+                     on && /^\| `[^`]*` \|/' "$readme" |
+                sed 's/^| `\([^`]*\)`.*/\1/'); do
+    if [ ! -d "$root/src/$module" ]; then
+        fail "README.md's Architecture table has a \`$module\` row but no src/$module/"
     fi
 done
 
