@@ -17,11 +17,13 @@
 //   bench_results/convergence_roundrobin.jsonl  same, JSON lines
 //   bench_results/convergence_journal.jsonl     the shared journal window
 //   bench_results/convergence_registry.csv      journal drop accounting
-//   BENCH_convergence.json                      manifest + gated rows
+//   bench_results/convergence_summary.csv       one row per run
 //
-// BENCH_convergence.json is a committed baseline: `kind`, `iterations`,
-// `converged` and `rounds_to_tol` diff exactly and `final_eps_nash`
-// gates like a quality metric in tools/check_bench.py.
+// convergence_summary.csv is a golden (tests/golden/, the check_golden
+// ctest): `iterations`, `rounds_to_tol` and `final_eps_nash` (full
+// precision, empty when no round had a finite gap) compare byte for
+// byte. Under -DNASHLB_OBS=OFF the probe columns read 0 and the golden
+// is skipped.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -71,46 +73,6 @@ Row probe_row(const std::string& kind, const nashlb::obs::ConvergenceProbe& prob
   r.rounds_to_tol = probe.rounds_to_tol(tolerance);
   r.final_eps_nash = probe.final_eps_nash();
   return r;
-}
-
-void write_json(const std::vector<Row>& rows) {
-  using nashlb::obs::json_number;
-  std::FILE* f = std::fopen("BENCH_convergence.json", "w");
-  if (!f) {
-    std::fprintf(stderr,
-                 "bench_convergence_telemetry: cannot write "
-                 "BENCH_convergence.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"convergence\",\n");
-  nashlb::obs::RunManifest manifest = nashlb::bench::run_manifest("P5");
-  manifest.set("utilization", kUtilization);
-  manifest.set("tolerance", kTolerance);
-  manifest.set("ring_tolerance", kRingTolerance);
-  std::fprintf(f, "  \"manifest\": %s,\n", manifest.to_json().c_str());
-  std::fprintf(f,
-               "  \"description\": \"per-round convergence telemetry of the "
-               "best-reply dynamics (all orders), class mode and the ring "
-               "protocol; rounds_to_tol and final_eps_nash gate "
-               "equilibrium-quality regressions\",\n");
-  std::fprintf(f, "  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"kind\": \"%s\", \"m\": %zu, \"n\": %zu, "
-                 "\"classes\": %zu, \"iterations\": %zu, \"converged\": %s, "
-                 "\"rounds_to_tol\": %lld",
-                 r.kind.c_str(), r.m, r.n, r.classes, r.iterations,
-                 r.converged ? "true" : "false",
-                 static_cast<long long>(r.rounds_to_tol));
-    if (std::isfinite(r.final_eps_nash)) {
-      std::fprintf(f, ", \"final_eps_nash\": %s",
-                   json_number(r.final_eps_nash).c_str());
-    }
-    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
 }
 
 }  // namespace
@@ -229,7 +191,18 @@ int main() {
               static_cast<unsigned long long>(journal.dropped()),
               journal.size());
 
-  write_json(rows);
+  if (auto csv = bench::csv("convergence_summary",
+                            {"kind", "m", "n", "classes", "iterations",
+                             "converged", "rounds_to_tol", "final_eps_nash"})) {
+    for (const Row& r : rows) {
+      csv->add_row({r.kind, std::to_string(r.m), std::to_string(r.n),
+                    std::to_string(r.classes), std::to_string(r.iterations),
+                    r.converged ? "1" : "0", std::to_string(r.rounds_to_tol),
+                    std::isfinite(r.final_eps_nash)
+                        ? obs::json_number(r.final_eps_nash)
+                        : ""});
+    }
+  }
 
   // --- Gates -------------------------------------------------------------
   for (const Row& r : rows) {

@@ -23,8 +23,7 @@ obs::RunManifest run_manifest(const std::string& id);
 /// Writes `manifest` to bench_results/manifest_<id>.json (creating the
 /// directory if needed; warning on stderr instead of a throw, like
 /// csv()) and echoes the config hash to stdout — every bench stamps its
-/// output files' provenance this way, and JSON writers additionally
-/// embed manifest.to_json() as a top-level "manifest" object.
+/// output files' provenance this way.
 void write_manifest(const obs::RunManifest& manifest, const std::string& id);
 
 /// Opens bench_results/<name>.csv (creating the directory if needed) and
@@ -35,10 +34,5 @@ std::unique_ptr<util::CsvWriter> csv(const std::string& name,
 
 /// Formats a double with 4 significant digits (bench table convention).
 std::string num(double v);
-
-/// Seconds on the host's monotonic clock; time a region as the
-/// difference of two reads. The library reads no clock, so every
-/// wall-time column a bench reports is measured here.
-double now_seconds();
 
 }  // namespace nashlb::bench

@@ -12,6 +12,7 @@
 // overall response time meets a target. Because users are selfish, the
 // operating point to evaluate is the Nash equilibrium, not GOS.
 #include <cstdio>
+#include <exception>
 #include <vector>
 
 #include "schemes/metrics.hpp"
@@ -40,8 +41,8 @@ double equilibrium_response(std::vector<double> mu, double demand) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int main(int argc, char** argv) try {
+  const util::Args args(argc, argv, {"demand", "target"});
   const double demand = args.get_double("demand", 300.0);   // jobs/s
   const double target = args.get_double("target", 0.05);    // seconds
 
@@ -97,4 +98,7 @@ int main(int argc, char** argv) {
                 "optimum (see selfish_vs_social).\n");
   }
   return 0;
+} catch (const std::exception& ex) {
+  std::fprintf(stderr, "cluster_sizing: %s\n", ex.what());
+  return 1;
 }

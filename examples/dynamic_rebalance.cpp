@@ -13,6 +13,7 @@
 // stale strategy).
 #include <cmath>
 #include <cstdio>
+#include <exception>
 
 #include "core/cost.hpp"
 #include "core/dynamics.hpp"
@@ -21,9 +22,9 @@
 #include "util/table.hpp"
 #include "workload/configs.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace nashlb;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"epochs", "drift"});
   const long epochs = args.get_int("epochs", 8);
   const double drift = args.get_double("drift", 0.35);
 
@@ -77,4 +78,7 @@ int main(int argc, char** argv) {
       "equilibrium is an excellent initialization), while a stale strategy\n"
       "pays a growing penalty as the load drifts away from its epoch.\n");
   return 0;
+} catch (const std::exception& ex) {
+  std::fprintf(stderr, "dynamic_rebalance: %s\n", ex.what());
+  return 1;
 }

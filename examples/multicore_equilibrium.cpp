@@ -11,6 +11,7 @@
 // per-node equilibrium flows and contrasts them with a naive
 // capacity-proportional split.
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <vector>
 
@@ -18,9 +19,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace nashlb;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"users", "utilization"});
   const auto users = static_cast<std::size_t>(args.get_int("users", 6));
   const double utilization = args.get_double("utilization", 0.6);
 
@@ -87,4 +88,7 @@ int main(int argc, char** argv) {
       "and over-uses the fast single-core machine — exactly the effect a\n"
       "capacity-proportional policy misses.\n");
   return 0;
+} catch (const std::exception& ex) {
+  std::fprintf(stderr, "multicore_equilibrium: %s\n", ex.what());
+  return 1;
 }

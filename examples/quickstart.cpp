@@ -10,6 +10,7 @@
 //   4. read each user's strategy and expected response time;
 //   5. sanity-check against the simple proportional allocation.
 #include <cstdio>
+#include <exception>
 
 #include "core/equilibrium.hpp"
 #include "schemes/metrics.hpp"
@@ -18,9 +19,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace nashlb;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"utilization", "eps"});
   const double utilization = args.get_double("utilization", 0.6);
   const double eps = args.get_double("eps", 1e-6);
 
@@ -72,4 +73,7 @@ int main(int argc, char** argv) {
   std::printf("fairness index: NASH %.3f, proportional %.3f\n",
               m.fairness, ps.fairness);
   return 0;
+} catch (const std::exception& ex) {
+  std::fprintf(stderr, "quickstart: %s\n", ex.what());
+  return 1;
 }

@@ -10,6 +10,7 @@
 // sharply in the tail — the p99 a user actually experiences.
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -79,8 +80,9 @@ double percentile(const std::vector<double>& sorted, double p) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int main(int argc, char** argv) try {
+  const util::Args args(argc, argv,
+                        {"utilization", "scheme", "scheme2", "horizon"});
   const double utilization = args.get_double("utilization", 0.6);
   const std::string scheme_a = args.get("scheme", "NASH");
   const std::string scheme_b = args.get("scheme2", "PS");
@@ -112,4 +114,7 @@ int main(int argc, char** argv) {
       "\nreading: scheme choice moves the whole distribution, not just\n"
       "the mean — the tail gap is typically wider than the mean gap.\n");
   return 0;
+} catch (const std::exception& ex) {
+  std::fprintf(stderr, "response_distribution: %s\n", ex.what());
+  return 1;
 }

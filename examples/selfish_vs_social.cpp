@@ -11,6 +11,7 @@
 // a tiny efficiency premium (cf. Roughgarden & Tardos's 4/3 bound for
 // linear costs; M/M/1 costs are not linear, so watch the tail).
 #include <cstdio>
+#include <exception>
 
 #include "schemes/gos.hpp"
 #include "schemes/ios.hpp"
@@ -20,9 +21,9 @@
 #include "util/table.hpp"
 #include "workload/configs.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace nashlb;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"users", "skew"});
   const auto users = static_cast<std::size_t>(args.get_int("users", 10));
   const double skew = args.get_double("skew", 10.0);
 
@@ -66,4 +67,7 @@ int main(int argc, char** argv) {
       "delivering fairness ~1 and needing no central authority; the\n"
       "per-job (IOS) equilibrium pays more, especially at medium skew.\n");
   return 0;
+} catch (const std::exception& ex) {
+  std::fprintf(stderr, "selfish_vs_social: %s\n", ex.what());
+  return 1;
 }

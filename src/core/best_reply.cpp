@@ -62,16 +62,6 @@ void optimal_fractions_into(std::span<const double> available_rates,
 #endif
 }
 
-std::vector<double> best_reply(const Instance& inst, const StrategyProfile& s,
-                               std::size_t user) {
-  if (user >= inst.num_users()) {
-    throw std::out_of_range("best_reply: user out of range");
-  }
-  const std::vector<double> avail = s.available_rates(inst, user);
-  check_available(avail);
-  return optimal_fractions(avail, inst.phi[user]);
-}
-
 std::span<const double> best_reply_into(const Instance& inst,
                                         const StrategyProfile& s,
                                         const LoadState& state,

@@ -50,19 +50,11 @@ void optimal_fractions_into(std::span<const double> available_rates,
                             double phi, std::span<double> out,
                             WaterfillWorkspace& ws);
 
-/// Best reply of `user` against profile `s` in instance `inst` — computes
-/// the available rates and delegates to optimal_fractions. The profile's
-/// other rows must describe a load with lambda_i - s_ji phi_j < mu_i
-/// everywhere (any feasible profile qualifies).
-[[nodiscard]] std::vector<double> best_reply(const Instance& inst,
-                                             const StrategyProfile& s,
-                                             std::size_t user);
-
 /// Allocation-free best reply on the incremental core: reads the
 /// available rates from `state` (which must be consistent with `s`) in
 /// O(n) instead of recomputing the m×n aggregate, and writes the reply
 /// into `ws.reply`, returning a view of it (valid until the next call on
-/// the same workspace). Throws like `best_reply` when other users
+/// the same workspace). Throws std::invalid_argument when other users
 /// overload a computer.
 std::span<const double> best_reply_into(const Instance& inst,
                                         const StrategyProfile& s,

@@ -28,20 +28,6 @@ std::vector<double> computer_response_times(const Instance& inst,
   return f;
 }
 
-double user_response_time(const Instance& inst, const StrategyProfile& s,
-                          std::size_t user) {
-  const std::vector<double> f = computer_response_times(inst, s);
-  const std::span<const double> strategy = s.row(user);
-  double d = 0.0;
-  for (std::size_t i = 0; i < f.size(); ++i) {
-    if (strategy[i] > 0.0) {
-      if (f[i] == kInf) return kInf;
-      d += strategy[i] * f[i];
-    }
-  }
-  return d;
-}
-
 std::vector<double> user_response_times(const Instance& inst,
                                         const StrategyProfile& s) {
   const std::vector<double> f = computer_response_times(inst, s);

@@ -21,13 +21,8 @@ namespace nashlb::core {
 [[nodiscard]] std::vector<double> computer_response_times(
     const Instance& inst, const StrategyProfile& s);
 
-/// User j's expected response time D_j(s). +infinity if any computer that
-/// user j actually uses (s_ji > 0) is unstable.
-[[nodiscard]] double user_response_time(const Instance& inst,
-                                        const StrategyProfile& s,
-                                        std::size_t user);
-
-/// All users' expected response times (D_1 .. D_m).
+/// All users' expected response times (D_1 .. D_m). D_j is +infinity
+/// if any computer that user j actually uses (s_ji > 0) is unstable.
 [[nodiscard]] std::vector<double> user_response_times(
     const Instance& inst, const StrategyProfile& s);
 

@@ -32,13 +32,6 @@ void EventQueue::push(SimTime time, EventFn&& fn) {
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-SimTime EventQueue::next_time() const {
-  if (heap_.empty()) {
-    throw std::logic_error("EventQueue::next_time: queue is empty");
-  }
-  return heap_.front().time;
-}
-
 Event EventQueue::pop() {
   if (heap_.empty()) {
     throw std::logic_error("EventQueue::pop: queue is empty");

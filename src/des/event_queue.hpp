@@ -153,9 +153,6 @@ class EventQueue {
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
-  /// Time of the next event; throws std::logic_error when empty.
-  [[nodiscard]] SimTime next_time() const;
-
   /// Removes and returns the next event (time order, FIFO on ties);
   /// throws std::logic_error when empty.
   Event pop();

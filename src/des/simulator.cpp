@@ -22,16 +22,8 @@ void Simulator::schedule_at(SimTime t, EventFn fn) {
   queue_.push(t, std::move(fn));
 }
 
-StopReason Simulator::run(std::uint64_t max_events) {
-  std::uint64_t executed = 0;
-  while (!queue_.empty()) {
-    if (max_events != 0 && executed >= max_events) {
-      return StopReason::EventLimit;
-    }
-    dispatch(queue_.pop());
-    ++executed;
-  }
-  return StopReason::Exhausted;
+void Simulator::run() {
+  while (!queue_.empty()) dispatch(queue_.pop());
 }
 
 bool Simulator::step() {

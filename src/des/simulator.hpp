@@ -3,9 +3,8 @@
 // A clean-room functional substitute for the event-scheduling core of
 // Sim++ (Cubert & Fishwick, 1995 — the paper's reference [4]), which is
 // what §4.1 uses: schedule events, advance a virtual clock, run until the
-// calendar drains or an event budget is spent. Single-threaded by design;
-// experiment-level parallelism runs independent Simulator instances on
-// separate threads.
+// calendar drains. Single-threaded by design; experiment-level
+// parallelism runs independent Simulator instances on separate threads.
 #pragma once
 
 #include <cstdint>
@@ -16,12 +15,6 @@
 #include "obs/metrics.hpp"
 
 namespace nashlb::des {
-
-/// Why a call to run() returned.
-enum class StopReason {
-  Exhausted,    ///< no pending events remain
-  EventLimit,   ///< the event budget was spent
-};
 
 /// The simulation kernel: a clock plus the pending-event calendar.
 class Simulator {
@@ -43,9 +36,8 @@ class Simulator {
   /// Schedules `fn` at absolute time `t >= now()`.
   void schedule_at(SimTime t, EventFn fn);
 
-  /// Runs until the calendar is empty or the event budget (0 =
-  /// unlimited) is exhausted.
-  StopReason run(std::uint64_t max_events = 0);
+  /// Runs until the calendar is empty.
+  void run();
 
   /// Executes exactly one event if any is pending; returns whether it did.
   bool step();

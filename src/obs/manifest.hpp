@@ -1,15 +1,14 @@
 // Run manifests: the provenance stamp for bench output.
 //
-// A BENCH_*.json or CSV number is only comparable to another run's if
+// A CSV number is only comparable to another run's if
 // the two runs were built and configured the same way. RunManifest
 // captures the build identity (git sha baked at configure time, the
 // OBS/CHECK/SANITIZE/WERROR switches), the resolved thread count, and
 // free-form run parameters (seeds, instance shape) as ordered key/value
 // extras, plus an FNV-1a hash over the whole record so two manifests
-// can be compared with one number. Every bench stamps its manifest into
-// its JSON output (bench::write_manifest), and tools/nashlb_report.py
-// renders and diffs them; tools/check_bench.py reports manifest drift
-// without treating the fields as metrics.
+// can be compared with one number. Every bench writes its manifest next
+// to its CSVs (bench::write_manifest), and tools/nashlb_report.py
+// renders and diffs them.
 //
 // Deliberately NOT twinned: a manifest must exist precisely so an
 // -DNASHLB_OBS=OFF run is labeled as such, and it costs nothing on any

@@ -39,8 +39,4 @@ SchemePtr make_scheme(const std::string& name) {
   throw std::invalid_argument("make_scheme: unknown scheme '" + name + "'");
 }
 
-std::vector<std::string> registered_scheme_names() {
-  return {"NASH_P", "NASH_0", "GOS", "GOS_UNIFORM", "IOS", "PS", "NBS"};
-}
-
 }  // namespace nashlb::schemes

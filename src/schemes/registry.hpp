@@ -18,9 +18,4 @@ namespace nashlb::schemes {
 /// unknown name.
 [[nodiscard]] SchemePtr make_scheme(const std::string& name);
 
-/// Every canonical name make_scheme accepts, one per distinct scheme
-/// variant (so "NASH" is listed as "NASH_P", its canonical alias). Used
-/// by the profiling bench to sweep the whole registry.
-[[nodiscard]] std::vector<std::string> registered_scheme_names();
-
 }  // namespace nashlb::schemes

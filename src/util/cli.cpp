@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -12,18 +13,25 @@ bool looks_like_option(const std::string& s) {
 
 }  // namespace
 
-Args::Args(int argc, const char* const* argv) {
+Args::Args(int argc, const char* const* argv,
+           std::initializer_list<std::string_view> known) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (!looks_like_option(arg)) continue;
+    if (!looks_like_option(arg)) {
+      throw std::invalid_argument("unexpected argument '" + arg + "'");
+    }
     const std::string body = arg.substr(2);
     const auto eq = body.find('=');
+    const std::string name = body.substr(0, eq);
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      throw std::invalid_argument("unknown option --" + name);
+    }
     if (eq != std::string::npos) {
-      options_[body.substr(0, eq)] = body.substr(eq + 1);
+      options_[name] = body.substr(eq + 1);
     } else if (i + 1 < argc && !looks_like_option(argv[i + 1])) {
-      options_[body] = argv[++i];
+      options_[name] = argv[++i];
     } else {
-      options_[body] = "";  // bare flag
+      options_[name] = "";  // bare flag
     }
   }
 }

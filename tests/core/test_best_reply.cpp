@@ -8,9 +8,13 @@
 
 #include "core/cost.hpp"
 #include "stats/rng.hpp"
+#include "support/oracles.hpp"
 
 namespace nashlb::core {
 namespace {
+
+using test_support::best_reply;
+using test_support::user_response_time;
 
 Instance small() {
   Instance inst;

@@ -5,8 +5,12 @@
 #include <cmath>
 #include <limits>
 
+#include "support/oracles.hpp"
+
 namespace nashlb::core {
 namespace {
+
+using test_support::user_response_time;
 
 Instance two_by_two() {
   Instance inst;

@@ -19,11 +19,15 @@
 #include "core/dynamics.hpp"
 #include "core/waterfill.hpp"
 #include "stats/rng.hpp"
+#include "support/oracles.hpp"
 #include "workload/configs.hpp"
 #include "workload/random.hpp"
 
 namespace nashlb::core {
 namespace {
+
+using test_support::best_reply;
+using test_support::user_response_time;
 
 Instance small_instance() {
   Instance inst;

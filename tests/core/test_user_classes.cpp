@@ -29,6 +29,7 @@ namespace {
 using test_support::expand;
 using test_support::expect_bitwise_equal;
 using test_support::log_uniform_instance;
+using test_support::user_response_time;
 
 /// A system whose demands repeat a short cycle exactly — the natural
 /// input of the `exact` grouping mode.

@@ -15,7 +15,6 @@ TEST(EventQueue, StartsEmpty) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
   EXPECT_THROW(q.pop(), std::logic_error);
-  EXPECT_THROW(static_cast<void>(q.next_time()), std::logic_error);
 }
 
 TEST(EventQueue, PopsInTimeOrder) {
@@ -44,14 +43,6 @@ TEST(EventQueue, SimultaneousEventsAreFifo) {
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(order[i], static_cast<int>(i));
   }
-}
-
-TEST(EventQueue, NextTimePeeksWithoutPopping) {
-  EventQueue q;
-  q.push(4.0, [](SimTime) {});
-  q.push(2.0, [](SimTime) {});
-  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
-  EXPECT_EQ(q.size(), 2u);
 }
 
 TEST(EventQueue, HeapStressRandomOrder) {

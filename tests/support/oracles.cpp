@@ -4,13 +4,29 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/best_reply.hpp"
 #include "core/cost.hpp"
 #include "mechanism/payments.hpp"
 #include "util/contracts.hpp"
 
 namespace nashlb::test_support {
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+void check_available(std::span<const double> avail) {
+  for (std::size_t i = 0; i < avail.size(); ++i) {
+    if (!(avail[i] > 0.0)) {
+      throw std::invalid_argument(
+          "best_reply: other users overload computer " + std::to_string(i));
+    }
+  }
+}
+
+}  // namespace
 
 using core::Instance;
 using core::StrategyProfile;
@@ -85,7 +101,7 @@ double best_random_deviation_gain(const Instance& inst,
     throw std::out_of_range("best_random_deviation_gain: user out of range");
   }
   const std::size_t n = inst.num_computers();
-  const double base = core::user_response_time(inst, s, user);
+  const double base = user_response_time(inst, s, user);
   double best_gain = 0.0;
 
   for (std::size_t trial = 0; trial < trials; ++trial) {
@@ -102,7 +118,7 @@ double best_random_deviation_gain(const Instance& inst,
     deviated.set(user, from, movable - amount);
     deviated.set(user, to, s.at(user, to) + amount);
     if (!deviated.is_feasible(inst, 1e-9)) continue;
-    const double d = core::user_response_time(inst, deviated, user);
+    const double d = user_response_time(inst, deviated, user);
     best_gain = std::max(best_gain, base - d);
   }
   // A deviation "gain" is clamped at zero by construction; a negative
@@ -154,6 +170,30 @@ StrategyProfile expand(const core::UserClassPartition& part,
     full.set_row(j, class_profile.row(part.class_of(j)));
   }
   return full;
+}
+
+std::vector<double> best_reply(const Instance& inst, const StrategyProfile& s,
+                               std::size_t user) {
+  if (user >= inst.num_users()) {
+    throw std::out_of_range("best_reply: user out of range");
+  }
+  const std::vector<double> avail = s.available_rates(inst, user);
+  check_available(avail);
+  return core::optimal_fractions(avail, inst.phi[user]);
+}
+
+double user_response_time(const Instance& inst, const StrategyProfile& s,
+                          std::size_t user) {
+  const std::vector<double> f = core::computer_response_times(inst, s);
+  const std::span<const double> strategy = s.row(user);
+  double d = 0.0;
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    if (strategy[i] > 0.0) {
+      if (f[i] == kInf) return kInf;
+      d += strategy[i] * f[i];
+    }
+  }
+  return d;
 }
 
 }  // namespace nashlb::test_support

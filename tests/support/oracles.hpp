@@ -8,11 +8,15 @@
 //     user's strategy never reduce its response time (a falsifier);
 //   * best_misreport_gain: no multiplicative misreport beats truth under
 //     the Archer–Tardos payments (mechanism/payments.hpp);
-//   * expand: a class-level profile written out per user.
+//   * expand: a class-level profile written out per user;
+//   * best_reply, user_response_time: one user's reply and response time
+//     recomputed from the whole m×n profile, the from-scratch path the
+//     incremental core (core/load_state.hpp) replaced.
 #pragma once
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "core/types.hpp"
 #include "core/user_classes.hpp"
@@ -61,5 +65,19 @@ namespace nashlb::test_support {
 [[nodiscard]] core::StrategyProfile expand(
     const core::UserClassPartition& part,
     const core::StrategyProfile& class_profile);
+
+/// Best reply of `user` against profile `s` in instance `inst` — computes
+/// the available rates and delegates to optimal_fractions. The profile's
+/// other rows must describe a load with lambda_i - s_ji phi_j < mu_i
+/// everywhere (any feasible profile qualifies).
+[[nodiscard]] std::vector<double> best_reply(const core::Instance& inst,
+                                             const core::StrategyProfile& s,
+                                             std::size_t user);
+
+/// User j's expected response time D_j(s). +infinity if any computer that
+/// user j actually uses (s_ji > 0) is unstable.
+[[nodiscard]] double user_response_time(const core::Instance& inst,
+                                        const core::StrategyProfile& s,
+                                        std::size_t user);
 
 }  // namespace nashlb::test_support

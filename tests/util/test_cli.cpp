@@ -3,14 +3,29 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace nashlb::util {
 namespace {
 
+/// Parses argv as a program that reads the options the tests name.
 Args parse(std::initializer_list<const char*> argv) {
   std::vector<const char*> v{"prog"};
   v.insert(v.end(), argv.begin(), argv.end());
-  return Args(static_cast<int>(v.size()), v.data());
+  return Args(static_cast<int>(v.size()), v.data(),
+              {"users", "verbose", "k", "rho", "n", "x", "delta"});
+}
+
+/// The message of the std::invalid_argument that parsing argv throws, or
+/// "" when it parses.
+std::string parse_error(std::initializer_list<const char*> argv) {
+  try {
+    static_cast<void>(parse(argv));
+  } catch (const std::invalid_argument& ex) {
+    return ex.what();
+  }
+  return "";
 }
 
 TEST(Args, EqualsSyntax) {
@@ -37,11 +52,23 @@ TEST(Args, MissingReturnsFallback) {
 }
 
 TEST(Args, Positionals) {
-  // Non-option arguments are skipped and leave the options intact.
-  const Args a = parse({"first", "--k=v", "second"});
-  EXPECT_EQ(a.get("k"), "v");
-  EXPECT_EQ(a.get("first", "absent"), "absent");
-  EXPECT_EQ(a.get("second", "absent"), "absent");
+  // A non-option argument is an error, not skipped.
+  EXPECT_THROW(static_cast<void>(parse({"first", "--k=v", "second"})),
+               std::invalid_argument);
+}
+
+TEST(Args, UnknownOptionThrows) {
+  // A misspelled option must not silently run the default.
+  EXPECT_NE(parse_error({"--rhoo", "0.9"}).find("--rhoo"), std::string::npos);
+  EXPECT_NE(parse_error({"--users=3", "--userz=4"}).find("--userz"),
+            std::string::npos);
+}
+
+TEST(Args, StrayPositionalThrows) {
+  // `--rho=0.65` carries its value, so the 0.9 after it is stray.
+  EXPECT_NE(parse_error({"0.9"}).find("'0.9'"), std::string::npos);
+  EXPECT_NE(parse_error({"--rho=0.65", "0.9"}).find("'0.9'"),
+            std::string::npos);
 }
 
 TEST(Args, DoubleParsing) {

@@ -6,19 +6,19 @@
 #    1. check_docs          README/docs drift, benches registered  (~0 s)
 #    2. check_report        nashlb_report.py render/diff selftest  (~0 s)
 #    3. check_analyzer      nashlb-analyzer repository rules       (~0 s)
-#    4. check_bench         BENCH_*.json perf baselines  (SKIP if absent)
-#    5. check_format        clang-format check-only      (SKIP if absent)
-#    6. werror_build        full tree, warnings as errors (build-werror/)
-#    7. check_tidy          clang-tidy over that tree    (SKIP if absent)
-#    8. check_gcc_analyzer  GCC -fanalyzer over src/core + src/util
+#    4. check_format        clang-format check-only      (SKIP if absent)
+#    5. werror_build        full tree, warnings as errors (build-werror/)
+#    6. check_tidy          clang-tidy over that tree    (SKIP if absent)
+#    7. check_gcc_analyzer  GCC -fanalyzer over src/core + src/util
 #                           (SKIP if -fanalyzer unsupported; ~12 s)
-#    9. contract_suite      -DNASHLB_CHECK=ON + full ctest (build-check/)
-#   10. obs_off_suite       -DNASHLB_OBS=OFF + ctest -LE slow
-#                           (build-obsoff/)
-#   11. check_sanitize      ASan+UBSan with contracts on   (build-asan/)
-#   12. check_tsan          ThreadSanitizer over test_concurrency
+#    8. contract_suite      -DNASHLB_CHECK=ON + full ctest, goldens
+#                           included (build-check/)
+#    9. obs_off_suite       -DNASHLB_OBS=OFF + ctest -LE slow, goldens
+#                           included (build-obsoff/)
+#   10. check_sanitize      ASan+UBSan with contracts on   (build-asan/)
+#   11. check_tsan          ThreadSanitizer over test_concurrency
 #                           (build-tsan/)     (SKIP if TSan unsupported)
-#   13. nashbench_selftest  builds the benchmark (nashbench/) against
+#   12. nashbench_selftest  builds the benchmark (nashbench/) against
 #                           this tree in Release and runs its selftests
 #                           (.bench_build/)
 #
@@ -26,8 +26,8 @@
 # one broken gate must not hide the state of the others. The summary
 # table at the end shows PASS/FAIL/SKIP and wall-clock per step; the
 # script exits non-zero iff at least one non-SKIP step failed. A step
-# exiting 77 is a SKIP (tool or baseline unavailable), matching the
-# ctest SKIP_RETURN_CODE convention of the individual gates.
+# exiting 77 is a SKIP (tool unavailable), matching the ctest
+# SKIP_RETURN_CODE convention of the individual gates.
 #
 # Usage: tools/check_all.sh [repo-root]   (default: script's parent dir)
 set -u
@@ -69,10 +69,12 @@ werror_build() {
     cmake --build "$root/build-werror" -j "$jobs"
 }
 
+# Both suites set NASHLB_BUILD_BENCH=ON explicitly, so a build tree
+# configured earlier without the benches cannot skip check_golden.
 contract_suite() {
     cmake -B "$root/build-check" -S "$root" \
       -DNASHLB_CHECK=ON -DNASHLB_WERROR=ON \
-      -DNASHLB_BUILD_BENCH=OFF -DNASHLB_BUILD_EXAMPLES=OFF &&
+      -DNASHLB_BUILD_BENCH=ON -DNASHLB_BUILD_EXAMPLES=OFF &&
     cmake --build "$root/build-check" -j "$jobs" &&
     # (subshell cd, not `ctest --test-dir`: that flag needs CMake >= 3.20
     # and the project supports 3.16)
@@ -84,7 +86,7 @@ contract_suite() {
 # rebuild from source whatever this tree's options are.
 obs_off_suite() {
     cmake -B "$root/build-obsoff" -S "$root" \
-      -DNASHLB_OBS=OFF -DNASHLB_BUILD_BENCH=OFF &&
+      -DNASHLB_OBS=OFF -DNASHLB_BUILD_BENCH=ON &&
     cmake --build "$root/build-obsoff" -j "$jobs" &&
     (cd "$root/build-obsoff" && ctest --output-on-failure -j "$jobs" -LE slow)
 }
@@ -94,7 +96,6 @@ all_start=$(date +%s)
 run_step check_docs "$root/tools/check_docs.sh" "$root"
 run_step check_report python3 "$root/tools/nashlb_report.py" selftest
 run_step check_analyzer python3 "$root/tools/nashlb_analyzer.py" "$root"
-run_step check_bench python3 "$root/tools/check_bench.py" "$root"
 run_step check_format "$root/tools/check_format.sh" "$root"
 run_step werror_build werror_build
 run_step check_tidy "$root/tools/check_tidy.sh" "$root" "$root/build-werror"
@@ -115,5 +116,5 @@ if [ "$failed" -ne 0 ]; then
     echo "check_all: FAIL (one or more non-SKIP steps failed; see table)" >&2
     exit 1
 fi
-echo "check_all: OK (SKIP rows, if any, mean tool or baseline unavailable)"
+echo "check_all: OK (SKIP rows, if any, mean a tool is unavailable)"
 exit 0

@@ -6,7 +6,10 @@
 #     Architecture table, or a row of that table names no src/<module>/;
 #   * docs/OBSERVABILITY.md, docs/STATIC_ANALYSIS.md or docs/SCALING.md
 #     is missing, or README.md does not link it;
-#   * a bench/bench_*.cpp is not named in EXPERIMENTS.md.
+#   * a bench/bench_*.cpp is not named in EXPERIMENTS.md;
+#   * README.md, EXPERIMENTS.md, DESIGN.md, docs/*.md or the verify skill
+#     names a bench_<name> with no bench/bench_<name>.cpp, or a
+#     BENCH_<name>.json that is not at the repo root.
 #
 # Usage: tools/check_docs.sh [repo-root]   (default: script's parent dir)
 set -u
@@ -90,6 +93,26 @@ for bench in "$root"/bench/bench_*.cpp; do
     if ! grep -qF "$stem" "$root/EXPERIMENTS.md" 2> /dev/null; then
         fail "bench/$stem.cpp is not named in EXPERIMENTS.md (add it to the CSV-regeneration map)"
     fi
+done
+
+# bench-exists: the docs name only benches and baselines that exist, so
+# a deleted program cannot linger in them. bench_results/ and
+# .bench_build/ are directories, not benches. (nashbench/README.md is the
+# frozen benchmark's; CHANGES.md and ROADMAP.md are history and plans.)
+for doc in "$root/README.md" "$root/EXPERIMENTS.md" "$root/DESIGN.md" \
+           "$root"/docs/*.md "$root/.claude/skills/verify/SKILL.md"; do
+    [ -f "$doc" ] || continue
+    rel=${doc#"$root"/}
+    for name in $(grep -ow 'bench_[A-Za-z0-9_][A-Za-z0-9_]*' "$doc" |
+                  sort -u); do
+        case "$name" in bench_results|bench_build) continue ;; esac
+        [ -f "$root/bench/$name.cpp" ] ||
+            fail "$rel names $name, but there is no bench/$name.cpp"
+    done
+    for name in $(grep -ow 'BENCH_[A-Za-z0-9_]*\.json' "$doc" | sort -u); do
+        [ -f "$root/$name" ] ||
+            fail "$rel names $name, but there is no $name at the repo root"
+    done
 done
 
 if [ "$status" -eq 0 ]; then

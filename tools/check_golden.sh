@@ -5,8 +5,10 @@
 # Runs the given bench binaries in a fresh working directory (each one
 # writes its CSVs to ./bench_results/) and compares every
 # tests/golden/*.csv byte for byte with the CSV of the same name. Under
-# -DNASHLB_OBS=OFF the histograms compile out and bench_sim_validation
-# writes no sim_sojourn_quantiles.csv, so that golden alone is skipped.
+# -DNASHLB_OBS=OFF the instruments compile out: bench_sim_validation
+# writes no sim_sojourn_quantiles.csv and the probe columns of
+# convergence_summary.csv read 0, so those two goldens are skipped.
+# Relative paths are taken from the caller's directory.
 #
 # A change that moves a golden regenerates it in the same commit and
 # says which rows moved and why.
@@ -18,10 +20,22 @@ if [ "$#" -lt 4 ]; then
     echo "usage: $0 <golden-dir> <work-dir> <obs ON|OFF> <bench>..." >&2
     exit 2
 fi
-golden=$1
-work=$2
+# absolute <path>: <path> resolved against the current directory.
+absolute() {
+    case "$1" in
+        /*) printf '%s\n' "$1" ;;
+        *) printf '%s/%s\n' "$(pwd)" "$1" ;;
+    esac
+}
+
+golden=$(absolute "$1")
+work=$(absolute "$2")
 obs=$(printf '%s' "$3" | tr 'A-Z' 'a-z')
 shift 3
+for bench in "$@"; do  # rotate each bench path into its absolute form
+    set -- "$@" "$(absolute "$bench")"
+    shift
+done
 
 rm -rf "$work" && mkdir -p "$work" && cd "$work" || exit 1
 status=0
@@ -38,7 +52,9 @@ for want in "$golden"/*.csv; do
     name=$(basename "$want")
     case "$obs" in
         off|0|false|no|n)
-            [ "$name" = sim_sojourn_quantiles.csv ] && continue ;;
+            case "$name" in
+                sim_sojourn_quantiles.csv|convergence_summary.csv) continue ;;
+            esac ;;
     esac
     if [ ! -f "bench_results/$name" ]; then
         echo "check_golden: FAIL: no bench wrote bench_results/$name" >&2

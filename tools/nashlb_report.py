@@ -6,7 +6,6 @@ build directory, or a bench_results/ folder). The tool discovers, by
 content rather than by name:
 
   * run manifests — manifest_*.json sidecars written by bench::banner
-    and the "manifest" objects embedded in BENCH_*.json
     (src/obs/manifest.hpp: git sha, OBS/CHECK/SANITIZE/WERROR switches,
     thread count, config hash, free-form extras);
   * registry exports — any CSV whose header is exactly
@@ -14,8 +13,7 @@ content rather than by name:
     p50/p90/p99 histogram quantiles);
   * convergence series — any CSV whose header is exactly
     obs::convergence_trace_columns() (per-round stopping norm, eps-Nash
-    gap, potential, overall cost, active-set churn, utilization spread);
-  * bench result rows — the "rows" arrays of BENCH_*.json baselines.
+    gap, potential, overall cost, active-set churn, utilization spread).
 
 `render` writes one markdown report per run; `diff` lines two runs up
 side-by-side and flags manifest drift (different build identity means
@@ -30,8 +28,8 @@ Usage:
   tools/nashlb_report.py selftest
 
 Exit: 0 ok, 1 bad input or selftest failure. `diff` reports drift in
-its markdown output but still exits 0 — it is a lens, not a gate
-(tools/check_bench.py is the gate).
+its markdown output but still exits 0 — it is a lens, not a gate (the
+check_golden ctest gates what the benches write).
 """
 
 import argparse
@@ -78,26 +76,19 @@ def to_float(cell):
 
 
 def collect_run(run_dir):
-    """Scans a run directory into {manifests, registries, series, benches},
-    each mapping a display name (path relative to run_dir) to parsed
+    """Scans a run directory into {manifests, registries, series}, each
+    mapping a display name (path relative to run_dir) to parsed
     content."""
-    run = {"manifests": {}, "registries": {}, "series": {}, "benches": {}}
+    run = {"manifests": {}, "registries": {}, "series": {}}
     for path in iter_files(run_dir):
         rel = os.path.relpath(path, run_dir)
         base = os.path.basename(path)
-        if base.endswith(".json") and (base.startswith("manifest_")
-                                       or base.startswith("BENCH_")):
+        if base.endswith(".json") and base.startswith("manifest_"):
             try:
                 with open(path, encoding="utf-8") as f:
-                    doc = json.load(f)
+                    run["manifests"][rel] = json.load(f)
             except (OSError, ValueError):
                 continue
-            if base.startswith("manifest_"):
-                run["manifests"][rel] = doc
-            else:
-                run["benches"][rel] = doc
-                if isinstance(doc.get("manifest"), dict):
-                    run["manifests"][rel + "#manifest"] = doc["manifest"]
         elif base.endswith(".csv"):
             registry = read_csv_if_header(path, REGISTRY_COLUMNS)
             if registry is not None:
@@ -159,16 +150,6 @@ def render(run_dir, run):
                 ["field", "value"],
                 [(k, fmt(v)) for k, v in manifest_rows(manifest)]))
             lines.append("")
-    for name, doc in sorted(run["benches"].items()):
-        rows = doc.get("rows") or []
-        if not rows:
-            continue
-        lines.append("## Bench %s (%s)" % (doc.get("bench", "?"), name))
-        lines.append("")
-        columns = sorted({k for r in rows for k in r})
-        lines.extend(md_table(
-            columns, [[fmt(r.get(c, "")) for c in columns] for r in rows]))
-        lines.append("")
     for name, series in sorted(run["series"].items()):
         summary = series_summary(series)
         lines.append("## Convergence series %s" % name)
@@ -188,8 +169,8 @@ def render(run_dir, run):
             [[r[c] for c in REGISTRY_COLUMNS] for r in registry]))
         lines.append("")
     if len(lines) == 2:
-        lines.append("(no manifests, bench JSON, registry exports or "
-                     "convergence series found)")
+        lines.append("(no manifests, registry exports or convergence "
+                     "series found)")
         lines.append("")
     return "\n".join(lines)
 
@@ -290,13 +271,6 @@ def write_fixture_run(root, git_sha, rounds, journal_dropped):
     with open(os.path.join(root, "manifest_P5.json"), "w",
               encoding="utf-8") as f:
         json.dump(manifest, f)
-    with open(os.path.join(root, "BENCH_convergence.json"), "w",
-              encoding="utf-8") as f:
-        json.dump({"bench": "convergence", "manifest": manifest,
-                   "rows": [{"kind": "roundrobin", "m": 3, "n": 2,
-                             "iterations": rounds, "converged": True,
-                             "rounds_to_tol": rounds,
-                             "final_eps_nash": 1e-7}]}, f)
     with open(os.path.join(root, "convergence_roundrobin.csv"), "w",
               encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
@@ -333,8 +307,7 @@ def selftest():
                           journal_dropped=3)
 
         run_a = collect_run(dir_a)
-        expect(set(run_a["manifests"]) ==
-               {"manifest_P5.json", "BENCH_convergence.json#manifest"},
+        expect(list(run_a["manifests"]) == ["manifest_P5.json"],
                "manifest discovery found %r" % sorted(run_a["manifests"]),
                failures)
         expect(list(run_a["series"]) == ["convergence_roundrobin.csv"],
@@ -345,9 +318,9 @@ def selftest():
                % sorted(run_a["registries"]), failures)
 
         report = render(dir_a, run_a)
-        for needle in ("aaaa00000000", "## Bench convergence",
-                       "## Convergence series", "final eps-Nash",
-                       "journal.dropped", "extras.utilization"):
+        for needle in ("aaaa00000000", "## Convergence series",
+                       "final eps-Nash", "journal.dropped",
+                       "extras.utilization"):
             expect(needle in report,
                    "render is missing %r" % needle, failures)
         summary = series_summary(run_a["series"]
