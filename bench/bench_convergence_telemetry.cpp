@@ -16,7 +16,6 @@
 //   bench_results/convergence_roundrobin.csv    RoundRobin probe series
 //   bench_results/convergence_roundrobin.jsonl  same, JSON lines
 //   bench_results/convergence_journal.jsonl     the shared journal window
-//   bench_results/convergence_registry.csv      journal drop accounting
 //   bench_results/convergence_summary.csv       one row per run
 //
 // convergence_summary.csv is a golden (tests/golden/, the check_golden
@@ -36,7 +35,6 @@
 #include "obs/convergence.hpp"
 #include "obs/journal.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "workload/configs.hpp"
 
 namespace {
@@ -182,9 +180,6 @@ int main() {
   std::printf("%s\n", table.str().c_str());
 
   journal.write_jsonl("bench_results/convergence_journal.jsonl");
-  obs::Registry registry;
-  journal.publish_metrics(registry);
-  registry.write_csv("bench_results/convergence_registry.csv");
   std::printf("journal: %llu events emitted, %llu dropped, %zu retained "
               "(bench_results/convergence_journal.jsonl)\n",
               static_cast<unsigned long long>(journal.emitted()),

@@ -82,17 +82,12 @@ int main() {
   // --- Sojourn-time quantiles (NASH profile) -----------------------------
   // Each computer is M/M/1, so its sojourn time is Exponential with rate
   // mu_i - lambda_i and exact quantile -ln(1-q)/(mu_i - lambda_i). The
-  // simulated quantiles come from the per-facility obs::Histogram, merged
-  // across replications. Skipped in an obs-disabled build (the histograms
-  // are no-op twins there).
+  // simulated quantiles come from the per-facility obs::Histogram, which
+  // replicate() merges across replications. Skipped in an obs-disabled
+  // build (the histograms are no-op twins there).
   if (obs::kEnabled && nash_profile.has_value()) {
     const std::size_t n = inst.num_computers();
-    std::vector<obs::Histogram> merged(n);
-    for (const simmodel::SimRunResult& run : nash_sim.runs) {
-      for (std::size_t i = 0; i < n; ++i) {
-        merged[i].merge(run.computer_sojourn[i]);
-      }
-    }
+    const std::vector<obs::Histogram>& merged = nash_sim.computer_sojourn;
 
     util::Table qtable({"computer", "lambda (1/s)", "q", "exact (s)",
                         "simulated (s)", "rel. error", "<tol?"});

@@ -47,6 +47,12 @@ void RateSchedule::validate() const {
 
 namespace {
 
+/// Damping of each strategy update: the adopted row is
+/// (1-kGain)*old + kGain*best_reply. 1 would be undamped (it can
+/// oscillate under measurement staleness); 0.5 trades convergence speed
+/// for stability under noisy windowed estimates.
+constexpr double kGain = 0.5;
+
 /// Categorical draw by cumulative scan — the profile mutates at runtime,
 /// so a rebuildable O(n) scan beats maintaining alias tables.
 std::size_t sample_row(std::span<const double> row, stats::Xoshiro256& rng) {
@@ -236,8 +242,7 @@ void OnlineRun::control() {
         core::StrategyProfile& profile = result.final_profile;
         std::vector<double> row(n);
         for (std::size_t i = 0; i < n; ++i) {
-          row[i] = (1.0 - options.gain) * profile.at(user, i) +
-                   options.gain * reply[i];
+          row[i] = (1.0 - kGain) * profile.at(user, i) + kGain * reply[i];
         }
         profile.set_row(user, row);
         ++result.strategy_updates;

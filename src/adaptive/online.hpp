@@ -52,11 +52,6 @@ struct OnlineOptions {
   double window = 20.0;             ///< utilization measurement window
   double report_period = 50.0;      ///< response-time reporting window
   std::uint64_t seed = 0xD1CEULL;
-  /// Damping of each strategy update: the adopted row is
-  /// (1-gain)*old + gain*best_reply. 1 = undamped (can oscillate under
-  /// measurement staleness); the default trades convergence speed for
-  /// stability under noisy windowed estimates.
-  double gain = 0.5;
   /// When false, the controller never runs: the initial profile stays
   /// frozen for the whole run (the "static" baseline of the A12 bench).
   bool adapt = true;

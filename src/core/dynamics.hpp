@@ -65,11 +65,13 @@ struct DynamicsOptions {
   /// round-(l-1) loads and writes only its own users' rows; the new
   /// profile and the convergence norm are then reduced in user order, so
   /// the result is bitwise independent of the thread count
-  /// (tests/core/test_dynamics.cpp pins this). The sequential orders
-  /// (RoundRobin, RandomOrder) are inherently ordered — user j's reply
-  /// reads users 1..j-1's round-l moves — so threads > 1 with them is a
-  /// contract violation (NASHLB_EXPECT aborts under -DNASHLB_CHECK=ON);
-  /// unchecked builds ignore `threads` and run the sequential round.
+  /// (Dynamics.JacobiIsBitwiseIdenticalAcrossThreadCounts in
+  /// tests/concurrency/test_pooled_paths.cpp pins this). The sequential
+  /// orders (RoundRobin, RandomOrder) are inherently ordered — user j's
+  /// reply reads users 1..j-1's round-l moves — so threads > 1 with them
+  /// is a contract violation (NASHLB_EXPECT aborts under
+  /// -DNASHLB_CHECK=ON); unchecked builds ignore `threads` and run the
+  /// sequential round.
   std::size_t threads = 1;
   /// Optional user-class aggregation (not owned, may be null; must
   /// outlive the call). When set, the dynamics runs over the partition's

@@ -21,7 +21,6 @@ void Facility::request(double service_time, CompletionFn on_complete) {
     throw std::invalid_argument(
         "Facility::request: service_time must be finite and > 0");
   }
-  ++requests_;
   Job job{service_time, sim_.now(), std::move(on_complete)};
   for (unsigned i = 0; i < servers_.size(); ++i) {
     if (!servers_[i].busy) {
@@ -102,17 +101,6 @@ double Facility::utilization(SimTime now) const noexcept {
 
 double Facility::mean_queue_length(SimTime now) const noexcept {
   return queue_tw_.average(now);
-}
-
-void Facility::publish_metrics(obs::Registry& reg, SimTime now) const {
-  reg.counter(name_ + ".requests").add(requests_);
-  reg.counter(name_ + ".completed").add(completed_);
-  reg.timer(name_ + ".busy_time").add_batch(busy_tw_.average(now) * now,
-                                            completed_);
-  reg.timer(name_ + ".waiting")
-      .add_batch(wait_stats_.sum(), wait_stats_.count(), wait_stats_.min(),
-                 wait_stats_.max());
-  reg.histogram(name_ + ".sojourn").merge(sojourn_hist_);
 }
 
 }  // namespace nashlb::des

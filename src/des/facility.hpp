@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "des/simulator.hpp"
-#include "obs/metrics.hpp"
+#include "obs/histogram.hpp"
 #include "stats/moments.hpp"
 
 namespace nashlb::des {
@@ -75,14 +75,6 @@ class Facility {
     return sojourn_hist_;
   }
 
-  /// Publishes this facility's counters and accumulated times into `reg`
-  /// under `<name>.*`: requests, completed (counters); busy_time (timer:
-  /// busy server-seconds over [0, now], one observation per completed
-  /// job), waiting (timer: total queueing delay over all jobs that ever
-  /// started service), and sojourn (histogram: per-job response times).
-  /// A no-op when the obs layer is compiled out.
-  void publish_metrics(obs::Registry& reg, SimTime now) const;
-
  private:
   struct Job {
     double service = 0.0;
@@ -111,7 +103,6 @@ class Facility {
   std::size_t waiting_head_ = 0;
   std::size_t waiting_count_ = 0;
   unsigned busy_ = 0;
-  std::uint64_t requests_ = 0;
   std::uint64_t completed_ = 0;
   stats::TimeWeighted busy_tw_;
   stats::TimeWeighted queue_tw_;

@@ -9,7 +9,6 @@ void Simulator::schedule(SimTime delay, EventFn fn) {
     throw std::invalid_argument(
         "Simulator::schedule: delay must be finite and >= 0");
   }
-  ++events_scheduled_;
   queue_.push(now_ + delay, std::move(fn));
 }
 
@@ -18,7 +17,6 @@ void Simulator::schedule_at(SimTime t, EventFn fn) {
     throw std::invalid_argument(
         "Simulator::schedule_at: time must be finite and >= now()");
   }
-  ++events_scheduled_;
   queue_.push(t, std::move(fn));
 }
 
@@ -36,13 +34,6 @@ void Simulator::dispatch(Event event) {
   now_ = event.time;
   ++events_executed_;
   if (event.fn) event.fn(now_);
-}
-
-void Simulator::publish_metrics(obs::Registry& reg,
-                                const std::string& prefix) const {
-  reg.counter(prefix + ".events_scheduled").add(events_scheduled_);
-  reg.counter(prefix + ".events_executed").add(events_executed_);
-  reg.counter(prefix + ".pending_events").add(queue_.size());
 }
 
 }  // namespace nashlb::des

@@ -9,10 +9,8 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <string>
 
 #include "des/event_queue.hpp"
-#include "obs/metrics.hpp"
 
 namespace nashlb::des {
 
@@ -47,12 +45,6 @@ class Simulator {
     return events_executed_;
   }
 
-  /// Publishes the kernel's counters into `reg` under `<prefix>.*`:
-  /// events_scheduled, events_executed, pending_events. A no-op when the
-  /// obs layer is compiled out.
-  void publish_metrics(obs::Registry& reg,
-                       const std::string& prefix = "des") const;
-
   /// Number of pending events.
   [[nodiscard]] std::size_t pending_events() const noexcept {
     return queue_.size();
@@ -64,7 +56,6 @@ class Simulator {
   EventQueue queue_;
   SimTime now_ = 0.0;
   std::uint64_t events_executed_ = 0;
-  std::uint64_t events_scheduled_ = 0;
 };
 
 }  // namespace nashlb::des

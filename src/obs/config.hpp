@@ -1,5 +1,5 @@
 // The obs layer's compile-time master switch, shared by every
-// instrument header (metrics, histogram, span, trace) so they can
+// instrument header (histogram, journal, convergence) so they can
 // select their enabled/no-op twin without including each other.
 #pragma once
 

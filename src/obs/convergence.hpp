@@ -78,8 +78,6 @@ class EnabledConvergenceProbe {
   /// JSON lines, one object per round keyed by the column names.
   void write_jsonl(const std::string& path) const;
 
-  void clear() noexcept { rows_.clear(); }
-
  private:
   std::vector<Row> rows_;
 };
@@ -102,7 +100,6 @@ class NullConvergenceProbe {
   [[nodiscard]] double final_eps_nash() const noexcept { return 0.0; }
   void write_csv(const std::string&) const noexcept {}
   void write_jsonl(const std::string&) const noexcept {}
-  void clear() noexcept {}
 };
 
 }  // namespace detail

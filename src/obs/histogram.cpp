@@ -84,13 +84,5 @@ double EnabledHistogram::quantile(double q) const noexcept {
   return max_;  // unreachable for a consistent histogram
 }
 
-void EnabledHistogram::reset() noexcept {
-  counts_.clear();
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
 }  // namespace detail
 }  // namespace nashlb::obs

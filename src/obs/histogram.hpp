@@ -20,8 +20,8 @@
 //   * like every obs type, a -DNASHLB_OBS=OFF build swaps in an empty
 //     no-op twin.
 //
-// See docs/OBSERVABILITY.md ("Histograms") for the export schema and a
-// worked example.
+// See docs/OBSERVABILITY.md ("Histograms") for the layout and the
+// sojourn-quantile checks that read it.
 #pragma once
 
 #include <cstddef>
@@ -94,8 +94,6 @@ class EnabledHistogram {
   /// Count in bucket `k` (0 for an empty histogram or out-of-range k).
   [[nodiscard]] std::uint64_t bucket(std::size_t k) const noexcept;
 
-  void reset() noexcept;
-
  private:
   // Allocated on first record() so an unused histogram costs a pointer.
   std::vector<std::uint64_t> counts_;
@@ -125,7 +123,6 @@ class NullHistogram {
   [[nodiscard]] constexpr std::uint64_t bucket(std::size_t) const noexcept {
     return 0;
   }
-  void reset() noexcept {}
 };
 
 }  // namespace detail

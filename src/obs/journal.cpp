@@ -81,15 +81,11 @@ void EnabledJournal::emit(EventId id, std::initializer_list<double> values) {
   slot.arity = static_cast<std::uint32_t>(values.size());
   std::size_t v = 0;
   for (double value : values) slot.values[v++] = value;
-  append(slot);
-  ++emitted_;
-}
-
-void EnabledJournal::append(const Slot& slot) noexcept {
   if (size_ == ring_.size()) ++dropped_;  // overwriting the oldest entry
   ring_[head_] = slot;
   head_ = (head_ + 1) % ring_.size();
   if (size_ < ring_.size()) ++size_;
+  ++emitted_;
 }
 
 const std::string& EnabledJournal::event_name(EventId id) const noexcept {
@@ -104,38 +100,6 @@ void EnabledJournal::snapshot(std::vector<Slot>& out) const {
   for (std::size_t k = 0; k < size_; ++k) {
     out[k] = ring_[(oldest + k) % ring_.size()];
   }
-}
-
-void EnabledJournal::merge(const EnabledJournal& other) noexcept {
-  const std::size_t oldest =
-      (other.head_ + other.ring_.size() - other.size_) % other.ring_.size();
-  for (std::size_t k = 0; k < other.size_; ++k) {
-    const Slot& slot = other.ring_[(oldest + k) % other.ring_.size()];
-    // A shard cloned from this journal's registrations always matches;
-    // a foreign slot (unknown index or arity drift) is dropped rather
-    // than misattributed — merge runs in workers and must not throw.
-    if (slot.event >= schemas_.size() ||
-        slot.arity != schemas_[slot.event].fields.size()) {
-      ++emitted_;
-      ++dropped_;
-      continue;
-    }
-    Slot renumbered = slot;
-    renumbered.seq = emitted_;
-    append(renumbered);
-    ++emitted_;
-  }
-  // Keep emitted == dropped + retained across the fold: the shard's own
-  // casualties count as both offered and lost here.
-  emitted_ += other.dropped_;
-  dropped_ += other.dropped_;
-}
-
-void EnabledJournal::publish_metrics(EnabledRegistry& registry,
-                                     const std::string& prefix) const {
-  registry.counter(prefix + ".emitted").add(emitted_);
-  registry.counter(prefix + ".dropped").add(dropped_);
-  registry.counter(prefix + ".retained").add(size_);
 }
 
 void EnabledJournal::write_jsonl(const std::string& path) const {
@@ -187,13 +151,6 @@ void EnabledJournal::uninstall_crash_handler() noexcept {
   if (util::contract_failure_hook() == &crash_dump_hook) {
     util::contract_failure_hook() = nullptr;
   }
-}
-
-void EnabledJournal::clear() noexcept {
-  head_ = 0;
-  size_ = 0;
-  emitted_ = 0;
-  dropped_ = 0;
 }
 
 }  // namespace nashlb::obs::detail

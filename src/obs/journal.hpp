@@ -1,14 +1,13 @@
-// Flight-recorder event journal: the obs layer next to the
-// counters/histograms of metrics.hpp and the per-round series of
-// convergence.hpp.
+// Flight-recorder event journal: the obs layer next to the per-round
+// series of convergence.hpp.
 //
 // A Journal is a fixed-capacity ring of numeric events. Schemas are
 // registered up front (register_event gives each named event a field
 // list, arity-checked at emit time), and
 // emitting is allocation-free after construction: one slot assignment of
 // PODs, wrapping over the oldest entry when the ring is full. Overflow
-// is not silent — emitted/dropped counts are kept and can be surfaced as
-// Registry counters via publish_metrics().
+// is not silent — emitted/dropped counts are kept, and each exported
+// event carries its global sequence number.
 //
 // Two consumers:
 //   * post-mortem forensics — install_crash_handler() wires the journal
@@ -18,12 +17,7 @@
 //   * offline analysis — write_jsonl() dumps the retained window as one
 //     JSON object per line for tools/nashlb_report.py.
 //
-// Threading follows the sharded-registry pattern: a Journal is NOT
-// thread-safe; each worker records into its own shard and the owner
-// folds shards with merge(), which is noexcept and allocation-free so it
-// can run inside util::ThreadPool workers without risking terminate.
-// Merge order is caller-controlled (shard index order), so merged
-// contents are deterministic.
+// A Journal is NOT thread-safe: one journal per producing thread.
 //
 // Build-time switch: `using Journal` aliases the enabled implementation
 // or an empty no-op twin under -DNASHLB_OBS=OFF; both twins always
@@ -37,7 +31,6 @@
 #include <vector>
 
 #include "obs/config.hpp"
-#include "obs/metrics.hpp"
 
 namespace nashlb::obs {
 
@@ -94,9 +87,9 @@ class EnabledJournal {
   /// Events currently retained (<= capacity).
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  /// Total events ever emitted into (or merged into) this journal.
+  /// Total events ever emitted into this journal.
   [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
-  /// Events lost to ring overflow or discarded by merge().
+  /// Events lost to ring overflow.
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   /// Registered schema count.
   [[nodiscard]] std::size_t num_events() const noexcept {
@@ -108,19 +101,6 @@ class EnabledJournal {
   /// The retained window, oldest first. Index 0 is the oldest retained
   /// event; copies slots into `out` (resized to size()).
   void snapshot(std::vector<Slot>& out) const;
-
-  /// Folds a shard into this journal: appends the shard's retained
-  /// events oldest-first (so a fixed shard visit order gives a
-  /// deterministic merged window), and accumulates its emitted/dropped
-  /// totals. Events whose schema index is not registered here, or whose
-  /// arity disagrees, are discarded and counted as dropped — merge must
-  /// not throw (it runs inside pool workers; see parallel.hpp).
-  void merge(const EnabledJournal& other) noexcept;
-
-  /// Surfaces the drop accounting as Registry counters:
-  /// `<prefix>.emitted`, `<prefix>.dropped`, `<prefix>.retained`.
-  void publish_metrics(EnabledRegistry& registry,
-                       const std::string& prefix = "journal") const;
 
   /// Writes the retained window as JSON lines, oldest first:
   /// {"seq":12,"event":"dynamics.round","round":3,"norm":0.5}.
@@ -141,10 +121,6 @@ class EnabledJournal {
   /// Clears the hook if any journal is installed.
   static void uninstall_crash_handler() noexcept;
 
-  /// Drops all retained events and resets the counters; registered
-  /// schemas survive.
-  void clear() noexcept;
-
  private:
   struct Schema {
     std::string name;
@@ -157,8 +133,6 @@ class EnabledJournal {
   std::size_t size_ = 0;  // retained count
   std::uint64_t emitted_ = 0;
   std::uint64_t dropped_ = 0;
-
-  void append(const Slot& slot) noexcept;
 };
 
 /// No-op twin for -DNASHLB_OBS=OFF: stateless, and write_jsonl creates
@@ -187,14 +161,10 @@ class NullJournal {
   void snapshot(std::vector<EnabledJournal::Slot>& out) const noexcept {
     out.clear();
   }
-  void merge(const NullJournal&) noexcept {}
-  void publish_metrics(NullRegistry&, const std::string& = {}) const noexcept {
-  }
   void write_jsonl(const std::string&) const noexcept {}
   void dump_tail(std::FILE*, std::size_t) const noexcept {}
   void install_crash_handler() noexcept {}
   static void uninstall_crash_handler() noexcept {}
-  void clear() noexcept {}
 };
 
 }  // namespace detail

@@ -7,6 +7,13 @@
 
 namespace nashlb::simmodel {
 
+namespace {
+
+/// §4.1: "The standard error is less than 5% at the 95% confidence level."
+constexpr double kConfidence = 0.95;
+
+}  // namespace
+
 ReplicatedResult replicate(const core::Instance& inst,
                            const core::StrategyProfile& profile,
                            const ReplicationConfig& config) {
@@ -16,11 +23,6 @@ ReplicatedResult replicate(const core::Instance& inst,
   }
   const std::size_t r_total = config.replications;
   std::vector<SimRunResult> runs(r_total);
-  // One metrics shard per replication: the shard is private to the
-  // worker while the run executes, and the shards merge below — after
-  // the join, in replication order — so the reduced registry is
-  // identical whatever the thread count.
-  std::vector<obs::Registry> shards(config.metrics != nullptr ? r_total : 0);
 
   const std::size_t workers =
       std::min(util::resolve_threads(config.threads), r_total);
@@ -31,7 +33,6 @@ ReplicatedResult replicate(const core::Instance& inst,
   pool.parallel_for(0, r_total, 1, [&](std::size_t r, std::size_t) {
     SimConfig cfg = config.base;
     cfg.replication = r;
-    cfg.metrics = shards.empty() ? nullptr : &shards[r];
     runs[r] = simulate(inst, profile, cfg);
   });
 
@@ -45,7 +46,7 @@ ReplicatedResult replicate(const core::Instance& inst,
     for (const SimRunResult& run : runs) {
       means.push_back(run.user_mean_response[j]);
     }
-    out.user_response.push_back(stats::t_interval(means, config.confidence));
+    out.user_response.push_back(stats::t_interval(means, kConfidence));
   }
   {
     std::vector<double> means;
@@ -53,7 +54,7 @@ ReplicatedResult replicate(const core::Instance& inst,
     for (const SimRunResult& run : runs) {
       means.push_back(run.overall_mean_response);
     }
-    out.overall_response = stats::t_interval(means, config.confidence);
+    out.overall_response = stats::t_interval(means, kConfidence);
   }
   out.computer_utilization.assign(n, 0.0);
   out.computer_sojourn.assign(n, obs::Histogram{});
@@ -66,9 +67,6 @@ ReplicatedResult replicate(const core::Instance& inst,
         out.computer_sojourn[i].merge(run.computer_sojourn[i]);
       }
     }
-  }
-  if (config.metrics != nullptr) {
-    for (const obs::Registry& shard : shards) config.metrics->merge(shard);
   }
   out.runs = std::move(runs);
   return out;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "obs/metrics.hpp"
 #include "simmodel/system_sim.hpp"
 #include "stats/confidence.hpp"
 
@@ -23,7 +22,6 @@ namespace nashlb::simmodel {
 struct ReplicationConfig {
   SimConfig base;                 ///< per-run parameters (seed, horizon...)
   std::size_t replications = 5;   ///< the paper's count
-  double confidence = 0.95;
   /// Worker threads for the replication fan-out (util::ThreadPool):
   /// 0 = auto (NASHLB_THREADS env, else hardware concurrency),
   /// 1 = sequential, k > 1 = exactly k workers. Replication r always
@@ -31,21 +29,13 @@ struct ReplicationConfig {
   /// so every replication's sample path is bitwise identical to the
   /// sequential run (tests/simmodel/test_replication.cpp pins this).
   std::size_t threads = 0;
-  /// Optional metrics sink (not owned, may be null): each replication
-  /// publishes its DES metrics (see SimConfig::metrics) into a private
-  /// shard registry; after the workers join the shards merge into this
-  /// registry in replication order (counters sum, timers fold extremes,
-  /// histograms merge cell-by-cell), so the merged registry is identical
-  /// for every thread count. `base.metrics` is ignored — the shard takes
-  /// its place. A no-op when the obs layer is compiled out.
-  obs::Registry* metrics = nullptr;
 };
 
 /// Reduced results across replications.
 struct ReplicatedResult {
-  /// Mean response time per user with its confidence interval.
+  /// Mean response time per user with its 95% confidence interval.
   std::vector<stats::ConfidenceInterval> user_response;
-  /// Overall (job-weighted) mean response time interval.
+  /// Overall (job-weighted) mean response time, 95% interval.
   stats::ConfidenceInterval overall_response;
   /// Mean per-computer utilization across replications.
   std::vector<double> computer_utilization;

@@ -183,12 +183,6 @@ SimRunResult simulate(const core::Instance& inst,
     result.computer_mean_queue[i] = computer.mean_queue_length(end);
     result.computer_sojourn.push_back(computer.sojourn_histogram());
   }
-  if (obs::kEnabled && config.metrics) {
-    run.sim.publish_metrics(*config.metrics);
-    for (std::size_t i = 0; i < n; ++i) {
-      run.computers[i]->publish_metrics(*config.metrics, end);
-    }
-  }
   return result;
 }
 

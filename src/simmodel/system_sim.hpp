@@ -24,7 +24,6 @@
 
 #include "core/types.hpp"
 #include "obs/histogram.hpp"
-#include "obs/metrics.hpp"
 
 namespace nashlb::simmodel {
 
@@ -44,14 +43,6 @@ struct SimConfig {
   /// such as response-time histograms without the simulator having to
   /// store per-job records.
   std::function<void(std::size_t, double)> on_sample;
-  /// Optional metrics sink (not owned, may be null): when the run
-  /// drains, the DES kernel and every facility publish their counters,
-  /// timers and sojourn histograms into it (`des.*`, `computer-<i>.*`).
-  /// The Registry is not thread-safe — concurrent replications each get
-  /// their own shard registry, merged after the join (see
-  /// replication.hpp and docs/OBSERVABILITY.md, "Sharded registries").
-  /// A no-op when the obs layer is compiled out.
-  obs::Registry* metrics = nullptr;
 };
 
 /// Steady-state estimates from one run.

@@ -1,11 +1,11 @@
 // Every code path that runs on util::ThreadPool with more than one
 // worker, each pinned to its serial result bit for bit: the pooled
 // Jacobi round (per user, in class mode, and on the diverging round the
-// convergence probe records) and the pooled replications with their
-// per-replication metrics shards. These tests share the test_concurrency
-// binary with the pool's own tests (test_parallel.cpp), and
-// tools/check_tsan.sh runs that binary under ThreadSanitizer, so each
-// pooled path gets both a race check and a determinism check.
+// convergence probe records) and the pooled replications. These tests
+// share the test_concurrency binary with the pool's own tests
+// (test_parallel.cpp), and tools/check_tsan.sh runs that binary under
+// ThreadSanitizer, so each pooled path gets both a race check and a
+// determinism check.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,7 +14,6 @@
 #include "core/dynamics.hpp"
 #include "core/user_classes.hpp"
 #include "obs/convergence.hpp"
-#include "obs/metrics.hpp"
 #include "simmodel/replication.hpp"
 #include "support/fixtures.hpp"
 #include "workload/configs.hpp"
@@ -172,42 +171,6 @@ TEST(Replication, DeterministicAcrossThreadCounts) {
     EXPECT_EQ(a.runs[r].jobs_generated, b.runs[r].jobs_generated);
     EXPECT_DOUBLE_EQ(a.runs[r].overall_mean_response,
                      b.runs[r].overall_mean_response);
-  }
-}
-
-TEST(Replication, MetricsShardsMergeIdenticallyAcrossThreadCounts) {
-  // Each replication publishes into a private shard; the shards merge in
-  // replication order after the join, so the reduced registry must not
-  // depend on the thread count.
-  const core::Instance inst = two_user_instance();
-  const core::StrategyProfile s = core::StrategyProfile::proportional(inst);
-  ReplicationConfig seq = quick_replication_config(4);
-  seq.base.horizon = 300.0;
-  seq.threads = 1;
-  obs::Registry serial_reg;
-  seq.metrics = &serial_reg;
-  const ReplicatedResult a = replicate(inst, s, seq);
-  ReplicationConfig par = seq;
-  par.threads = 4;
-  obs::Registry pooled_reg;
-  par.metrics = &pooled_reg;
-  const ReplicatedResult b = replicate(inst, s, par);
-  if (!obs::kEnabled) {
-    EXPECT_EQ(serial_reg.size(), 0u);  // no-op twin swallows everything
-    EXPECT_EQ(pooled_reg.size(), 0u);
-    return;
-  }
-  EXPECT_EQ(a.total_jobs, b.total_jobs);
-  const auto sa = serial_reg.snapshot();
-  const auto sb = pooled_reg.snapshot();
-  ASSERT_GT(sa.size(), 0u) << "replications published des.* metrics";
-  ASSERT_EQ(sa.size(), sb.size());
-  for (std::size_t k = 0; k < sa.size(); ++k) {
-    EXPECT_EQ(sa[k].name, sb[k].name);
-    EXPECT_EQ(sa[k].kind, sb[k].kind);
-    EXPECT_EQ(sa[k].count, sb[k].count) << sa[k].name;
-    EXPECT_EQ(sa[k].min_seconds, sb[k].min_seconds) << sa[k].name;
-    EXPECT_EQ(sa[k].max_seconds, sb[k].max_seconds) << sa[k].name;
   }
 }
 

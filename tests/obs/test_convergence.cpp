@@ -73,8 +73,6 @@ TEST(ConvergenceProbe, RecordsRowsInOrder) {
   EXPECT_EQ(probe.rows()[0].round, 1);
   EXPECT_EQ(probe.rows()[1].norm, 0.25);
   EXPECT_EQ(probe.rows()[1].active_set_churn, 1);
-  probe.clear();
-  EXPECT_TRUE(probe.empty());
 }
 
 TEST(ConvergenceProbe, RoundsToTolFindsFirstQualifyingRound) {

@@ -1,21 +1,22 @@
 // Tests of the flight-recorder event journal (obs/journal.hpp): schema
-// registration and arity checks, ring overflow + drop accounting,
-// deterministic shard merges, the JSON-lines and crash-dump exports, the
-// Registry surfacing, the no-op/no-allocation contract of the disabled
-// twin, and the contract-failure crash hook (death-tested under
-// -DNASHLB_CHECK=ON).
+// registration and arity checks, ring overflow + drop accounting, the
+// JSON-lines and crash-dump exports, the no-op/no-allocation contract of
+// the disabled twin, and the contract-failure crash hook (death-tested
+// under -DNASHLB_CHECK=ON).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <new>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "obs/journal.hpp"
-#include "obs/metrics.hpp"
 #include "util/contracts.hpp"
 
 namespace {
@@ -132,58 +133,6 @@ TEST(Journal, EmitIsAllocationFreeAfterInit) {
   EXPECT_EQ(g_alloc_count, before);
 }
 
-TEST(Journal, ClearDropsEventsButKeepsSchemas) {
-  obs::detail::EnabledJournal j(4);
-  const obs::EventId ev = j.register_event("tick", {"k"});
-  j.emit(ev, {1.0});
-  j.clear();
-  EXPECT_EQ(j.size(), 0u);
-  EXPECT_EQ(j.emitted(), 0u);
-  EXPECT_EQ(j.num_events(), 1u);
-  j.emit(ev, {2.0});
-  EXPECT_EQ(j.size(), 1u);
-}
-
-// --- shard merge --------------------------------------------------------
-
-TEST(Journal, MergeAppendsShardsInCallOrder) {
-  obs::detail::EnabledJournal owner(16);
-  const obs::EventId ev = owner.register_event("tick", {"k"});
-  obs::detail::EnabledJournal shard_a = owner;  // clones registrations
-  obs::detail::EnabledJournal shard_b = owner;
-  shard_a.emit(ev, {1.0});
-  shard_a.emit(ev, {2.0});
-  shard_b.emit(ev, {3.0});
-  owner.merge(shard_a);
-  owner.merge(shard_b);
-  EXPECT_EQ(owner.emitted(), 3u);
-  EXPECT_EQ(owner.dropped(), 0u);
-  std::vector<obs::detail::EnabledJournal::Slot> window;
-  owner.snapshot(window);
-  ASSERT_EQ(window.size(), 3u);
-  EXPECT_EQ(window[0].values[0], 1.0);
-  EXPECT_EQ(window[1].values[0], 2.0);
-  EXPECT_EQ(window[2].values[0], 3.0);
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    EXPECT_EQ(window[i].seq, i);  // renumbered into the owner's sequence
-  }
-  static_assert(noexcept(owner.merge(shard_a)),
-                "shard merges run inside pool workers");
-}
-
-TEST(Journal, MergeDiscardsForeignEventsAndKeepsAccounting) {
-  obs::detail::EnabledJournal owner(16);
-  (void)owner.register_event("tick", {"k"});
-  obs::detail::EnabledJournal foreign(16);
-  (void)foreign.register_event("tick", {"k"});
-  const obs::EventId other = foreign.register_event("other", {"x", "y"});
-  foreign.emit(other, {1.0, 2.0});  // schema unknown to `owner`
-  owner.merge(foreign);
-  EXPECT_EQ(owner.size(), 0u);
-  EXPECT_EQ(owner.dropped(), 1u);
-  EXPECT_EQ(owner.emitted(), owner.dropped() + owner.size());
-}
-
 // --- exports ------------------------------------------------------------
 
 TEST(Journal, WriteJsonlDumpsRetainedWindow) {
@@ -198,6 +147,24 @@ TEST(Journal, WriteJsonlDumpsRetainedWindow) {
                       "\"round\":1,\"norm\":0.25}"),
             std::string::npos);
   EXPECT_NE(text.find("\"round\":2,\"norm\":0.125"), std::string::npos);
+
+  // A wrapped ring carries its own drop accounting: one line per
+  // retained event, the first `seq` equals dropped() and the last `seq`
+  // + 1 equals emitted().
+  obs::detail::EnabledJournal ring(4);
+  const obs::EventId tick = ring.register_event("tick", {"k"});
+  for (int k = 0; k < 10; ++k) ring.emit(tick, {static_cast<double>(k)});
+  TempFile wrapped("journal_wrapped.jsonl");
+  ring.write_jsonl(wrapped.path());
+  std::vector<std::uint64_t> seqs;
+  std::istringstream lines(wrapped.contents());
+  for (std::string line; std::getline(lines, line);) {
+    ASSERT_EQ(line.rfind("{\"seq\":", 0), 0u) << line;
+    seqs.push_back(std::stoull(line.substr(7)));
+  }
+  ASSERT_EQ(seqs.size(), ring.size());
+  EXPECT_EQ(seqs.front(), ring.dropped());
+  EXPECT_EQ(seqs.back() + 1, ring.emitted());
 }
 
 TEST(Journal, DumpTailPrintsLastEventsOldestFirst) {
@@ -214,17 +181,6 @@ TEST(Journal, DumpTailPrintsLastEventsOldestFirst) {
   EXPECT_LT(text.find("[3] tick: k=3"), text.find("[4] tick: k=4"));
 }
 
-TEST(Journal, PublishMetricsSurfacesDropAccounting) {
-  obs::detail::EnabledJournal j(2);
-  const obs::EventId ev = j.register_event("tick", {"k"});
-  for (int k = 0; k < 5; ++k) j.emit(ev, {static_cast<double>(k)});
-  obs::detail::EnabledRegistry registry;
-  j.publish_metrics(registry);
-  EXPECT_EQ(registry.counter("journal.emitted").value(), 5u);
-  EXPECT_EQ(registry.counter("journal.dropped").value(), 3u);
-  EXPECT_EQ(registry.counter("journal.retained").value(), 2u);
-}
-
 // --- the no-op twin -----------------------------------------------------
 
 TEST(JournalNull, TwinIsEmptyAndStateless) {
@@ -237,9 +193,6 @@ TEST(JournalNull, TwinIsEmptyAndStateless) {
   EXPECT_EQ(j.emitted(), 0u);
   EXPECT_EQ(j.num_events(), 0u);
   EXPECT_TRUE(j.event_name(ev).empty());
-  j.merge(obs::detail::NullJournal{});
-  obs::detail::NullRegistry registry;
-  j.publish_metrics(registry);
 }
 
 TEST(JournalNull, TwinHasZeroSideEffectsAndZeroAllocations) {

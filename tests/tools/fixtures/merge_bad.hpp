@@ -1,11 +1,11 @@
-// Golden fixture: obs shard merges that can throw past the capture point.
+// Golden fixture: obs merges that can throw past the capture point.
 // Analyzed as if at src/obs/merge_bad.hpp.
 #pragma once
 
 struct merge_error {};
 
 struct EnabledCounter {
-  // line 10: per-instrument merge not declared noexcept.
+  // Not declared noexcept.
   void merge(const EnabledCounter& other) { value_ += other.value_; }
   long value_ = 0;
 };
@@ -20,7 +20,6 @@ struct EnabledTimer {
 };
 
 struct EnabledRegistry {
-  // Registry-level merge runs post-join on the caller thread: allocation
-  // and propagation are fine there, noexcept not required.
+  // No type is exempt by name: every obs merge must be noexcept.
   void merge(const EnabledRegistry& other) { (void)other; }
 };

@@ -55,8 +55,7 @@ done
 
 # The observability doc must describe every exported instrument family;
 # new sections guard against the doc silently lagging the obs layer.
-for section in "## Histograms" "## Sharded registries" \
-               "## Event journal" "## Convergence telemetry" \
+for section in "## Histograms" "## Event journal" "## Convergence telemetry" \
                "## Run manifests & nashlb-report"; do
     if [ -f "$root/docs/OBSERVABILITY.md" ] && \
        ! grep -q "^$section" "$root/docs/OBSERVABILITY.md"; then

@@ -11,8 +11,8 @@
 # in hand-written raw storage (placement new, relocation, boxed
 # fallback), and the leak checker sees a closure that is never destroyed.
 # test_concurrency runs too: the thread pool and every pooled code path
-# (Jacobi rounds, replications and their metrics shards) hand per-worker
-# buffers across the fork and the join.
+# (Jacobi rounds, replications) hand per-worker buffers across the fork
+# and the join.
 #
 # The tree is configured with -DNASHLB_CHECK=ON so the paper-invariant
 # contract layer (docs/STATIC_ANALYSIS.md) is active under the

@@ -7,8 +7,7 @@
 # util::ThreadPool tests (chunk scheduling, reuse, exception propagation
 # across workers) and one test per pooled code path: the Jacobi round
 # per user and in class mode, the diverging round the convergence probe
-# records, and the replications with their per-replication metrics
-# shards (tests/concurrency/).
+# records, and the replications (tests/concurrency/).
 #
 # The determinism story ("bitwise identical at any thread count") rests
 # on the claim that workers touch disjoint state between the fork and

@@ -54,9 +54,9 @@ Nine rules, each protecting a guarantee the reproduction rests on
       stores std::current_exception() around the chunk-functor
       invocation, the capture point of the pool's deterministic error
       propagation; (b) every merge() defined in src/obs must contain no
-      throw-expression, and the per-instrument merges (non-Registry)
-      must be declared noexcept: a throwing merge inside a worker would
-      std::terminate instead of surfacing as the lowest-chunk rethrow.
+      throw-expression and be declared noexcept: a throwing merge
+      inside a worker would std::terminate instead of surfacing as the
+      lowest-chunk rethrow.
 
   trace-arity
       In a src/ file that defines a `*_trace_columns()` or
@@ -828,11 +828,10 @@ def rule_noexcept_merge(path, toks, funcs, waivers, out):
             _emit(out, waivers, path, line, "noexcept-merge",
                   "throw-expression inside %s(): shard merges must not "
                   "throw past the pool's capture point" % fn.qual)
-        if "Registry" not in fn.qual and not fn.noexcept_:
+        if not fn.noexcept_:
             _emit(out, waivers, path, fn.line, "noexcept-merge",
-                  "per-instrument %s() is not declared noexcept; a "
-                  "throwing instrument merge inside a worker would "
-                  "std::terminate" % fn.qual)
+                  "%s() is not declared noexcept; a throwing merge "
+                  "inside a worker would std::terminate" % fn.qual)
 
 
 def _brace_cells(toks, i):
@@ -1361,9 +1360,6 @@ SELFTEST_SNIPPETS = [
         struct EnabledCounter {
           void merge(const EnabledCounter&) noexcept { value_ += 1; }
           long value_ = 0;
-        };
-        struct EnabledRegistry {
-          void merge(const EnabledRegistry&) {}
         };
     """),
     ("waiver-missing-reason", "src/core/snippet.cpp", True, """

@@ -8,17 +8,14 @@ content rather than by name:
   * run manifests — manifest_*.json sidecars written by bench::banner
     (src/obs/manifest.hpp: git sha, OBS/CHECK/SANITIZE/WERROR switches,
     thread count, config hash, free-form extras);
-  * registry exports — any CSV whose header is exactly
-    obs::registry_export_columns() (metric/kind/count/totals plus the
-    p50/p90/p99 histogram quantiles);
   * convergence series — any CSV whose header is exactly
     obs::convergence_trace_columns() (per-round stopping norm, eps-Nash
     gap, potential, overall cost, active-set churn, utilization spread).
 
 `render` writes one markdown report per run; `diff` lines two runs up
 side-by-side and flags manifest drift (different build identity means
-the numbers are not comparable), convergence-quality drift and
-registry-count drift. `selftest` synthesizes two fixture runs in a temp
+the numbers are not comparable) and lines up convergence summaries.
+`selftest` synthesizes two fixture runs in a temp
 directory and checks the render and the diff paths end-to-end — it runs
 as the `check_report` ctest.
 
@@ -39,8 +36,6 @@ import os
 import sys
 import tempfile
 
-REGISTRY_COLUMNS = ["metric", "kind", "count", "total_seconds",
-                    "min_seconds", "max_seconds", "p50", "p90", "p99"]
 CONVERGENCE_COLUMNS = ["round", "norm", "eps_nash_gap", "potential",
                        "overall_cost", "active_set_churn", "util_spread"]
 MANIFEST_SCALAR_KEYS = ["git_sha", "obs", "check", "sanitize", "werror",
@@ -76,10 +71,9 @@ def to_float(cell):
 
 
 def collect_run(run_dir):
-    """Scans a run directory into {manifests, registries, series}, each
-    mapping a display name (path relative to run_dir) to parsed
-    content."""
-    run = {"manifests": {}, "registries": {}, "series": {}}
+    """Scans a run directory into {manifests, series}, each mapping a
+    display name (path relative to run_dir) to parsed content."""
+    run = {"manifests": {}, "series": {}}
     for path in iter_files(run_dir):
         rel = os.path.relpath(path, run_dir)
         base = os.path.basename(path)
@@ -90,10 +84,6 @@ def collect_run(run_dir):
             except (OSError, ValueError):
                 continue
         elif base.endswith(".csv"):
-            registry = read_csv_if_header(path, REGISTRY_COLUMNS)
-            if registry is not None:
-                run["registries"][rel] = registry
-                continue
             series = read_csv_if_header(path, CONVERGENCE_COLUMNS)
             if series is not None:
                 run["series"][rel] = series
@@ -161,16 +151,8 @@ def render(run_dir, run):
               fmt(summary["last_norm"]), fmt(summary["final_eps_nash"]),
               summary["total_churn"]]]))
         lines.append("")
-    for name, registry in sorted(run["registries"].items()):
-        lines.append("## Registry %s" % name)
-        lines.append("")
-        lines.extend(md_table(
-            REGISTRY_COLUMNS,
-            [[r[c] for c in REGISTRY_COLUMNS] for r in registry]))
-        lines.append("")
     if len(lines) == 2:
-        lines.append("(no manifests, registry exports or convergence "
-                     "series found)")
+        lines.append("(no manifests or convergence series found)")
         lines.append("")
     return "\n".join(lines)
 
@@ -237,32 +219,16 @@ def diff(dir_a, dir_b, run_a, run_b):
                        "final_eps_nash", "total_churn")]))
         lines.append("")
 
-    def registry_row(name):
-        by_metric_a = {r["metric"]: r for r in run_a["registries"][name]}
-        by_metric_b = {r["metric"]: r for r in run_b["registries"][name]}
-        rows = []
-        for metric in sorted(set(by_metric_a) | set(by_metric_b)):
-            count_a = by_metric_a.get(metric, {}).get("count", "(absent)")
-            count_b = by_metric_b.get(metric, {}).get("count", "(absent)")
-            rows.append((metric, count_a, count_b,
-                         "" if count_a == count_b else "drift"))
-        lines.append("### %s" % name)
-        lines.append("")
-        lines.extend(md_table(["metric", "count A", "count B", ""], rows))
-        lines.append("")
-
     diff_section("Run manifests", run_a["manifests"], run_b["manifests"],
                  lines, manifest_row)
     diff_section("Convergence series", run_a["series"], run_b["series"],
                  lines, series_row)
-    diff_section("Registries", run_a["registries"], run_b["registries"],
-                 lines, registry_row)
     return "\n".join(lines)
 
 
 # --- selftest ------------------------------------------------------------
 
-def write_fixture_run(root, git_sha, rounds, journal_dropped):
+def write_fixture_run(root, git_sha, rounds):
     os.makedirs(root, exist_ok=True)
     manifest = {"git_sha": git_sha, "obs": True, "check": False,
                 "sanitize": "OFF", "werror": True, "threads": 4,
@@ -278,12 +244,6 @@ def write_fixture_run(root, git_sha, rounds, journal_dropped):
         for k in range(1, rounds + 1):
             writer.writerow([k, 0.5 / k, 1e-7 if k == rounds else "nan",
                              2.0, 0.3, 1 if k == 1 else 0, 0.4])
-    with open(os.path.join(root, "convergence_registry.csv"), "w",
-              encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(REGISTRY_COLUMNS)
-        writer.writerow(["journal.dropped", "counter", journal_dropped,
-                         0, 0, 0, 0, 0, 0])
     # Decoys the scanner must ignore: wrong-schema CSV and non-run JSON.
     with open(os.path.join(root, "other.csv"), "w", encoding="utf-8") as f:
         f.write("a,b\n1,2\n")
@@ -301,26 +261,20 @@ def selftest():
     with tempfile.TemporaryDirectory(prefix="nashlb_report_") as tmp:
         dir_a = os.path.join(tmp, "run_a")
         dir_b = os.path.join(tmp, "run_b")
-        write_fixture_run(dir_a, "aaaa00000000", rounds=5,
-                          journal_dropped=0)
-        write_fixture_run(dir_b, "bbbb11111111", rounds=7,
-                          journal_dropped=3)
+        write_fixture_run(dir_a, "aaaa00000000", rounds=5)
+        write_fixture_run(dir_b, "bbbb11111111", rounds=7)
 
         run_a = collect_run(dir_a)
         expect(list(run_a["manifests"]) == ["manifest_P5.json"],
                "manifest discovery found %r" % sorted(run_a["manifests"]),
                failures)
         expect(list(run_a["series"]) == ["convergence_roundrobin.csv"],
-               "series discovery found %r" % sorted(run_a["series"]),
-               failures)
-        expect(list(run_a["registries"]) == ["convergence_registry.csv"],
-               "registry discovery found %r (decoy not ignored?)"
-               % sorted(run_a["registries"]), failures)
+               "series discovery found %r (decoy not ignored?)"
+               % sorted(run_a["series"]), failures)
 
         report = render(dir_a, run_a)
         for needle in ("aaaa00000000", "## Convergence series",
-                       "final eps-Nash", "journal.dropped",
-                       "extras.utilization"):
+                       "final eps-Nash", "extras.utilization"):
             expect(needle in report,
                    "render is missing %r" % needle, failures)
         summary = series_summary(run_a["series"]
@@ -333,9 +287,8 @@ def selftest():
         report_ab = diff(dir_a, dir_b, run_a, run_b)
         expect("DRIFT" in report_ab and "bbbb11111111" in report_ab,
                "diff did not flag the git-sha drift", failures)
-        expect("drift" in report_ab,
-               "diff did not flag the journal.dropped count drift",
-               failures)
+        expect("| rounds | 5 | 7 |" in report_ab,
+               "diff did not line up the series round counts", failures)
         report_aa = diff(dir_a, dir_a, run_a, run_a)
         expect("DRIFT" not in report_aa,
                "identical runs must not report manifest drift", failures)
