@@ -1,21 +1,17 @@
 // P5 — convergence telemetry: the equilibrium trajectory as a first-class
 // artifact.
 //
-// Runs the Table 1 system through every wiring of the new
+// Runs the Table 1 system through every wiring of the
 // obs::ConvergenceProbe — the three in-memory update orders (RoundRobin,
 // RandomOrder, Jacobi), a quantized user-class run, and the distributed
-// ring protocol — with one shared obs::Journal flight recorder attached,
-// and reports per run: rounds executed, rounds to the stopping
-// tolerance, and the final certified eps-Nash gap. The Jacobi row is the
-// honest negative: at 60% utilization the simultaneous update diverges
-// (ablation A3), and the probe records the blow-up trajectory instead of
-// a convergence one — exactly the forensic use case the journal and
-// probe exist for.
+// ring protocol — and reports per run: rounds executed, rounds to the
+// stopping tolerance, and the final certified eps-Nash gap. The Jacobi
+// row is the honest negative: at 60% utilization the simultaneous update
+// diverges (ablation A3), and the probe records the blow-up trajectory
+// instead of a convergence one.
 //
 // Outputs:
 //   bench_results/convergence_roundrobin.csv    RoundRobin probe series
-//   bench_results/convergence_roundrobin.jsonl  same, JSON lines
-//   bench_results/convergence_journal.jsonl     the shared journal window
 //   bench_results/convergence_summary.csv       one row per run
 //
 // convergence_summary.csv is a golden (tests/golden/, the check_golden
@@ -33,7 +29,6 @@
 #include "core/user_classes.hpp"
 #include "distributed/ring_protocol.hpp"
 #include "obs/convergence.hpp"
-#include "obs/journal.hpp"
 #include "obs/json.hpp"
 #include "workload/configs.hpp"
 
@@ -45,7 +40,6 @@ constexpr double kRingTolerance = 1e-4;
 constexpr std::size_t kClassUsers = 512;
 constexpr double kEpsPhi = 0.05;
 constexpr std::size_t kMaxClasses = 64;
-constexpr std::size_t kJournalCapacity = 512;
 
 struct Row {
   std::string kind;
@@ -77,12 +71,11 @@ Row probe_row(const std::string& kind, const nashlb::obs::ConvergenceProbe& prob
 
 int main() {
   using namespace nashlb;
-  bench::banner("P5", "convergence telemetry: probe + journal wiring",
+  bench::banner("P5", "convergence telemetry: probe wiring",
                 "Table 1 system at 60% utilization; RoundRobin / Random / "
                 "Jacobi, quantized classes, and the ring protocol under "
-                "one ConvergenceProbe per run and a shared Journal");
+                "one ConvergenceProbe per run");
 
-  obs::Journal journal(kJournalCapacity);
   std::vector<Row> rows;
   bool ok = true;
 
@@ -107,7 +100,6 @@ int main() {
     opts.tolerance = kTolerance;
     opts.max_iterations = 5000;
     opts.probe = &probe;
-    opts.journal = &journal;
     const core::DynamicsResult res = core::best_reply_dynamics(inst, opts);
     if (obs::kEnabled && probe.size() != res.iterations) {
       std::fprintf(stderr,
@@ -119,7 +111,6 @@ int main() {
                              res.converged, kTolerance));
     if (std::string(oc.kind) == "roundrobin") {
       probe.write_csv("bench_results/convergence_roundrobin.csv");
-      probe.write_jsonl("bench_results/convergence_roundrobin.jsonl");
     }
   }
 
@@ -135,7 +126,6 @@ int main() {
     opts.max_iterations = 5000;
     opts.classes = &part;
     opts.probe = &probe;
-    opts.journal = &journal;
     const core::DynamicsResult res = core::best_reply_dynamics(big, opts);
     rows.push_back(probe_row("classes", probe, kClassUsers, n,
                              part.num_classes(), res.iterations,
@@ -152,7 +142,6 @@ int main() {
     distributed::RingOptions opts;
     opts.tolerance = kRingTolerance;
     opts.probe = &probe;
-    opts.journal = &journal;
     const distributed::RingResult res =
         distributed::run_ring_protocol(inst, opts);
     if (obs::kEnabled && probe.size() != res.rounds) {
@@ -178,13 +167,6 @@ int main() {
                        : "n/a (diverged)"});
   }
   std::printf("%s\n", table.str().c_str());
-
-  journal.write_jsonl("bench_results/convergence_journal.jsonl");
-  std::printf("journal: %llu events emitted, %llu dropped, %zu retained "
-              "(bench_results/convergence_journal.jsonl)\n",
-              static_cast<unsigned long long>(journal.emitted()),
-              static_cast<unsigned long long>(journal.dropped()),
-              journal.size());
 
   if (auto csv = bench::csv("convergence_summary",
                             {"kind", "m", "n", "classes", "iterations",
@@ -225,19 +207,6 @@ int main() {
                    r.kind.c_str(), r.final_eps_nash, gap_bound);
       ok = false;
     }
-  }
-  if (obs::kEnabled && journal.emitted() == 0) {
-    std::fprintf(stderr, "FAIL: journal recorded no events\n");
-    ok = false;
-  }
-  if (obs::kEnabled &&
-      journal.emitted() != journal.dropped() + journal.size()) {
-    std::fprintf(stderr, "FAIL: journal accounting emitted=%llu != "
-                 "dropped=%llu + retained=%zu\n",
-                 static_cast<unsigned long long>(journal.emitted()),
-                 static_cast<unsigned long long>(journal.dropped()),
-                 journal.size());
-    ok = false;
   }
   if (!ok) return 1;
   std::printf("all telemetry gates passed\n");

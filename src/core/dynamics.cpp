@@ -5,6 +5,7 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "core/best_reply.hpp"
 #include "core/cost.hpp"
@@ -19,22 +20,14 @@
 namespace nashlb::core {
 
 RoundRecorder::RoundRecorder(obs::ConvergenceProbe* probe,
-                             obs::Journal* journal, const std::string& source,
                              const Instance& inst,
                              const StrategyProfile& start)
-    : probe_(obs::kEnabled ? probe : nullptr),
-      journal_(obs::kEnabled ? journal : nullptr) {
+    : probe_(obs::kEnabled ? probe : nullptr) {
   NASHLB_EXPECT(start.num_users() == inst.num_users() &&
                     start.num_computers() == inst.num_computers(),
                 "round recorder start profile is %zux%zu, instance %zux%zu",
                 start.num_users(), start.num_computers(), inst.num_users(),
                 inst.num_computers());
-  if (journal_ != nullptr) {
-    round_event_ =
-        journal_->register_event(source + ".round", {"round", "norm"});
-    stop_event_ = journal_->register_event(
-        source + ".stop", {"round", "norm", "converged", "diverged"});
-  }
   if (probe_ == nullptr) return;
   const std::size_t m = start.num_users();
   const std::size_t n = inst.num_computers();
@@ -49,9 +42,6 @@ RoundRecorder::RoundRecorder(obs::ConvergenceProbe* probe,
 void RoundRecorder::end_round(const Instance& inst, const StrategyProfile& s,
                               std::span<const double> loads,
                               std::size_t round, double norm) {
-  if (journal_ != nullptr) {
-    journal_->emit(round_event_, {static_cast<double>(round), norm});
-  }
   if (probe_ == nullptr) return;
   NASHLB_EXPECT(loads.size() == inst.num_computers() &&
                     prev_support_.size() ==
@@ -95,13 +85,6 @@ void RoundRecorder::end_round(const Instance& inst, const StrategyProfile& s,
   }
   probe_->record_round(static_cast<std::int64_t>(round), norm, gap, potential,
                        overall, churn, max_util - min_util);
-}
-
-void RoundRecorder::stop(std::size_t round, double norm, bool converged,
-                         bool diverged) {
-  if (journal_ == nullptr) return;
-  journal_->emit(stop_event_, {static_cast<double>(round), norm,
-                               converged ? 1.0 : 0.0, diverged ? 1.0 : 0.0});
 }
 
 namespace {
@@ -155,8 +138,7 @@ DynamicsResult run(const Instance& inst, StrategyProfile profile,
   stats::Xoshiro256 order_rng(options.order_seed);
   std::vector<std::size_t> order(m);
   std::iota(order.begin(), order.end(), std::size_t{0});
-  RoundRecorder recorder(options.probe, options.journal, "dynamics", inst,
-                         result.profile);
+  RoundRecorder recorder(options.probe, inst, result.profile);
 
   // The incremental core: the aggregate loads ride along with the profile
   // and every per-move quantity (available rates, D_j) derives from them
@@ -291,7 +273,6 @@ DynamicsResult run(const Instance& inst, StrategyProfile profile,
       break;
     }
   }
-  recorder.stop(result.iterations, norm, result.converged, result.diverged);
   if (result.diverged) {
     result.user_times = std::move(last_times);
     return result;

@@ -22,12 +22,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/types.hpp"
 #include "obs/convergence.hpp"
-#include "obs/journal.hpp"
 
 namespace nashlb::core {
 
@@ -99,11 +97,6 @@ struct DynamicsOptions {
   /// three orders and in class mode (rows are then class-level). See
   /// RoundRecorder and docs/OBSERVABILITY.md.
   obs::ConvergenceProbe* probe = nullptr;
-  /// Optional event journal (not owned, may be null): the dynamics emits
-  /// `dynamics.round` {round, norm} per round and one `dynamics.stop`
-  /// {round, norm, converged, diverged} at termination — cheap enough to
-  /// leave on anywhere.
-  obs::Journal* journal = nullptr;
 };
 
 /// Outcome of a run of the dynamics.
@@ -121,37 +114,29 @@ struct DynamicsResult {
 
 /// The one way a solver records a round. The in-memory dynamics (all
 /// orders, class mode) and the distributed ring protocol each call
-/// end_round once per completed round and stop once at termination; the
-/// recorder turns those calls into an obs::ConvergenceProbe row and
-/// `<source>.round` / `<source>.stop` journal events. Either sink may be
-/// null, and both are ignored when the obs layer is compiled out, so a
-/// recorder without sinks costs two pointer tests per round.
+/// end_round once per completed round; the recorder turns each call
+/// into an obs::ConvergenceProbe row. The probe may be null, and it is
+/// ignored when the obs layer is compiled out, so a recorder without a
+/// probe costs one pointer test per round. How a run ended is on the
+/// solver's result (DynamicsResult, distributed::RingResult).
 class RoundRecorder {
  public:
-  /// `source` prefixes the journal event names ("dynamics", "ring").
   /// `start` is the profile the solver begins from (class-level in class
   /// mode); its supports seed the churn baseline, so round 1's churn
   /// counts movers relative to the initialization.
-  RoundRecorder(obs::ConvergenceProbe* probe, obs::Journal* journal,
-                const std::string& source, const Instance& inst,
+  RoundRecorder(obs::ConvergenceProbe* probe, const Instance& inst,
                 const StrategyProfile& start);
 
   /// Records a completed round: the probe row derived from `s` and its
-  /// per-computer arrival rates `loads` (e.g. LoadState::loads()), and
-  /// the `<source>.round` {round, norm} event. The row's eps-Nash gap is
-  /// NaN when the profile is infeasible (a diverged Jacobi round).
+  /// per-computer arrival rates `loads` (e.g. LoadState::loads()). The
+  /// row's eps-Nash gap is NaN when the profile is infeasible (a
+  /// diverged Jacobi round).
   void end_round(const Instance& inst, const StrategyProfile& s,
                  std::span<const double> loads, std::size_t round,
                  double norm);
 
-  /// Emits `<source>.stop` {round, norm, converged, diverged}.
-  void stop(std::size_t round, double norm, bool converged, bool diverged);
-
  private:
   obs::ConvergenceProbe* probe_;
-  obs::Journal* journal_;
-  obs::EventId round_event_{};
-  obs::EventId stop_event_{};
   std::vector<char> prev_support_;  // m*n row-major support bits
 };
 

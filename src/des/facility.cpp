@@ -49,7 +49,6 @@ void Facility::finish_service(unsigned server, SimTime t) {
   Job job = std::move(slot.job);
   slot.busy = false;
   --busy_;
-  ++completed_;
   sojourn_hist_.record(t - job.submitted);
   note_busy_change();
   // Start the next waiting job before running the completion callback:

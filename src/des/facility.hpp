@@ -4,11 +4,11 @@
 // paper's computers use: one or more servers fed from one FCFS queue,
 // every job run to completion (§4.1). A job goes to the lowest-index idle
 // server, or waits in a FIFO ring buffer. Per-facility statistics:
-// utilization and queue length (time-weighted), waiting times, sojourn
-// times and completions.
+// utilization and queue length (time-weighted), waiting times and
+// sojourn times.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -52,8 +52,6 @@ class Facility {
   }
   /// Servers currently serving a job.
   [[nodiscard]] unsigned busy_servers() const noexcept { return busy_; }
-
-  [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
 
   /// Time-average utilization (busy server-fraction) up to `now`.
   [[nodiscard]] double utilization(SimTime now) const noexcept;
@@ -103,7 +101,6 @@ class Facility {
   std::size_t waiting_head_ = 0;
   std::size_t waiting_count_ = 0;
   unsigned busy_ = 0;
-  std::uint64_t completed_ = 0;
   stats::TimeWeighted busy_tw_;
   stats::TimeWeighted queue_tw_;
   stats::RunningStats wait_stats_;

@@ -40,7 +40,7 @@ struct ProtocolState {
         profile(std::move(start)),
         state(instance, profile),
         last_times(instance.num_users(), 0.0),
-        recorder(options.probe, options.journal, "ring", instance, profile),
+        recorder(options.probe, instance, profile),
         result{profile, false, 0, 0, 0.0, {}, {}} {
     ws.resize(instance.num_computers());
   }
@@ -165,7 +165,6 @@ RingResult run_ring_protocol(const core::Instance& inst,
   st.last_times = std::move(initial_times);
   start_round(&st);
   st.sim.run();
-  st.recorder.stop(st.result.rounds, st.norm, st.result.converged, false);
   st.result.finish_time = st.sim.now();
   st.result.profile = st.profile;
   st.result.user_times = core::user_response_times(inst, st.profile);

@@ -26,7 +26,6 @@
 #include "core/dynamics.hpp"
 #include "core/types.hpp"
 #include "obs/convergence.hpp"
-#include "obs/journal.hpp"
 
 namespace nashlb::distributed {
 
@@ -50,10 +49,6 @@ struct RingOptions {
   /// by the same core::RoundRecorder as the in-memory dynamics — so a
   /// protocol trajectory diffs directly against a dynamics one.
   obs::ConvergenceProbe* probe = nullptr;
-  /// Optional event journal (not owned, may be null): the protocol emits
-  /// `ring.round` {round, norm} per round close and one `ring.stop`
-  /// {round, norm, converged, diverged} when the run ends.
-  obs::Journal* journal = nullptr;
 };
 
 /// Protocol outcome.

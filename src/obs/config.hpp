@@ -1,6 +1,6 @@
-// The obs layer's compile-time master switch, shared by every
-// instrument header (histogram, journal, convergence) so they can
-// select their enabled/no-op twin without including each other.
+// The obs layer's compile-time master switch, shared by the two
+// instrument headers (histogram, convergence) so they can select their
+// enabled/no-op twin without including each other.
 #pragma once
 
 #ifndef NASHLB_OBS_ENABLED

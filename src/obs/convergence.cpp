@@ -1,9 +1,7 @@
 #include "obs/convergence.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <limits>
-#include <stdexcept>
 
 #include "obs/json.hpp"
 #include "util/csv.hpp"
@@ -65,22 +63,6 @@ void EnabledConvergenceProbe::write_csv(const std::string& path) const {
                     csv_number(row.overall_cost),
                     std::to_string(row.active_set_churn),
                     csv_number(row.util_spread)});
-  }
-}
-
-void EnabledConvergenceProbe::write_jsonl(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("ConvergenceProbe: cannot open '" + path + "'");
-  }
-  for (const Row& row : rows_) {
-    out << "{\"round\":" << row.round
-        << ",\"norm\":" << json_number(row.norm)
-        << ",\"eps_nash_gap\":" << json_number(row.eps_nash_gap)
-        << ",\"potential\":" << json_number(row.potential)
-        << ",\"overall_cost\":" << json_number(row.overall_cost)
-        << ",\"active_set_churn\":" << row.active_set_churn
-        << ",\"util_spread\":" << json_number(row.util_spread) << "}\n";
   }
 }
 

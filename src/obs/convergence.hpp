@@ -35,7 +35,7 @@
 
 namespace nashlb::obs {
 
-/// Column schema of the probe's CSV/JSON-lines export, in row order.
+/// Column schema of the probe's CSV export, in row order.
 /// tools/nashlb_analyzer.py (`trace-arity` rule) counts every exported
 /// CSV row against it.
 std::vector<std::string> convergence_trace_columns();
@@ -73,10 +73,8 @@ class EnabledConvergenceProbe {
   [[nodiscard]] double final_eps_nash() const noexcept;
 
   /// CSV with a convergence_trace_columns() header row. Throws
-  /// std::runtime_error if the file cannot be opened.
+  /// std::runtime_error if the file cannot be opened or written.
   void write_csv(const std::string& path) const;
-  /// JSON lines, one object per round keyed by the column names.
-  void write_jsonl(const std::string& path) const;
 
  private:
   std::vector<Row> rows_;
@@ -99,7 +97,6 @@ class NullConvergenceProbe {
   [[nodiscard]] std::int64_t rounds_to_tol(double) const noexcept { return 0; }
   [[nodiscard]] double final_eps_nash() const noexcept { return 0.0; }
   void write_csv(const std::string&) const noexcept {}
-  void write_jsonl(const std::string&) const noexcept {}
 };
 
 }  // namespace detail

@@ -41,7 +41,6 @@ void EnabledHistogram::record(double seconds) noexcept {
     max_ = std::max(max_, seconds);
   }
   ++count_;
-  sum_ += seconds;
 }
 
 void EnabledHistogram::merge(const EnabledHistogram& other) noexcept {
@@ -53,7 +52,6 @@ void EnabledHistogram::merge(const EnabledHistogram& other) noexcept {
   min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
   max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
   count_ += other.count_;
-  sum_ += other.sum_;
 }
 
 std::uint64_t EnabledHistogram::bucket(std::size_t k) const noexcept {

@@ -36,8 +36,8 @@ namespace nashlb::obs {
 ///   [2^(kMinExponent + k/kBucketsPerOctave),
 ///    2^(kMinExponent + (k+1)/kBucketsPerOctave)).
 /// Values below the grid land in bucket 0, values above in the last
-/// bucket; exact min/max/sum are tracked separately so the clamping
-/// never loses the extremes.
+/// bucket; exact min/max are tracked separately so the clamping never
+/// loses the extremes.
 struct HistogramLayout {
   static constexpr int kMinExponent = -30;       ///< 2^-30 s ~ 0.93 ns
   static constexpr int kMaxExponent = 12;        ///< 2^12 s ~ 68 min
@@ -69,27 +69,19 @@ class EnabledHistogram {
   /// values are counted but routed to the bottom bucket.
   void record(double seconds) noexcept;
 
-  /// Cell-by-cell merge; min/max/sum/count fold exactly.
+  /// Cell-by-cell merge; min/max/count fold exactly.
   void merge(const EnabledHistogram& other) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
   /// Exact observed extremes (0 when empty).
   [[nodiscard]] double min() const noexcept { return count_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return count_ ? max_ : 0.0; }
-  [[nodiscard]] double mean() const noexcept {
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-  }
 
   /// Quantile estimate for q in [0, 1]: linear interpolation inside
   /// the covering bucket, clamped to the exact [min, max]. Relative
   /// error is bounded by the bucket width (~4.4%). Returns 0 when
   /// empty; q outside [0, 1] is clamped.
   [[nodiscard]] double quantile(double q) const noexcept;
-
-  [[nodiscard]] double p50() const noexcept { return quantile(0.50); }
-  [[nodiscard]] double p90() const noexcept { return quantile(0.90); }
-  [[nodiscard]] double p99() const noexcept { return quantile(0.99); }
 
   /// Count in bucket `k` (0 for an empty histogram or out-of-range k).
   [[nodiscard]] std::uint64_t bucket(std::size_t k) const noexcept;
@@ -98,7 +90,6 @@ class EnabledHistogram {
   // Allocated on first record() so an unused histogram costs a pointer.
   std::vector<std::uint64_t> counts_;
   std::uint64_t count_ = 0;
-  double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -110,16 +101,11 @@ class NullHistogram {
   void record(double) noexcept {}
   void merge(const NullHistogram&) noexcept {}
   [[nodiscard]] constexpr std::uint64_t count() const noexcept { return 0; }
-  [[nodiscard]] constexpr double sum() const noexcept { return 0.0; }
   [[nodiscard]] constexpr double min() const noexcept { return 0.0; }
   [[nodiscard]] constexpr double max() const noexcept { return 0.0; }
-  [[nodiscard]] constexpr double mean() const noexcept { return 0.0; }
   [[nodiscard]] constexpr double quantile(double) const noexcept {
     return 0.0;
   }
-  [[nodiscard]] constexpr double p50() const noexcept { return 0.0; }
-  [[nodiscard]] constexpr double p90() const noexcept { return 0.0; }
-  [[nodiscard]] constexpr double p99() const noexcept { return 0.0; }
   [[nodiscard]] constexpr std::uint64_t bucket(std::size_t) const noexcept {
     return 0;
   }

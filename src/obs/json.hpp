@@ -1,4 +1,5 @@
-// Tiny JSON value formatting for the JSON-lines exporters.
+// Tiny JSON value formatting for the run manifest and the probe's CSV
+// numbers.
 //
 // The obs layer emits flat records only (no nesting), so all it needs is
 // correct escaping of strings and round-trippable number formatting —

@@ -106,9 +106,12 @@ void RunManifest::write_json(const std::string& path) const {
     throw std::runtime_error("RunManifest: cannot open " + path);
   }
   const std::string body = to_json();
-  std::fputs(body.c_str(), out);
-  std::fputc('\n', out);
-  std::fclose(out);
+  const bool written =
+      std::fputs(body.c_str(), out) >= 0 && std::fputc('\n', out) != EOF;
+  // fclose flushes the buffer, so a full disk usually fails here.
+  if (std::fclose(out) != 0 || !written) {
+    throw std::runtime_error("RunManifest: cannot write " + path);
+  }
 }
 
 }  // namespace nashlb::obs

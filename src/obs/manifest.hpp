@@ -51,7 +51,7 @@ struct RunManifest {
   [[nodiscard]] std::string to_json() const;
 
   /// Writes to_json() plus a newline. Throws std::runtime_error if the
-  /// file cannot be opened.
+  /// file cannot be opened or written.
   void write_json(const std::string& path) const;
 };
 

@@ -16,16 +16,6 @@ double Exponential::sample(Xoshiro256& rng) const noexcept {
   return -std::log(rng.next_double_open()) / rate_;
 }
 
-Uniform::Uniform(double lo, double hi) : lo_(lo), hi_(hi) {
-  if (!(lo < hi) || !std::isfinite(lo) || !std::isfinite(hi)) {
-    throw std::invalid_argument("Uniform: need finite lo < hi");
-  }
-}
-
-double Uniform::sample(Xoshiro256& rng) const noexcept {
-  return lo_ + (hi_ - lo_) * rng.next_double();
-}
-
 Normal::Normal(double mean, double stddev) : mean_(mean), stddev_(stddev) {
   if (!(stddev >= 0.0) || !std::isfinite(stddev) || !std::isfinite(mean)) {
     throw std::invalid_argument("Normal: need finite mean and stddev >= 0");

@@ -31,18 +31,6 @@ class Exponential {
   double rate_;
 };
 
-/// Uniform(lo, hi) sampler; requires lo < hi.
-class Uniform {
- public:
-  Uniform(double lo, double hi);
-  [[nodiscard]] double sample(Xoshiro256& rng) const noexcept;
-  [[nodiscard]] double mean() const noexcept { return 0.5 * (lo_ + hi_); }
-
- private:
-  double lo_;
-  double hi_;
-};
-
 /// Normal(mean, stddev) sampler via Box–Muller (both variates used).
 /// Used by the uncertainty extension (noisy run-queue estimates, A6).
 class Normal {

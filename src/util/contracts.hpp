@@ -49,22 +49,6 @@ namespace nashlb::util {
 /// True in builds with active contracts (-DNASHLB_CHECK=ON).
 inline constexpr bool kCheckEnabled = NASHLB_CHECK_ENABLED != 0;
 
-/// Last-words hook, invoked by contract_fail after the violation report
-/// is printed and flushed, immediately before abort(). The obs event
-/// journal installs its flight-recorder dump here (obs::Journal::
-/// install_crash_handler) so a contract breach carries the last N solver
-/// events out with it. The hook runs on the failure path: it must be
-/// noexcept and must not allocate. Null means "no hook".
-using ContractFailureHook = void (*)() noexcept;
-
-/// The single process-wide hook slot (assign to install, nullptr to
-/// clear). A function-local static keeps util header-only and avoids any
-/// static-init ordering with the instruments that install into it.
-inline ContractFailureHook& contract_failure_hook() noexcept {
-  static ContractFailureHook hook = nullptr;
-  return hook;
-}
-
 /// Prints the violation report and aborts. Formats into a fixed stack
 /// buffer — no allocation on the failure path, so a contract can fire
 /// safely from out-of-memory or ASan-poisoned contexts.
@@ -82,10 +66,6 @@ contract_fail(const char* kind, const char* expr, const char* file, int line,
   std::fprintf(stderr, "NASHLB_%s violated at %s:%d: (%s) %s\n", kind, file,
                line, expr, message);
   std::fflush(stderr);
-  if (ContractFailureHook hook = contract_failure_hook()) {
-    hook();
-    std::fflush(stderr);
-  }
   std::abort();
 }
 

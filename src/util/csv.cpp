@@ -6,7 +6,7 @@ namespace nashlb::util {
 
 CsvWriter::CsvWriter(const std::string& path,
                      const std::vector<std::string>& header)
-    : out_(path), arity_(header.size()) {
+    : path_(path), out_(path), arity_(header.size()) {
   if (!out_) {
     throw std::runtime_error("CsvWriter: cannot open " + path);
   }
@@ -43,6 +43,11 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
     out_ << escape(cells[i]);
   }
   out_ << '\n';
+  // Flushed per row so a failed write (a full disk) throws here instead
+  // of vanishing in the destructor's close.
+  if (!out_.flush()) {
+    throw std::runtime_error("CsvWriter: cannot write " + path_);
+  }
 }
 
 }  // namespace nashlb::util

@@ -16,10 +16,11 @@ namespace nashlb::util {
 class CsvWriter {
  public:
   /// Opens `path` for writing and emits the header row.
-  /// Throws std::runtime_error if the file cannot be opened.
+  /// Throws std::runtime_error if the file cannot be opened or written.
   CsvWriter(const std::string& path, const std::vector<std::string>& header);
 
-  /// Appends one data row; throws std::invalid_argument on arity mismatch.
+  /// Appends one data row; throws std::invalid_argument on arity mismatch
+  /// and std::runtime_error if the row cannot be written (a full disk).
   void add_row(const std::vector<std::string>& cells);
 
   /// Number of data rows written so far.
@@ -31,6 +32,7 @@ class CsvWriter {
  private:
   void write_row(const std::vector<std::string>& cells);
 
+  std::string path_;
   std::ofstream out_;
   std::size_t arity_;
   std::size_t rows_written_ = 0;

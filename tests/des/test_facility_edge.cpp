@@ -15,14 +15,16 @@ namespace {
 TEST(FacilityEdge, MultiServerFillsIdleBeforePreempting) {
   Simulator sim;
   Facility f(sim, "pool", 2, PreemptPolicy::None);
-  f.request(10.0, [](SimTime) {});
+  int completed = 0;
+  const auto count = [&completed](SimTime) { ++completed; };
+  f.request(10.0, count);
   // Second server idle: the later job must take it rather than wait
   // behind, or displace, the running job.
-  f.request(1.0, [](SimTime) {});
+  f.request(1.0, count);
   EXPECT_EQ(f.busy_servers(), 2u);
   EXPECT_EQ(f.queue_length(), 0u);
   sim.step();  // the short job completes at t = 1
-  EXPECT_EQ(f.completed(), 1u);
+  EXPECT_EQ(completed, 1);
   EXPECT_EQ(f.busy_servers(), 1u);  // the long job still runs
 }
 

@@ -67,13 +67,11 @@ TEST(ObsHistogram, RecordsCountSumAndExtremes) {
   h.record(1.0);
   h.record(0.03);
   EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 1.28);
   EXPECT_DOUBLE_EQ(h.min(), 0.03);
   EXPECT_DOUBLE_EQ(h.max(), 1.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 1.28 / 3.0);
   // Quantiles stay inside the exact observed range.
-  EXPECT_GE(h.p50(), h.min());
-  EXPECT_LE(h.p99(), h.max());
+  EXPECT_GE(h.quantile(0.5), h.min());
+  EXPECT_LE(h.quantile(0.99), h.max());
 }
 
 TEST(ObsHistogram, QuantilesTrackExactSampleQuantiles) {
@@ -115,14 +113,13 @@ TEST(ObsHistogram, MergeIsAssociativeAndCommutative) {
   const auto same = [](const obs::detail::EnabledHistogram& x,
                        const obs::detail::EnabledHistogram& y) {
     ASSERT_EQ(x.count(), y.count());
-    EXPECT_DOUBLE_EQ(x.sum(), y.sum());
     EXPECT_DOUBLE_EQ(x.min(), y.min());
     EXPECT_DOUBLE_EQ(x.max(), y.max());
     for (std::size_t k = 0; k < obs::HistogramLayout::bucket_count(); ++k) {
       ASSERT_EQ(x.bucket(k), y.bucket(k)) << "bucket " << k;
     }
-    EXPECT_DOUBLE_EQ(x.p50(), y.p50());
-    EXPECT_DOUBLE_EQ(x.p99(), y.p99());
+    EXPECT_DOUBLE_EQ(x.quantile(0.5), y.quantile(0.5));
+    EXPECT_DOUBLE_EQ(x.quantile(0.99), y.quantile(0.99));
   };
 
   // Commutativity: a+b == b+a.
@@ -159,11 +156,9 @@ TEST(ObsDisabled, NullHistogramRecordsNothing) {
   other.record(2.0);
   h.merge(other);
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0.0);
   EXPECT_EQ(h.min(), 0.0);
   EXPECT_EQ(h.max(), 0.0);
   EXPECT_EQ(h.quantile(0.99), 0.0);
-  EXPECT_EQ(h.p50(), 0.0);
   EXPECT_EQ(h.bucket(0), 0u);
 }
 
@@ -194,16 +189,17 @@ TEST(ObsDisabled, InstrumentedCallSiteCompilesAgainstBothTwins) {
 TEST(ObsWiring, DesKernelAndFacilityPublishCounters) {
   des::Simulator sim;
   des::Facility server(sim, "cpu0", 1);
+  int completed = 0;
   // Two back-to-back unit jobs: one served immediately, one queued.
   sim.schedule(0.0, [&](des::SimTime) {
-    server.request(1.0, [](des::SimTime) {});
-    server.request(1.0, [](des::SimTime) {});
+    server.request(1.0, [&completed](des::SimTime) { ++completed; });
+    server.request(1.0, [&completed](des::SimTime) { ++completed; });
   });
   sim.run();
   // The submitting event plus two service completions.
   EXPECT_EQ(sim.events_executed(), 3u);
   EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_EQ(server.completed(), 2u);
+  EXPECT_EQ(completed, 2);
   // Two unit jobs back to back: 2 busy server-seconds over [0, 2].
   EXPECT_NEAR(server.utilization(sim.now()) * sim.now(), 2.0, 1e-12);
   // The queued job waited exactly one service time.
@@ -218,7 +214,6 @@ TEST(ObsWiring, DesKernelAndFacilityPublishCounters) {
     EXPECT_EQ(sojourn.count(), 2u);
     EXPECT_NEAR(sojourn.min(), 1.0, 1e-12);
     EXPECT_NEAR(sojourn.max(), 2.0, 1e-12);
-    EXPECT_NEAR(sojourn.sum(), 3.0, 1e-12);
   }
 }
 

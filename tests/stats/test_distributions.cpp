@@ -45,25 +45,6 @@ TEST(Exponential, TailProbabilityMatchesTheory) {
   EXPECT_NEAR(static_cast<double>(over) / kN, std::exp(-1.0), 0.01);
 }
 
-TEST(Uniform, RejectsBadRange) {
-  EXPECT_THROW(Uniform(1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(Uniform(2.0, 1.0), std::invalid_argument);
-}
-
-TEST(Uniform, SamplesInRangeWithCorrectMean) {
-  const Uniform d(-2.0, 6.0);
-  Xoshiro256 rng(4);
-  double sum = 0.0;
-  constexpr int kN = 100000;
-  for (int i = 0; i < kN; ++i) {
-    const double x = d.sample(rng);
-    EXPECT_GE(x, -2.0);
-    EXPECT_LT(x, 6.0);
-    sum += x;
-  }
-  EXPECT_NEAR(sum / kN, 2.0, 0.05);
-}
-
 TEST(Normal, RejectsBadParams) {
   EXPECT_THROW(Normal(0.0, -1.0), std::invalid_argument);
   EXPECT_THROW(Normal(std::nan(""), 1.0), std::invalid_argument);

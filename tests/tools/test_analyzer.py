@@ -42,7 +42,6 @@ CASES = {
     "waiver_missing_reason.cpp": ("src/core/waiver_missing_reason.cpp", 1),
     "wrapper_bad.cpp": ("src/core/dynamics.cpp", 1),
     "trace_arity_bad.cpp": ("src/obs/trace_arity_bad.cpp", 1),
-    "journal_arity_bad.cpp": ("src/core/journal_arity_bad.cpp", 1),
     "histogram_bounds_bad.cpp": ("src/schemes/histogram_bounds_bad.cpp", 1),
     "raw_concurrency_bad.cpp": ("src/core/raw_concurrency_bad.cpp", 1),
 }

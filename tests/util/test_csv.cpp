@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -61,6 +62,18 @@ TEST(CsvEscape, NewlineQuoted) {
 TEST(CsvWriterErrors, UnopenablePathThrows) {
   EXPECT_THROW(CsvWriter("/nonexistent-dir/x.csv", {"a"}),
                std::runtime_error);
+}
+
+TEST(CsvWriterErrors, FailedWriteThrows) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full to fail a write";
+  }
+  EXPECT_THROW(
+      {
+        CsvWriter w("/dev/full", {"a", "b"});
+        for (int k = 0; k < 10; ++k) w.add_row({"1", "2"});
+      },
+      std::runtime_error);
 }
 
 }  // namespace

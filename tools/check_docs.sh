@@ -8,8 +8,10 @@
 #     is missing, or README.md does not link it;
 #   * a bench/bench_*.cpp is not named in EXPERIMENTS.md;
 #   * README.md, EXPERIMENTS.md, DESIGN.md, docs/*.md or the verify skill
-#     names a bench_<name> with no bench/bench_<name>.cpp, or a
-#     BENCH_<name>.json that is not at the repo root.
+#     names a bench_<name> with no bench/bench_<name>.cpp, a
+#     BENCH_<name>.json that is not at the repo root, or a file under
+#     src/, tests/, tools/, bench/, examples/ or docs/ (a path ending in
+#     .hpp, .cpp, .py, .sh, .md or .csv) that does not exist.
 #
 # Usage: tools/check_docs.sh [repo-root]   (default: script's parent dir)
 set -u
@@ -55,7 +57,7 @@ done
 
 # The observability doc must describe every exported instrument family;
 # new sections guard against the doc silently lagging the obs layer.
-for section in "## Histograms" "## Event journal" "## Convergence telemetry" \
+for section in "## Histograms" "## Convergence telemetry" \
                "## Run manifests & nashlb-report"; do
     if [ -f "$root/docs/OBSERVABILITY.md" ] && \
        ! grep -q "^$section" "$root/docs/OBSERVABILITY.md"; then
@@ -94,10 +96,14 @@ for bench in "$root"/bench/bench_*.cpp; do
     fi
 done
 
-# bench-exists: the docs name only benches and baselines that exist, so
-# a deleted program cannot linger in them. bench_results/ and
-# .bench_build/ are directories, not benches. (nashbench/README.md is the
-# frozen benchmark's; CHANGES.md and ROADMAP.md are history and plans.)
+# bench-exists / file-exists: the docs name only benches, baselines and
+# repo files that exist, so a deleted program or source file cannot
+# linger in them. bench_results/ and .bench_build/ are directories, not
+# benches. A file path counts only where it starts a path (so
+# nashbench/src/... is not read as src/...); brace forms such as
+# parallel.{hpp,cpp} and ./build/ binaries are not matched. (nashbench/
+# README.md is the frozen benchmark's; CHANGES.md and ROADMAP.md are
+# history and plans.)
 for doc in "$root/README.md" "$root/EXPERIMENTS.md" "$root/DESIGN.md" \
            "$root"/docs/*.md "$root/.claude/skills/verify/SKILL.md"; do
     [ -f "$doc" ] || continue
@@ -111,6 +117,11 @@ for doc in "$root/README.md" "$root/EXPERIMENTS.md" "$root/DESIGN.md" \
     for name in $(grep -ow 'BENCH_[A-Za-z0-9_]*\.json' "$doc" | sort -u); do
         [ -f "$root/$name" ] ||
             fail "$rel names $name, but there is no $name at the repo root"
+    done
+    for path in $(grep -oE '(^|[^A-Za-z0-9_./-])(src|tests|tools|bench|examples|docs)/[A-Za-z0-9_./-]*\.(hpp|cpp|py|sh|md|csv)' "$doc" |
+                  sed 's|^[^A-Za-z0-9_./-]||' | sort -u); do
+        [ -f "$root/$path" ] ||
+            fail "$rel names $path, but there is no such file"
     done
 done
 

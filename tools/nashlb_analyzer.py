@@ -3,7 +3,7 @@
 generic tool can check, run over a C++ tokenizer with scope tracking.
 
 Registered as the `check_analyzer` ctest and a tools/check_all.sh step.
-Nine rules, each protecting a guarantee the reproduction rests on
+Eight rules, each protecting a guarantee the reproduction rests on
 (docs/STATIC_ANALYSIS.md, "Semantic analysis"):
 
   hot-path-alloc
@@ -65,13 +65,6 @@ Nine rules, each protecting a guarantee the reproduction rests on
       many cells as the schema declares columns. The writers check this
       at runtime, but only on instrumented runs.
 
-  journal-arity
-      Wherever a src/ file registers a journal event schema
-      (`<id> = ...register_event("name", {"f1", ...})`), every
-      `emit(<id>, {...})` in the same file must pass exactly as many
-      values as the schema declares fields, so a crash dump never
-      carries misaligned fields.
-
   histogram-bounds
       src/obs/histogram.hpp must declare bucket_count(),
       bucket_lower_bound() and bucket_upper_bound(), and no file outside
@@ -125,7 +118,6 @@ RULES = (
     "contract-coverage",
     "noexcept-merge",
     "trace-arity",
-    "journal-arity",
     "histogram-bounds",
     "raw-concurrency",
 )
@@ -851,20 +843,6 @@ def _brace_cells(toks, i):
     return cells
 
 
-def _first_brace(toks, lo, hi):
-    """Index of the first `{` in toks[lo:hi] outside nested ( ) / [ ]."""
-    depth = 0
-    for k in range(lo, hi):
-        tt = toks[k].text
-        if tt == "{" and depth == 0:
-            return k
-        if tt in ("(", "["):
-            depth += 1
-        elif tt in (")", "]"):
-            depth -= 1
-    return None
-
-
 def _string_count(toks, i):
     """String literals in the braced list opening at toks[i]."""
     end = match_paren(toks, i, "{", "}") or i
@@ -903,47 +881,6 @@ def rule_trace_arity(path, toks, funcs, waivers, out):
             _emit(out, waivers, path, t.line, "trace-arity",
                   "%s() passes %d cells but %s() declares %d columns"
                   % (t.text, cells, schema.name, columns))
-
-
-def _journal_schemas(toks):
-    """EventId variable -> field count for every
-    `<var> = ...register_event("name", {"f1", ...})` in a file."""
-    schemas = {}
-    for i, t in enumerate(toks[:-1]):
-        if t.text != "register_event" or toks[i + 1].text != "(":
-            continue
-        close = match_paren(toks, i + 1)
-        k = _first_brace(toks, i + 2, close) if close else None
-        if k is None:
-            continue
-        j = i - 1
-        while j > 0 and toks[j].text not in (";", "{", "}", "="):
-            j -= 1
-        if toks[j].text == "=" and toks[j - 1].kind == "id":
-            schemas[toks[j - 1].text] = _string_count(toks, k)
-    return schemas
-
-
-def rule_journal_arity(path, toks, waivers, out):
-    schemas = _journal_schemas(toks)
-    for i, t in enumerate(toks[:-3]):
-        if not (t.text == "emit" and toks[i + 1].text == "("
-                and toks[i + 2].text in schemas
-                and toks[i + 3].text == ","):
-            continue
-        var = toks[i + 2].text
-        close = match_paren(toks, i + 1)
-        k = _first_brace(toks, i + 4, close) if close else None
-        if k is None:
-            _emit(out, waivers, path, t.line, "journal-arity",
-                  "emit(%s, ...) does not pass a braced value list; cannot "
-                  "check arity against the registered schema" % var)
-            continue
-        cells = _brace_cells(toks, k)
-        if cells != schemas[var]:
-            _emit(out, waivers, path, t.line, "journal-arity",
-                  "emit(%s, ...) passes %d values but the registered "
-                  "schema declares %d fields" % (var, cells, schemas[var]))
 
 
 def rule_histogram_bounds(path, toks, waivers, out):
@@ -1117,7 +1054,6 @@ def analyze(files):
         rule_nondeterminism(path, toks, waivers, findings)
         rule_noexcept_merge(path, toks, funcs, waivers, findings)
         rule_trace_arity(path, toks, funcs, waivers, findings)
-        rule_journal_arity(path, toks, waivers, findings)
         rule_histogram_bounds(path, toks, waivers, findings)
         rule_raw_concurrency(path, text, toks, waivers, findings)
     entries, cov_findings = compute_contract_coverage(index, waiver_map)
@@ -1407,29 +1343,6 @@ SELFTEST_SNIPPETS = [
     """),
     ("trace-arity", "src/obs/snippet.cpp", False, """
         void dump(Sink& t) { t.record({1}); }
-    """),
-    ("journal-arity", "src/core/snippet.cpp", True, """
-        void run(obs::Journal& j) {
-          obs::EventId tick = j.register_event("tick", {"round", "norm"});
-          j.emit(tick, {1.0});
-        }
-    """),
-    ("journal-arity", "src/core/snippet.cpp", True, """
-        void run(obs::Journal& j, const Values& values) {
-          tick_ = j.register_event("tick", {"round", "norm"});
-          j.emit(tick_, values);
-        }
-    """),
-    ("journal-arity", "src/core/snippet.cpp", False, """
-        void emit(EventId id, std::initializer_list<double> v);
-        void run(obs::Journal& j) {
-          obs::EventId tick = j.register_event("tick", {"round", "norm"});
-          obs::EventId k = j.register_event("k", {"x"});
-          j.emit(tick, {1.0, 2.0});
-          j.emit(foreign, {1.0});
-          // nashlb-analyzer: allow(journal-arity) -- selftest waiver
-          j.emit(k, {1.0, 2.0});
-        }
     """),
     ("histogram-bounds", "src/core/snippet.cpp", True, """
         int octave() { return kBucketsPerOctave; }
