@@ -38,8 +38,8 @@ int main() {
               ring.rounds, ring.converged ? "yes" : "no", ring.messages,
               ring.finish_time);
   std::printf("profiles identical : %s (max |diff| = %.2e)\n\n",
-              ring.profile.max_difference(mem.profile) < 1e-12 ? "yes"
-                                                               : "NO",
+              ring.profile.max_difference(mem.profile) == 0.0 ? "yes"
+                                                              : "NO",
               ring.profile.max_difference(mem.profile));
 
   util::Table table({"link latency (s)", "rounds", "messages",

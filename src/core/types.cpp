@@ -42,7 +42,13 @@ void Instance::validate() const {
                                   "] must be finite and > 0");
     }
   }
-  if (!(total_arrival_rate() < total_capacity())) {
+  // Finite rates can still overflow their sum, and Phi < inf would then
+  // pass the stability check.
+  const double capacity = total_capacity();
+  if (!std::isfinite(capacity)) {
+    throw std::invalid_argument("Instance: total capacity must be finite");
+  }
+  if (!(total_arrival_rate() < capacity)) {
     throw std::invalid_argument(
         "Instance: total arrival rate must be < total capacity "
         "(system stability)");

@@ -33,9 +33,9 @@ struct Instance {
   /// rho = Phi / sum_i mu_i — the "system utilization" of Figure 4.
   [[nodiscard]] double system_utilization() const noexcept;
 
-  /// Validates positivity of all rates and the aggregate stability
-  /// condition Phi < sum_i mu_i; throws std::invalid_argument with a
-  /// descriptive message on violation.
+  /// Validates positivity of all rates, a finite sum_i mu_i and the
+  /// aggregate stability condition Phi < sum_i mu_i; throws
+  /// std::invalid_argument with a descriptive message on violation.
   void validate() const;
 };
 

@@ -33,7 +33,6 @@ void Facility::request(double service_time, CompletionFn on_complete) {
 }
 
 void Facility::start_service(unsigned server, Job&& job) {
-  wait_stats_.add(sim_.now() - job.submitted);
   Server& slot = servers_[server];
   slot.job = std::move(job);
   slot.busy = true;

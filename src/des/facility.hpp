@@ -4,8 +4,7 @@
 // paper's computers use: one or more servers fed from one FCFS queue,
 // every job run to completion (§4.1). A job goes to the lowest-index idle
 // server, or waits in a FIFO ring buffer. Per-facility statistics:
-// utilization and queue length (time-weighted), waiting times and
-// sojourn times.
+// utilization and queue length (time-weighted) and sojourn times.
 #pragma once
 
 #include <cstddef>
@@ -59,11 +58,6 @@ class Facility {
   /// Time-average number waiting up to `now`.
   [[nodiscard]] double mean_queue_length(SimTime now) const noexcept;
 
-  /// Per-job waiting time statistics (request to service start).
-  [[nodiscard]] const stats::RunningStats& waiting_times() const noexcept {
-    return wait_stats_;
-  }
-
   /// Per-job sojourn (response) time distribution: request to service
   /// completion, one observation per completed job. For the paper's
   /// single-server FCFS facility this is the M/M/1 response time whose
@@ -103,7 +97,6 @@ class Facility {
   unsigned busy_ = 0;
   stats::TimeWeighted busy_tw_;
   stats::TimeWeighted queue_tw_;
-  stats::RunningStats wait_stats_;
   obs::Histogram sojourn_hist_;
 };
 

@@ -32,7 +32,6 @@ bool Simulator::step() {
 
 void Simulator::dispatch(Event event) {
   now_ = event.time;
-  ++events_executed_;
   if (event.fn) event.fn(now_);
 }
 

@@ -7,7 +7,7 @@
 // parallelism runs independent Simulator instances on separate threads.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <stdexcept>
 
 #include "des/event_queue.hpp"
@@ -40,11 +40,6 @@ class Simulator {
   /// Executes exactly one event if any is pending; returns whether it did.
   bool step();
 
-  /// Total events executed since construction.
-  [[nodiscard]] std::uint64_t events_executed() const noexcept {
-    return events_executed_;
-  }
-
   /// Number of pending events.
   [[nodiscard]] std::size_t pending_events() const noexcept {
     return queue_.size();
@@ -55,7 +50,6 @@ class Simulator {
 
   EventQueue queue_;
   SimTime now_ = 0.0;
-  std::uint64_t events_executed_ = 0;
 };
 
 }  // namespace nashlb::des

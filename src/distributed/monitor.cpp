@@ -13,14 +13,6 @@ RateMonitor::RateMonitor(double noise_sigma, std::uint64_t seed)
   }
 }
 
-std::vector<double> RateMonitor::observe(const core::Instance& inst,
-                                         const core::StrategyProfile& s,
-                                         std::size_t user) {
-  std::vector<double> avail = s.available_rates(inst, user);
-  perturb(inst, avail);
-  return avail;
-}
-
 void RateMonitor::perturb(const core::Instance& inst,
                           std::span<double> avail) {
   if (noise_sigma_ == 0.0) return;

@@ -10,9 +10,8 @@
 // the A6 uncertainty bench uses to probe robustness.
 #pragma once
 
-#include <cstddef>
+#include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/types.hpp"
 #include "stats/distributions.hpp"
@@ -28,23 +27,15 @@ class RateMonitor {
   explicit RateMonitor(double noise_sigma = 0.0,
                        std::uint64_t seed = 0x5eedULL);
 
-  /// Available rates mu^j seen by `user` under `profile`, possibly
-  /// perturbed by estimation noise. Noisy estimates are clamped below the
-  /// true total capacity headroom so a user never *plans* to overload a
-  /// computer it can observe (a real estimator bounds its estimate by the
-  /// processor's nominal rate the same way).
-  [[nodiscard]] std::vector<double> observe(const core::Instance& inst,
-                                            const core::StrategyProfile& s,
-                                            std::size_t user);
-
-  /// In-place noise model for callers that already hold the exact
-  /// available rates (e.g. computed in O(n) from an incremental
-  /// core::LoadState): perturbs `avail` exactly as `observe` would.
-  /// A no-op when noise_sigma is 0 — no RNG draws are consumed, so exact
-  /// monitoring stays bit-for-bit reproducible.
+  /// Turns the exact available rates mu^j one user would see (e.g.
+  /// computed in O(n) from an incremental core::LoadState) into the
+  /// monitor's estimate, in place. Noisy estimates stay at or below the
+  /// true rate, so a user never *plans* to overload a computer it can
+  /// observe (a real estimator bounds its estimate by the processor's
+  /// nominal rate the same way). A no-op when noise_sigma is 0 — no RNG
+  /// draws are consumed, so exact monitoring stays bit-for-bit
+  /// reproducible.
   void perturb(const core::Instance& inst, std::span<double> avail);
-
-  [[nodiscard]] double noise_sigma() const noexcept { return noise_sigma_; }
 
  private:
   double noise_sigma_;

@@ -1,5 +1,5 @@
-// The NASH distributed load balancing algorithm (§3) as a genuine
-// message-passing protocol, executed on the discrete-event simulator.
+// The NASH distributed load balancing algorithm (§3) as a message-passing
+// protocol on a simulated clock.
 //
 // The users form a logical ring. A token message carrying
 // (iteration l, accumulated norm) circulates: on receipt, user j inspects
@@ -9,7 +9,9 @@
 // (index 0 here) closes each round: it records the round norm and either
 // starts the next round or, when norm <= epsilon, sends a STOP message
 // around the ring — exactly the Send/Recv structure of the paper's
-// pseudocode.
+// pseudocode. Only one message is ever in flight, so the protocol runs as
+// a loop over rounds and users: a round costs m × (compute + hop) of
+// simulated time, and the STOP wave m − 1 more hops.
 //
 // With exact monitoring (noise_sigma = 0) the protocol performs the same
 // sequence of best replies as core::best_reply_dynamics, so it converges
@@ -34,11 +36,13 @@ struct RingOptions {
   core::Initialization init = core::Initialization::Proportional;
   /// Acceptance tolerance epsilon on the per-round norm (seconds).
   double tolerance = 1e-4;
-  /// Hard cap on rounds; exceeded => converged = false.
+  /// Hard cap on rounds; exceeded => converged = false (0 runs none).
   std::size_t max_rounds = 1000;
-  /// One-way message latency between ring neighbours (simulated seconds).
+  /// One-way message latency between ring neighbours (simulated seconds,
+  /// finite and >= 0).
   double link_latency = 1e-3;
-  /// Local time to inspect run queues + run OPTIMAL (simulated seconds).
+  /// Local time to inspect run queues + run OPTIMAL (simulated seconds,
+  /// finite and >= 0).
   double compute_time = 5e-4;
   /// Log-normal sigma of the run-queue estimation error (0 = exact).
   double noise_sigma = 0.0;

@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "core/dynamics.hpp"
+
 namespace nashlb::core {
 namespace {
 
@@ -31,6 +33,11 @@ TEST(Instance, ValidateRejectsOverload) {
   Instance inst = small_instance();
   inst.phi = {10.0, 5.0};  // Phi == capacity
   EXPECT_THROW(inst.validate(), std::invalid_argument);
+  // Finite rates whose sum overflows: Phi < inf must not pass as stable.
+  inst.mu = {1e308, 1e308};
+  inst.phi = {1.5e308};
+  EXPECT_THROW(inst.validate(), std::invalid_argument);
+  EXPECT_THROW((void)best_reply_dynamics(inst), std::invalid_argument);
 }
 
 TEST(Instance, ValidateRejectsNonPositiveRates) {

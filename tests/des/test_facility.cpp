@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "stats/distributions.hpp"
+#include "stats/moments.hpp"
 #include "stats/rng.hpp"
 
 namespace nashlb::des {
@@ -109,13 +110,19 @@ TEST(Facility, MeanQueueLengthTimeWeighted) {
 TEST(Facility, WaitingTimeStats) {
   Simulator sim;
   Facility f(sim, "cpu");
-  f.request(2.0, [](SimTime) {});  // waits 0
-  f.request(2.0, [](SimTime) {});  // waits 2
-  f.request(2.0, [](SimTime) {});  // waits 4
+  // A job's wait is its completion time less its submit and service times.
+  stats::RunningStats waits;
+  const auto submit = [&](double service) {
+    f.request(service,
+              [&waits, service](SimTime t) { waits.add(t - 0.0 - service); });
+  };
+  submit(2.0);  // waits 0
+  submit(2.0);  // waits 2
+  submit(2.0);  // waits 4
   sim.run();
-  EXPECT_EQ(f.waiting_times().count(), 3u);
-  EXPECT_NEAR(f.waiting_times().mean(), 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(f.waiting_times().max(), 4.0);
+  EXPECT_EQ(waits.count(), 3u);
+  EXPECT_NEAR(waits.mean(), 2.0, 1e-12);
+  EXPECT_DOUBLE_EQ(waits.max(), 4.0);
 }
 
 TEST(Facility, MM1SimulationMatchesTheory) {
@@ -127,14 +134,18 @@ TEST(Facility, MM1SimulationMatchesTheory) {
   const stats::Exponential interarrival(4.0);
   const stats::Exponential service(10.0);
   stats::RunningStats response;
+  stats::RunningStats waits;  // completion - arrival - service, per job
   constexpr double kHorizon = 20000.0;
 
   std::function<void()> arrive = [&]() {
     const double gap = interarrival.sample(arr_rng);
     if (sim.now() + gap > kHorizon) return;
     sim.schedule(gap, [&](SimTime t_arr) {
-      f.request(service.sample(svc_rng),
-                [&, t_arr](SimTime t_done) { response.add(t_done - t_arr); });
+      const double s = service.sample(svc_rng);
+      f.request(s, [&, t_arr, s](SimTime t_done) {
+        response.add(t_done - t_arr);
+        waits.add(t_done - t_arr - s);
+      });
       arrive();
     });
   };
@@ -145,8 +156,7 @@ TEST(Facility, MM1SimulationMatchesTheory) {
   EXPECT_NEAR(response.mean(), 1.0 / 6.0, 0.01);
   EXPECT_NEAR(f.utilization(sim.now()), 0.4, 0.01);
   // Little's law on the queue: Lq = lambda * Wq.
-  EXPECT_NEAR(f.mean_queue_length(sim.now()),
-              4.0 * f.waiting_times().mean(), 0.05);
+  EXPECT_NEAR(f.mean_queue_length(sim.now()), 4.0 * waits.mean(), 0.05);
 }
 
 }  // namespace

@@ -47,9 +47,13 @@ TEST(FacilityEdge, FifoOrderSurvivesGrowthWhileWrapped) {
   Simulator sim;
   Facility f(sim, "cpu");
   std::vector<int> done;
+  std::vector<double> waits(21, -1.0);  // completion - submit - service
   const auto submit = [&](int first, int last) {
     for (int id = first; id < last; ++id) {
-      f.request(1.0, [&done, id](SimTime) { done.push_back(id); });
+      f.request(1.0, [&done, &waits, id, at = sim.now()](SimTime t) {
+        done.push_back(id);
+        waits[static_cast<std::size_t>(id)] = t - at - 1.0;
+      });
     }
   };
   // Nine unit jobs at t = 0: one in service, eight waiting. By t = 3.5
@@ -63,26 +67,34 @@ TEST(FacilityEdge, FifoOrderSurvivesGrowthWhileWrapped) {
   });
   sim.run();
   std::vector<int> expected(21);
-  for (int id = 0; id < 21; ++id) expected[static_cast<std::size_t>(id)] = id;
+  std::vector<double> expected_waits(21);
+  for (int id = 0; id < 21; ++id) {
+    expected[static_cast<std::size_t>(id)] = id;
+    // Back-to-back unit jobs: job k completes at k + 1.
+    expected_waits[static_cast<std::size_t>(id)] = id < 9 ? id : id - 3.5;
+  }
   EXPECT_EQ(done, expected);
   EXPECT_DOUBLE_EQ(sim.now(), 21.0);
-  EXPECT_EQ(f.waiting_times().count(), 21u);
+  EXPECT_EQ(waits, expected_waits);
 }
 
 TEST(FacilityEdge, WaitingTimeCountsOnlyFirstServiceStart) {
   Simulator sim;
   Facility f(sim, "cpu", 1, PreemptPolicy::None);
-  f.request(4.0, [](SimTime) {});  // waits 0
-  sim.schedule(1.0, [&](SimTime) { f.request(1.0, [](SimTime) {}); });
+  std::vector<double> waits;  // completion - submit - service, per job
+  f.request(4.0, [&waits](SimTime t) { waits.push_back(t - 0.0 - 4.0); });
+  sim.schedule(1.0, [&](SimTime) {
+    f.request(1.0, [&waits](SimTime t) { waits.push_back(t - 1.0 - 1.0); });
+  });
   sim.schedule(2.0, [&](SimTime) {
-    // The second job is still waiting: nothing is recorded for it yet.
-    EXPECT_EQ(f.waiting_times().count(), 1u);
+    // The second job is still waiting behind the first.
+    EXPECT_EQ(f.queue_length(), 1u);
+    EXPECT_TRUE(waits.empty());
   });
   sim.run();
-  // Each wait is counted once, when the job starts service: 0 for the
-  // first job, 3 (t = 1 to 4) for the second, which never displaces it.
-  EXPECT_EQ(f.waiting_times().count(), 2u);
-  EXPECT_DOUBLE_EQ(f.waiting_times().max(), 3.0);
+  // Each job waits once, until it starts service: 0 for the first job,
+  // 3 (t = 1 to 4) for the second, which never displaces it.
+  EXPECT_EQ(waits, (std::vector<double>{0.0, 3.0}));
 }
 
 }  // namespace

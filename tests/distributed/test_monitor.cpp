@@ -18,7 +18,8 @@ TEST(RateMonitor, ExactModeReturnsTrueAvailableRates) {
   const core::Instance inst = instance();
   core::StrategyProfile s = core::StrategyProfile::proportional(inst);
   RateMonitor monitor(0.0);
-  const std::vector<double> obs = monitor.observe(inst, s, 0);
+  std::vector<double> obs = s.available_rates(inst, 0);
+  monitor.perturb(inst, obs);
   const std::vector<double> truth = s.available_rates(inst, 0);
   ASSERT_EQ(obs.size(), truth.size());
   for (std::size_t i = 0; i < obs.size(); ++i) {
@@ -33,7 +34,8 @@ TEST(RateMonitor, NoisyModePerturbsButStaysBounded) {
   bool saw_difference = false;
   const std::vector<double> truth = s.available_rates(inst, 0);
   for (int round = 0; round < 100; ++round) {
-    const std::vector<double> obs = monitor.observe(inst, s, 0);
+    std::vector<double> obs = s.available_rates(inst, 0);
+    monitor.perturb(inst, obs);
     for (std::size_t i = 0; i < obs.size(); ++i) {
       EXPECT_GT(obs[i], 0.0);
       EXPECT_LE(obs[i], truth[i] + 1e-12);  // never over-estimates
@@ -48,8 +50,10 @@ TEST(RateMonitor, NoiseIsDeterministicPerSeed) {
   core::StrategyProfile s = core::StrategyProfile::proportional(inst);
   RateMonitor a(0.2, 7), b(0.2, 7);
   for (int round = 0; round < 10; ++round) {
-    const std::vector<double> oa = a.observe(inst, s, 1);
-    const std::vector<double> ob = b.observe(inst, s, 1);
+    std::vector<double> oa = s.available_rates(inst, 1);
+    std::vector<double> ob = s.available_rates(inst, 1);
+    a.perturb(inst, oa);
+    b.perturb(inst, ob);
     for (std::size_t i = 0; i < oa.size(); ++i) {
       EXPECT_DOUBLE_EQ(oa[i], ob[i]);
     }

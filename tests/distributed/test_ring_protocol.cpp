@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "core/equilibrium.hpp"
 #include "workload/configs.hpp"
@@ -16,6 +18,22 @@ core::Instance instance(std::size_t users = 5, double util = 0.6) {
   const double cap = std::accumulate(inst.mu.begin(), inst.mu.end(), 0.0);
   inst.phi.assign(users, util * cap / static_cast<double>(users));
   return inst;
+}
+
+/// The ring and the in-memory dynamics agree bit for bit: rounds,
+/// profile, every round norm and every final response time.
+void expect_bitwise_equal(const RingResult& ring,
+                          const core::DynamicsResult& mem) {
+  EXPECT_EQ(ring.rounds, mem.iterations);
+  EXPECT_EQ(ring.profile.max_difference(mem.profile), 0.0);
+  ASSERT_EQ(ring.norm_history.size(), mem.norm_history.size());
+  for (std::size_t l = 0; l < mem.norm_history.size(); ++l) {
+    EXPECT_EQ(ring.norm_history[l], mem.norm_history[l]) << "round " << l + 1;
+  }
+  ASSERT_EQ(ring.user_times.size(), mem.user_times.size());
+  for (std::size_t j = 0; j < mem.user_times.size(); ++j) {
+    EXPECT_EQ(ring.user_times[j], mem.user_times[j]) << "user " << j;
+  }
 }
 
 TEST(RingProtocol, ConvergesToNashEquilibrium) {
@@ -47,12 +65,7 @@ TEST(RingProtocol, MatchesInMemoryDynamicsExactly) {
 
   ASSERT_TRUE(ring.converged);
   ASSERT_TRUE(mem.converged);
-  EXPECT_EQ(ring.rounds, mem.iterations);
-  EXPECT_LT(ring.profile.max_difference(mem.profile), 1e-12);
-  ASSERT_EQ(ring.norm_history.size(), mem.norm_history.size());
-  for (std::size_t l = 0; l < mem.norm_history.size(); ++l) {
-    EXPECT_NEAR(ring.norm_history[l], mem.norm_history[l], 1e-12);
-  }
+  expect_bitwise_equal(ring, mem);
 }
 
 TEST(RingProtocol, Nash0AlsoMatchesInMemory) {
@@ -66,8 +79,8 @@ TEST(RingProtocol, Nash0AlsoMatchesInMemory) {
   dopts.tolerance = 1e-6;
   const core::DynamicsResult mem = core::best_reply_dynamics(inst, dopts);
   ASSERT_TRUE(ring.converged);
-  EXPECT_EQ(ring.rounds, mem.iterations);
-  EXPECT_LT(ring.profile.max_difference(mem.profile), 1e-12);
+  ASSERT_TRUE(mem.converged);
+  expect_bitwise_equal(ring, mem);
 }
 
 TEST(RingProtocol, MessageCountIsRoundsTimesUsersPlusStopWave) {
@@ -118,6 +131,20 @@ TEST(RingProtocol, RoundCapReportsNonConvergence) {
   const RingResult res = run_ring_protocol(inst, opts);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.rounds, 4u);
+  EXPECT_EQ(res.messages, 4u * 6u);  // no STOP wave
+
+  // A zero cap runs no round, as the dynamics does with
+  // max_iterations = 0: the start profile comes back at time zero.
+  opts.max_rounds = 0;
+  const RingResult none = run_ring_protocol(inst, opts);
+  EXPECT_FALSE(none.converged);
+  EXPECT_EQ(none.rounds, 0u);
+  EXPECT_EQ(none.messages, 0u);
+  EXPECT_EQ(none.finish_time, 0.0);
+  EXPECT_TRUE(none.norm_history.empty());
+  EXPECT_EQ(none.profile.max_difference(
+                core::StrategyProfile::proportional(inst)),
+            0.0);
 }
 
 TEST(RingProtocol, NoisyMonitoringStillLandsNearEquilibrium) {
@@ -152,6 +179,13 @@ TEST(RingProtocol, RejectsNegativeLatency) {
   const core::Instance inst = instance();
   RingOptions opts;
   opts.link_latency = -1.0;
+  EXPECT_THROW((void)run_ring_protocol(inst, opts), std::invalid_argument);
+  // A non-finite delay would leave the clock at +inf.
+  const double inf = std::numeric_limits<double>::infinity();
+  opts.link_latency = inf;
+  EXPECT_THROW((void)run_ring_protocol(inst, opts), std::invalid_argument);
+  opts.link_latency = 1e-3;
+  opts.compute_time = inf;
   EXPECT_THROW((void)run_ring_protocol(inst, opts), std::invalid_argument);
 }
 
