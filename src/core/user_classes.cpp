@@ -1,6 +1,7 @@
 #include "core/user_classes.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -182,11 +183,38 @@ UserClassPartition UserClassPartition::quantized(const Instance& inst,
     }
     counts = number_distinct(cell, user_class);
   } else {
-    // Each cell goes straight into the class map and into its count.
+    // Each cell goes straight into the class map and into its count. The
+    // cell is monotone in phi and positive doubles order like their bits,
+    // so a slice of bit patterns whose two ends share a cell holds no
+    // other: its users read that cell from the slice's bucket, and only
+    // users in a slice that a cell edge cuts evaluate the expression.
+    // Each slice end costs one `std::log`, so there are at most m / 32
+    // slices (m / 8 bytes of buckets). Timed at 2^20 users, `quantized`
+    // ran 2.5x faster than with a `std::log` per user at 2,048 users per
+    // cell, 1.6x at 256 and 1.2x at 128; at 64, where most users sit in
+    // cut slices, it ran 8% slower, and at 32, where nearly all do, even.
+    constexpr std::uint32_t kCut = kMaxUsers;  // above every cell: top < m
+    const auto base = std::bit_cast<std::uint64_t>(lo);
+    const std::uint64_t span = std::bit_cast<std::uint64_t>(hi) - base;
+    const std::size_t slices = std::max<std::size_t>(m / 32, 1);
+    int shift = 0;
+    while ((span >> shift) >= slices) ++shift;
+    std::vector<std::uint32_t> bucket((span >> shift) + 1);
+    std::uint64_t below = 0;  // the cell of lo
+    for (std::uint64_t b = 0; b < bucket.size(); ++b) {
+      const std::uint64_t end = base + std::min(span, (b + 1) << shift);
+      const std::uint64_t above =
+          std::min(cell_of(std::bit_cast<double>(end)), top);
+      bucket[b] = below == above ? static_cast<std::uint32_t>(below) : kCut;
+      below = above;
+    }
     std::vector<std::uint32_t> table(static_cast<std::size_t>(top) + 1, 0);
     for (std::size_t j = 0; j < m; ++j) {
-      const auto c =
-          static_cast<std::uint32_t>(std::min(cell_of(inst.phi[j]), top));
+      const double phi = inst.phi[j];
+      auto c = bucket[(std::bit_cast<std::uint64_t>(phi) - base) >> shift];
+      if (c == kCut) {
+        c = static_cast<std::uint32_t>(std::min(cell_of(phi), top));
+      }
       user_class[j] = c;
       ++table[c];
     }
@@ -405,7 +433,8 @@ namespace {
 /// Exact best-reply gain of one probe demand against the expanded loads:
 /// the probe currently plays `row` (its class's strategy), so its cost is
 /// D = sum_i row_i / (mu_i − lambda_i) and its best deviation is the
-/// waterfill reply against avail_i = mu_i − lambda_i + row_i·phi.
+/// waterfill reply against avail_i = mu_i − lambda_i + row_i·phi, all in
+/// the caller's workspace: a probe allocates nothing.
 struct ProbeGain {
   double gain = 0.0;    // D − D*, seconds
   double d_star = 0.0;  // deviated response time D*
@@ -415,24 +444,24 @@ struct ProbeGain {
 
 ProbeGain probe_gain(const Instance& inst, std::span<const double> lambda,
                      std::span<const double> row, double current_d,
-                     double phi) {
+                     double phi, BestReplyWorkspace& ws) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   ProbeGain out;
   const std::size_t n = inst.num_computers();
-  std::vector<double> avail(n);
+  std::vector<double>& avail = ws.avail;
   for (std::size_t i = 0; i < n; ++i) {
     avail[i] = inst.mu[i] - (lambda[i] - row[i] * phi);
     if (!(avail[i] > 0.0)) return out;
   }
-  const std::vector<double> reply = optimal_fractions(avail, phi);
+  optimal_fractions_into(avail, phi, ws.reply, ws.waterfill);
   double d_star = 0.0;
   double u_min = kInf;
   for (std::size_t i = 0; i < n; ++i) {
-    const double slack = avail[i] - reply[i] * phi;
+    const double slack = avail[i] - ws.reply[i] * phi;
     u_min = std::min(u_min, slack);
-    if (reply[i] > 0.0) {
+    if (ws.reply[i] > 0.0) {
       if (!(slack > 0.0)) return out;
-      d_star += reply[i] / slack;
+      d_star += ws.reply[i] / slack;
     }
   }
   out.gain = current_d - d_star;
@@ -455,6 +484,9 @@ EpsNashCertificate certify_eps_nash(const Instance& inst,
   const std::vector<double> lambda =
       partition.expanded_loads(inst, class_profile);
   EpsNashCertificate cert;
+  // One workspace for all probes; a warm order replies as a fresh sort.
+  BestReplyWorkspace ws;
+  ws.resize(inst.num_computers());
   for (std::size_t k = 0; k < partition.num_classes(); ++k) {
     const UserClass& cls = partition.classes()[k];
     const std::span<const double> row = class_profile.row(k);
@@ -480,7 +512,7 @@ EpsNashCertificate certify_eps_nash(const Instance& inst,
     // The representative's residual gap_rep: how far the class profile
     // is from an exact class-level equilibrium.
     const ProbeGain rep =
-        probe_gain(inst, lambda, row, current_d, cls.rep_phi);
+        probe_gain(inst, lambda, row, current_d, cls.rep_phi, ws);
     const double rep_gap = rep.ok ? std::max(rep.gain, 0.0) : kInf;
     cert.rep_gap_seconds = std::max(cert.rep_gap_seconds, rep_gap);
     // Real-member probes: the bucket extremes (one probe when the
@@ -494,7 +526,8 @@ EpsNashCertificate certify_eps_nash(const Instance& inst,
     for (std::size_t p = 0; p < num_probes; ++p) {
       const std::size_t j = probes[p];
       const double phi_j = inst.phi[j];
-      const ProbeGain g = probe_gain(inst, lambda, row, current_d, phi_j);
+      const ProbeGain g =
+          probe_gain(inst, lambda, row, current_d, phi_j, ws);
       ++cert.evaluated_members;
       const double delta = std::fabs(phi_j - cls.rep_phi);
       const double eps_j = g.ok ? std::max(g.gain, 0.0) / current_d : kInf;

@@ -80,9 +80,11 @@ class UserClassPartition {
   /// assumed. No sort while the cells fit a table of m entries (always
   /// when 0 < max_classes <= m): one pass writes each user's cell into the
   /// class map and counts it, and the nonempty cells become the classes;
-  /// a wider range sorts its distinct cells. Throws
-  /// std::invalid_argument unless eps_phi is finite, > 0 and survives
-  /// 1 + eps_phi > 1, and when phi_max / phi_min overflows.
+  /// a wider range sorts its distinct cells. The pass takes a `std::log`
+  /// only for users near a cell edge; the others read their cell from a
+  /// bucket of demands that all share it.
+  /// Throws std::invalid_argument unless eps_phi is finite, > 0 and
+  /// survives 1 + eps_phi > 1, and when phi_max / phi_min overflows.
   [[nodiscard]] static UserClassPartition quantized(
       const Instance& inst, double eps_phi, std::size_t max_classes = 0);
 

@@ -35,9 +35,8 @@
 
 namespace nashlb::obs {
 
-/// Column schema of the probe's CSV export, in row order.
-/// tools/nashlb_analyzer.py (`trace-arity` rule) counts every exported
-/// CSV row against it.
+/// Column schema of the probe's CSV export, in row order. The export's
+/// util::CsvWriter throws on a row of any other length.
 std::vector<std::string> convergence_trace_columns();
 
 namespace detail {

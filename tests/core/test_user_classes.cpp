@@ -229,36 +229,103 @@ TEST(UserClasses, QuantizedMatchesSortedReference) {
                   ? std::exp(rng.next_double() * std::log(spread))
                   : inst.phi[j % distinct];
         }
-        for (const Width& w : widths) {
-          SCOPED_TRACE(testing::Message()
-                       << "m=" << m << " spread=" << spread << " ties="
-                       << ties << " eps=" << w.eps_phi
-                       << " K=" << w.max_classes);
-          const UserClassPartition part =
-              UserClassPartition::quantized(inst, w.eps_phi, w.max_classes);
-          const ReferencePartition ref =
-              sorted_reference(inst, w.eps_phi, w.max_classes);
-          ASSERT_EQ(part.num_classes(), ref.groups.size());
-          for (std::size_t k = 0; k < ref.groups.size(); ++k) {
-            const UserClass& got = part.classes()[k];
-            const UserClass& want = ref.classes[k];
-            EXPECT_EQ(bits(got.weight), bits(want.weight)) << "class " << k;
-            EXPECT_EQ(bits(got.rep_phi), bits(want.rep_phi)) << "class " << k;
-            EXPECT_EQ(bits(got.phi_min), bits(want.phi_min)) << "class " << k;
-            EXPECT_EQ(bits(got.phi_max), bits(want.phi_max)) << "class " << k;
-            EXPECT_EQ(got.user_min, want.user_min) << "class " << k;
-            EXPECT_EQ(got.user_max, want.user_max) << "class " << k;
-            EXPECT_EQ(bits(part.rep_phi()[k]), bits(want.rep_phi));
-            EXPECT_EQ(part.member_counts()[k],
-                      static_cast<double>(ref.groups[k].size()));
+        // The same demands again in another user order: each user's class
+        // must follow it, as in the reference, which sorts by demand.
+        for (const bool shuffled : {false, true}) {
+          for (std::size_t j = m; shuffled && j > 1; --j) {
+            std::swap(inst.phi[j - 1], inst.phi[rng.next_below(j)]);
           }
-          for (std::size_t j = 0; j < m; ++j) {
-            ASSERT_EQ(part.class_of(j), ref.class_of[j]) << "user " << j;
+          for (const Width& w : widths) {
+            SCOPED_TRACE(testing::Message()
+                         << "m=" << m << " spread=" << spread << " ties="
+                         << ties << " shuffled=" << shuffled
+                         << " eps=" << w.eps_phi << " K=" << w.max_classes);
+            const UserClassPartition part =
+                UserClassPartition::quantized(inst, w.eps_phi, w.max_classes);
+            const ReferencePartition ref =
+                sorted_reference(inst, w.eps_phi, w.max_classes);
+            ASSERT_EQ(part.num_classes(), ref.groups.size());
+            for (std::size_t k = 0; k < ref.groups.size(); ++k) {
+              const UserClass& got = part.classes()[k];
+              const UserClass& want = ref.classes[k];
+              EXPECT_EQ(bits(got.weight), bits(want.weight)) << "class " << k;
+              EXPECT_EQ(bits(got.rep_phi), bits(want.rep_phi)) << "class " << k;
+              EXPECT_EQ(bits(got.phi_min), bits(want.phi_min)) << "class " << k;
+              EXPECT_EQ(bits(got.phi_max), bits(want.phi_max)) << "class " << k;
+              EXPECT_EQ(got.user_min, want.user_min) << "class " << k;
+              EXPECT_EQ(got.user_max, want.user_max) << "class " << k;
+              EXPECT_EQ(bits(part.rep_phi()[k]), bits(want.rep_phi));
+              EXPECT_EQ(part.member_counts()[k],
+                        static_cast<double>(ref.groups[k].size()));
+            }
+            for (std::size_t j = 0; j < m; ++j) {
+              ASSERT_EQ(part.class_of(j), ref.class_of[j]) << "user " << j;
+            }
+            EXPECT_EQ(bits(part.total_weight()), bits(ref.total_weight));
+            EXPECT_EQ(bits(part.max_abs_deviation()), bits(ref.max_abs_dev));
+            EXPECT_EQ(bits(part.max_rel_deviation()), bits(ref.max_rel_dev));
           }
-          EXPECT_EQ(bits(part.total_weight()), bits(ref.total_weight));
-          EXPECT_EQ(bits(part.max_abs_deviation()), bits(ref.max_abs_dev));
-          EXPECT_EQ(bits(part.max_rel_deviation()), bits(ref.max_rel_dev));
         }
+      }
+    }
+  }
+}
+
+// `quantized` reads most cells from buckets of demands that share one,
+// and evaluates the cell only near an edge. Every edge T_k (the smallest
+// demand whose capped cell is >= k) is found here by an independent
+// bisection with the `std::log` expression of `sorted_reference`, and the
+// demands T_k ± 3 ulps must land in the reference's cells, among enough
+// log-uniform users that most buckets hold a single cell.
+TEST(UserClasses, QuantizedCellsMatchLogAtThresholds) {
+  constexpr double kEpsPhi = 1e-6;  // below every capped width here
+  for (const std::size_t max_classes : {8u, 512u}) {
+    for (const double spread : {1.5, 100.0, 1e6}) {
+      const double lo = 0.37;
+      const double hi = lo * spread;
+      const double ratio = std::max(
+          1.0 + kEpsPhi, std::pow(hi / lo, 1.0 / static_cast<double>(
+                                                   max_classes)) *
+                             (1.0 + 1e-12));
+      const double log_ratio = std::log(ratio);
+      const auto cell = [&](std::uint64_t pattern) {
+        const auto c = static_cast<long long>(std::floor(
+            std::log(std::bit_cast<double>(pattern) / lo) / log_ratio));
+        return std::min(c, static_cast<long long>(max_classes) - 1);
+      };
+      Instance inst;
+      inst.mu = {1e12};
+      inst.phi = {lo, hi};
+      const long long top = cell(bits(hi));
+      ASSERT_EQ(top, static_cast<long long>(max_classes) - 1);
+      for (long long k = 1; k <= top; ++k) {
+        std::uint64_t below = bits(lo);  // cell 0 < k
+        std::uint64_t at = bits(hi);     // cell top >= k
+        while (at - below > 1) {
+          const std::uint64_t mid = below + (at - below) / 2;
+          (cell(mid) >= k ? at : below) = mid;
+        }
+        for (int d = -3; d <= 3; ++d) {
+          const std::uint64_t p = std::clamp<std::uint64_t>(
+              at + static_cast<std::uint64_t>(d), bits(lo), bits(hi));
+          inst.phi.push_back(std::bit_cast<double>(p));
+        }
+      }
+      stats::Xoshiro256 rng(max_classes + static_cast<std::uint64_t>(spread));
+      while (inst.phi.size() < 256 * max_classes) {
+        inst.phi.push_back(lo *
+                           std::exp(rng.next_double() * std::log(spread)));
+      }
+      SCOPED_TRACE(testing::Message()
+                   << "K=" << max_classes << " spread=" << spread);
+      const UserClassPartition part =
+          UserClassPartition::quantized(inst, kEpsPhi, max_classes);
+      const ReferencePartition ref =
+          sorted_reference(inst, kEpsPhi, max_classes);
+      ASSERT_EQ(part.num_classes(), ref.groups.size());
+      for (std::size_t j = 0; j < inst.num_users(); ++j) {
+        ASSERT_EQ(part.class_of(j), ref.class_of[j])
+            << "user " << j << " phi=" << inst.phi[j];
       }
     }
   }

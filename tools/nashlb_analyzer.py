@@ -3,14 +3,15 @@
 generic tool can check, run over a C++ tokenizer with scope tracking.
 
 Registered as the `check_analyzer` ctest and a tools/check_all.sh step.
-Eight rules, each protecting a guarantee the reproduction rests on
+Six rules, each protecting a guarantee the reproduction rests on
 (docs/STATIC_ANALYSIS.md, "Semantic analysis"):
 
   hot-path-alloc
       No allocation in the designated hot set: every `*_into` definition
       tree-wide plus the steady-state helpers of core/dynamics.cpp,
-      core/load_state.cpp, core/user_classes.cpp and
-      distributed/ring_protocol.cpp (HOT_FILE_FUNCS below). Flags
+      core/load_state.cpp, core/user_classes.cpp (the certificate's
+      probe_gain) and distributed/ring_protocol.cpp (HOT_FILE_FUNCS
+      below). Flags
       new-expressions, construction of allocating containers
       (vector/string/function/map/...), push_back/emplace_back on
       un-reserve()d receivers, make_unique/make_shared/to_string, and
@@ -21,14 +22,6 @@ Eight rules, each protecting a guarantee the reproduction rests on
       definition. The `_into` layer's whole contract is that a
       steady-state best-reply round performs zero heap allocations, and
       no compiler warning says when a stray copy or wrapper breaks it.
-
-  unordered-float-accum
-      No floating-point accumulation into a loop-invariant target inside
-      a range-for over std::unordered_map/std::unordered_set. Hash
-      iteration order is implementation- and seed-dependent, and float
-      addition does not commute in rounding, so such a loop silently
-      breaks bitwise run-to-run determinism. Accumulating into a
-      per-key slot (target names the loop variable) is allowed.
 
   nondeterminism-sources
       No std::random_device, rand()/srand(), time()/clock(), or
@@ -57,13 +50,6 @@ Eight rules, each protecting a guarantee the reproduction rests on
       throw-expression and be declared noexcept: a throwing merge
       inside a worker would std::terminate instead of surfacing as the
       lowest-chunk rethrow.
-
-  trace-arity
-      In a src/ file that defines a `*_trace_columns()` or
-      `*_export_columns()` schema, every
-      `record({...})` and `add_row({...})` call must pass exactly as
-      many cells as the schema declares columns. The writers check this
-      at runtime, but only on instrumented runs.
 
   histogram-bounds
       src/obs/histogram.hpp must declare bucket_count(),
@@ -113,11 +99,9 @@ import sys
 
 RULES = (
     "hot-path-alloc",
-    "unordered-float-accum",
     "nondeterminism-sources",
     "contract-coverage",
     "noexcept-merge",
-    "trace-arity",
     "histogram-bounds",
     "raw-concurrency",
 )
@@ -135,7 +119,9 @@ HOT_FILE_FUNCS = {
     "src/core/dynamics.cpp": {"replies_computable"},
     "src/core/load_state.cpp": {"commit_row", "available_rates",
                                 "user_response_time"},
-    "src/core/user_classes.cpp": set(),  # class_reply_into via *_into
+    # class_reply_into is hot as a *_into; probe_gain runs 3 x K times
+    # per certificate on one workspace.
+    "src/core/user_classes.cpp": {"probe_gain"},
     "src/distributed/ring_protocol.cpp": {"update_user"},
 }
 
@@ -174,9 +160,6 @@ CONTRACT_CALL_DEPTH = 6
 PARALLEL_CPP = "src/util/parallel.cpp"
 PARALLEL_FILES = ("src/util/parallel.hpp", PARALLEL_CPP)
 OBS_DIR = "src/obs"
-
-SCHEMA_FUNC_RE = re.compile(r"\w+_(?:trace_columns|export_columns)$")
-ARITY_CALLS = ("record", "add_row")
 
 HISTOGRAM_HPP = "src/obs/histogram.hpp"
 HISTOGRAM_API = ("bucket_count", "bucket_lower_bound", "bucket_upper_bound")
@@ -635,24 +618,6 @@ def rule_hot_path_alloc(path, toks, funcs, waivers, out):
                       "function %s()" % (body[idx + 2].text, fn.name))
 
 
-def _unordered_vars(toks):
-    """Names declared in this file with an unordered_{map,set} type."""
-    names = set()
-    for i, t in enumerate(toks):
-        if t.kind == "id" and t.text.startswith("unordered_"):
-            j = i + 1
-            if j < len(toks) and toks[j].text == "<":
-                j = _match_angle(toks, j)
-                if j is None:
-                    continue
-                j += 1
-            while j < len(toks) and toks[j].text in ("&", "*", "const"):
-                j += 1
-            if j < len(toks) and toks[j].kind == "id":
-                names.add(toks[j].text)
-    return names
-
-
 def _match_angle(toks, i):
     depth = 0
     for j in range(i, len(toks)):
@@ -664,87 +629,6 @@ def _match_angle(toks, i):
                 return j
         elif toks[j].text in (";", "{"):
             return None
-    return None
-
-
-def rule_unordered_float_accum(path, toks, waivers, out):
-    unordered = _unordered_vars(toks)
-    i = 0
-    n = len(toks)
-    while i < n:
-        if toks[i].text != "for" or i + 1 >= n or toks[i + 1].text != "(":
-            i += 1
-            continue
-        close = match_paren(toks, i + 1)
-        if close is None:
-            i += 1
-            continue
-        head = toks[i + 2:close]
-        split = _range_for_split(head)
-        if split is None:
-            i = close + 1
-            continue
-        loop_vars, range_toks = split
-        range_ids = {t.text for t in range_toks if t.kind == "id"}
-        if not (range_ids & unordered
-                or any(x.startswith("unordered_") for x in range_ids)):
-            i = close + 1
-            continue
-        body_end = close
-        if close + 1 < n and toks[close + 1].text == "{":
-            body_end = match_paren(toks, close + 1, "{", "}") or close
-            body = toks[close + 2:body_end]
-        else:
-            body_end = close + 1
-            while body_end < n and toks[body_end].text != ";":
-                body_end += 1
-            body = toks[close + 1:body_end]
-        stmt_start = 0
-        for idx, t in enumerate(body):
-            if t.text in (";", "{", "}"):
-                stmt_start = idx + 1
-            elif t.text in ("+=", "-=", "*=", "/="):
-                lhs_ids = {x.text for x in body[stmt_start:idx]
-                           if x.kind == "id"}
-                if not (lhs_ids & loop_vars):
-                    _emit(out, waivers, path, t.line,
-                          "unordered-float-accum",
-                          "accumulation `%s` into a loop-invariant target "
-                          "inside a range-for over an unordered container: "
-                          "hash order is nondeterministic and float folds "
-                          "do not commute" % t.text)
-        i = body_end + 1
-
-
-def _range_for_split(head):
-    """Splits range-for head tokens at the top-level ':'; returns
-    (loop-var names, range tokens) or None for a classic for."""
-    depth = 0
-    for idx, t in enumerate(head):
-        if t.text in ("(", "[", "{"):
-            depth += 1
-        elif t.text in (")", "]", "}"):
-            depth -= 1
-        elif t.text == ";" and depth == 0:
-            return None
-        elif t.text == ":" and depth == 0:
-            decl = head[:idx]
-            loop_vars = set()
-            if any(t2.text == "[" for t2 in decl):
-                grab = False
-                for t2 in decl:
-                    if t2.text == "[":
-                        grab = True
-                    elif t2.text == "]":
-                        grab = False
-                    elif grab and t2.kind == "id":
-                        loop_vars.add(t2.text)
-            else:
-                ids = [t2.text for t2 in decl if t2.kind == "id"
-                       and t2.text not in CPP_KEYWORDS]
-                if ids:
-                    loop_vars.add(ids[-1])
-            return loop_vars, head[idx + 1:]
     return None
 
 
@@ -824,63 +708,6 @@ def rule_noexcept_merge(path, toks, funcs, waivers, out):
             _emit(out, waivers, path, fn.line, "noexcept-merge",
                   "%s() is not declared noexcept; a throwing merge "
                   "inside a worker would std::terminate" % fn.qual)
-
-
-def _brace_cells(toks, i):
-    """toks[i] is `{`: the number of top-level cells in its list."""
-    end = match_paren(toks, i, "{", "}")
-    if end is None or end == i + 1:
-        return 0
-    depth = 0
-    cells = 1
-    for t in toks[i + 1:end]:
-        if t.text in ("(", "[", "{"):
-            depth += 1
-        elif t.text in (")", "]", "}"):
-            depth -= 1
-        elif t.text == "," and depth == 0:
-            cells += 1
-    return cells
-
-
-def _string_count(toks, i):
-    """String literals in the braced list opening at toks[i]."""
-    end = match_paren(toks, i, "{", "}") or i
-    return sum(1 for t in toks[i:end] if t.kind == "str")
-
-
-def rule_trace_arity(path, toks, funcs, waivers, out):
-    schema = next((fn for fn in funcs if fn.is_definition
-                   and SCHEMA_FUNC_RE.match(fn.name)), None)
-    if schema is None:
-        return
-    body = schema.body
-    ret = next((k + 1 for k in range(len(body) - 1)
-                if body[k].text == "return" and body[k + 1].text == "{"),
-               None)
-    if ret is None:
-        _emit(out, waivers, path, schema.line, "trace-arity",
-              "%s() has no braced return list" % schema.name)
-        return
-    columns = _string_count(body, ret)
-    for i, t in enumerate(toks[:-2]):
-        if (t.kind != "id" or t.text not in ARITY_CALLS
-                or toks[i + 1].text != "("):
-            continue
-        close = match_paren(toks, i + 1)
-        if close is None:
-            continue
-        if (toks[i + 2].text != "{"
-                or match_paren(toks, i + 2, "{", "}") != close - 1):
-            _emit(out, waivers, path, t.line, "trace-arity",
-                  "%s() argument is not a braced cell list; cannot check "
-                  "arity against %s()" % (t.text, schema.name))
-            continue
-        cells = _brace_cells(toks, i + 2)
-        if cells != columns:
-            _emit(out, waivers, path, t.line, "trace-arity",
-                  "%s() passes %d cells but %s() declares %d columns"
-                  % (t.text, cells, schema.name, columns))
 
 
 def rule_histogram_bounds(path, toks, waivers, out):
@@ -1050,10 +877,8 @@ def analyze(files):
         funcs = index_file(path, toks)
         index[path] = funcs
         rule_hot_path_alloc(path, toks, funcs, waivers, findings)
-        rule_unordered_float_accum(path, toks, waivers, findings)
         rule_nondeterminism(path, toks, waivers, findings)
         rule_noexcept_merge(path, toks, funcs, waivers, findings)
-        rule_trace_arity(path, toks, funcs, waivers, findings)
         rule_histogram_bounds(path, toks, waivers, findings)
         rule_raw_concurrency(path, text, toks, waivers, findings)
     entries, cov_findings = compute_contract_coverage(index, waiver_map)
@@ -1186,30 +1011,6 @@ SELFTEST_SNIPPETS = [
           for (int i = 0; i < n; ++i) buf.back() = 0.0;
         }
     """),
-    ("unordered-float-accum", "src/core/snippet.cpp", True, """
-        namespace std { template <class K, class V> struct unordered_map {
-          struct value_type { K first; V second; };
-          value_type* begin(); value_type* end(); }; }
-        double total(std::unordered_map<int, double>& m) {
-          double sum = 0.0;
-          for (auto& kv : m) sum += kv.second;
-          return sum;
-        }
-    """),
-    ("unordered-float-accum", "src/core/snippet.cpp", False, """
-        namespace std { template <class K, class V> struct unordered_map {
-          struct value_type { K first; V second; };
-          value_type* begin(); value_type* end(); };
-          template <class T> struct vector { T* begin(); T* end(); }; }
-        double merge_per_key(std::unordered_map<int, double>& m,
-                             double* slots) {
-          for (auto& kv : m) slots[kv.first] += kv.second;
-          double sum = 0.0;
-          std::vector<double> v;
-          for (double x : v) sum += x;
-          return sum;
-        }
-    """),
     ("nondeterminism-sources", "src/core/snippet.cpp", True, """
         namespace std { struct random_device { unsigned operator()(); }; }
         unsigned seed_badly() { std::random_device rd; return rd(); }
@@ -1313,36 +1114,14 @@ SELFTEST_SNIPPETS = [
     ("hot-path-alloc", "src/core/dynamics.cpp", True, """
         double seed_profile(int j) { return waterfill_sqrt(j, 1.0); }
     """),
+    ("hot-path-alloc", "src/core/user_classes.cpp", True, """
+        double probe_gain(int n) { return optimal_fractions(n)[0]; }
+    """),
     ("hot-path-alloc", "src/core/snippet.cpp", False, """
         struct Reply {};
         Reply best_reply(int j);
         void reply_into(int j, Reply& ws) { best_reply_into(j, ws); }
         Reply cold_reply(int j) { return best_reply(j); }
-    """),
-    ("trace-arity", "src/obs/snippet.cpp", True, """
-        std::vector<std::string> probe_trace_columns() {
-          return {"round", "norm"};
-        }
-        void dump(Sink& t) { t.record({1, 2.0, 3}); }
-    """),
-    ("trace-arity", "src/obs/snippet.cpp", True, """
-        std::vector<std::string> probe_export_columns() {
-          return {"round", "norm"};
-        }
-        void dump(Writer& w, const Row& cells) { w.add_row(cells); }
-    """),
-    ("trace-arity", "src/obs/snippet.cpp", False, """
-        std::vector<std::string> probe_trace_columns() {
-          return {"name", "ts", "dur"};
-        }
-        void dump(Sink& t, const Row& cells) {
-          t.record({a, {b, c}, f(d, e)});
-          // nashlb-analyzer: allow(trace-arity) -- arity pinned by Row
-          t.record(cells);
-        }
-    """),
-    ("trace-arity", "src/obs/snippet.cpp", False, """
-        void dump(Sink& t) { t.record({1}); }
     """),
     ("histogram-bounds", "src/core/snippet.cpp", True, """
         int octave() { return kBucketsPerOctave; }
