@@ -506,7 +506,6 @@ EpsNashCertificate certify_eps_nash(const Instance& inst,
     if (!std::isfinite(current_d) || !(current_d > 0.0)) {
       cert.eps_nash = kInf;
       cert.analytic_bound = kInf;
-      cert.worst_class = k;
       return cert;
     }
     // The representative's residual gap_rep: how far the class profile
@@ -514,7 +513,6 @@ EpsNashCertificate certify_eps_nash(const Instance& inst,
     const ProbeGain rep =
         probe_gain(inst, lambda, row, current_d, cls.rep_phi, ws);
     const double rep_gap = rep.ok ? std::max(rep.gain, 0.0) : kInf;
-    cert.rep_gap_seconds = std::max(cert.rep_gap_seconds, rep_gap);
     // Real-member probes: the bucket extremes (one probe when the
     // extremes coincide, as in exact mode).
     const std::size_t probes[2] = {cls.user_min, cls.user_max};
@@ -540,12 +538,8 @@ EpsNashCertificate certify_eps_nash(const Instance& inst,
               : kInf;
       if (eps_j > cert.eps_nash) {
         cert.eps_nash = eps_j;
-        cert.worst_class = k;
-        cert.worst_user = j;
       }
       cert.analytic_bound = std::max(cert.analytic_bound, bound_j);
-      cert.max_abs_gain_seconds =
-          std::max(cert.max_abs_gain_seconds, g.ok ? g.gain : kInf);
     }
   }
   return cert;

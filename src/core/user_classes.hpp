@@ -179,14 +179,6 @@ struct EpsNashCertificate {
   /// the slack the reply leaves). eps_nash <= analytic_bound up to
   /// rounding — the unit tests pin this ordering.
   double analytic_bound = 0.0;
-  /// Largest absolute probe gain, seconds.
-  double max_abs_gain_seconds = 0.0;
-  /// Worst representative residual gap_rep (seconds): how far the class
-  /// profile itself is from a class-level equilibrium.
-  double rep_gap_seconds = 0.0;
-  /// Probe attaining eps_nash.
-  std::size_t worst_user = 0;
-  std::size_t worst_class = 0;
   /// Number of real-member probes evaluated.
   std::size_t evaluated_members = 0;
 };

@@ -14,9 +14,8 @@
 //     2^(1/kBucketsPerOctave) (~4.4% relative width), so quantile
 //     estimates carry the same *relative* error at 50 µs and 50 s;
 //   * bounds are declared programmatically (bucket_count(),
-//     bucket_lower_bound(), bucket_upper_bound()) — consumers must
-//     never hardcode edges; tools/nashlb_analyzer.py enforces this
-//     (`histogram-bounds` rule);
+//     bucket_lower_bound(), bucket_upper_bound()) and the layout
+//     constants are private, so no consumer can hardcode an edge;
 //   * like every obs type, a -DNASHLB_OBS=OFF build swaps in an empty
 //     no-op twin.
 //
@@ -39,10 +38,6 @@ namespace nashlb::obs {
 /// bucket; exact min/max are tracked separately so the clamping never
 /// loses the extremes.
 struct HistogramLayout {
-  static constexpr int kMinExponent = -30;       ///< 2^-30 s ~ 0.93 ns
-  static constexpr int kMaxExponent = 12;        ///< 2^12 s ~ 68 min
-  static constexpr int kBucketsPerOctave = 16;   ///< 2^(1/16) ~ +4.4%/bucket
-
   [[nodiscard]] static constexpr std::size_t bucket_count() noexcept {
     return static_cast<std::size_t>(kMaxExponent - kMinExponent) *
            static_cast<std::size_t>(kBucketsPerOctave);
@@ -53,6 +48,11 @@ struct HistogramLayout {
   [[nodiscard]] static double bucket_upper_bound(std::size_t k) noexcept;
   /// Index of the bucket containing `seconds` (clamped to the grid).
   [[nodiscard]] static std::size_t bucket_index(double seconds) noexcept;
+
+ private:
+  static constexpr int kMinExponent = -30;       ///< 2^-30 s ~ 0.93 ns
+  static constexpr int kMaxExponent = 12;        ///< 2^12 s ~ 68 min
+  static constexpr int kBucketsPerOctave = 16;   ///< 2^(1/16) ~ +4.4%/bucket
 };
 
 namespace detail {

@@ -50,8 +50,7 @@ std::vector<double> gradient(const core::Instance& inst,
 
 }  // namespace
 
-core::StrategyProfile NbsScheme::solve_with_trace(const core::Instance& inst,
-                                                  NbsTrace& trace) const {
+core::StrategyProfile NbsScheme::solve(const core::Instance& inst) const {
   inst.validate();
   const std::size_t m = inst.num_users();
   const std::size_t n = inst.num_computers();
@@ -62,9 +61,7 @@ core::StrategyProfile NbsScheme::solve_with_trace(const core::Instance& inst,
   double g = objective(inst, s);
   double step = 0.1;
 
-  trace = NbsTrace{};
   for (std::size_t iter = 1; iter <= max_iterations_; ++iter) {
-    trace.iterations = iter;
     const std::vector<double> grad = gradient(inst, s);
 
     // Backtracking: shrink the step until the projected move both stays
@@ -87,33 +84,16 @@ core::StrategyProfile NbsScheme::solve_with_trace(const core::Instance& inst,
         advanced = true;
         // Gradient-mapping convergence test: negligible projected move at
         // a healthy step size means first-order stationarity.
-        if (moved <= tolerance_ && step >= 1e-6) {
-          trace.converged = true;
-          trace.objective = g;
-          return s;
-        }
+        if (moved <= tolerance_ && step >= 1e-6) return s;
         step *= 1.5;  // reward success
         break;
       }
       step *= 0.5;
     }
-    if (!advanced) {
-      // No descent direction at the smallest step: numerically stationary.
-      trace.converged = true;
-      break;
-    }
+    // No descent direction at the smallest step: numerically stationary.
+    if (!advanced) return s;
   }
-  trace.objective = g;
-  return s;
-}
-
-core::StrategyProfile NbsScheme::solve(const core::Instance& inst) const {
-  NbsTrace trace;
-  core::StrategyProfile s = solve_with_trace(inst, trace);
-  if (!trace.converged) {
-    throw std::runtime_error("NBS: projected gradient did not converge");
-  }
-  return s;
+  throw std::runtime_error("NBS: projected gradient did not converge");
 }
 
 }  // namespace nashlb::schemes

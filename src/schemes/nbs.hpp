@@ -18,13 +18,6 @@
 
 namespace nashlb::schemes {
 
-/// Diagnostics of the NBS solver run.
-struct NbsTrace {
-  std::size_t iterations = 0;   ///< gradient steps taken
-  bool converged = false;       ///< gradient-mapping norm below tolerance
-  double objective = 0.0;       ///< final sum_j ln D_j
-};
-
 class NbsScheme final : public Scheme {
  public:
   explicit NbsScheme(double tolerance = 1e-8,
@@ -33,12 +26,10 @@ class NbsScheme final : public Scheme {
 
   [[nodiscard]] std::string name() const override { return "NBS"; }
 
+  /// Throws std::runtime_error when the projected gradient has not
+  /// converged within `max_iterations` steps.
   [[nodiscard]] core::StrategyProfile solve(
       const core::Instance& inst) const override;
-
-  /// solve() plus solver diagnostics (for tests and the A4 bench).
-  [[nodiscard]] core::StrategyProfile solve_with_trace(
-      const core::Instance& inst, NbsTrace& trace) const;
 
  private:
   double tolerance_;

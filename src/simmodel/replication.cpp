@@ -36,18 +36,8 @@ ReplicatedResult replicate(const core::Instance& inst,
     runs[r] = simulate(inst, profile, cfg);
   });
 
-  const std::size_t m = inst.num_users();
   const std::size_t n = inst.num_computers();
   ReplicatedResult out;
-  out.user_response.reserve(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    std::vector<double> means;
-    means.reserve(r_total);
-    for (const SimRunResult& run : runs) {
-      means.push_back(run.user_mean_response[j]);
-    }
-    out.user_response.push_back(stats::t_interval(means, kConfidence));
-  }
   {
     std::vector<double> means;
     means.reserve(r_total);
@@ -56,13 +46,10 @@ ReplicatedResult replicate(const core::Instance& inst,
     }
     out.overall_response = stats::t_interval(means, kConfidence);
   }
-  out.computer_utilization.assign(n, 0.0);
   out.computer_sojourn.assign(n, obs::Histogram{});
   for (const SimRunResult& run : runs) {
     out.total_jobs += run.jobs_generated;
     for (std::size_t i = 0; i < n; ++i) {
-      out.computer_utilization[i] +=
-          run.computer_utilization[i] / static_cast<double>(r_total);
       if (obs::kEnabled && i < run.computer_sojourn.size()) {
         out.computer_sojourn[i].merge(run.computer_sojourn[i]);
       }

@@ -5,7 +5,8 @@
 // than 5% at the 95% confidence level." This module runs R independent
 // replications (optionally on worker threads — each replication owns a
 // whole Simulator, so parallelism is embarrassingly clean) and reduces
-// them into Student-t intervals per user and overall.
+// them into a Student-t interval of the overall mean response time; the
+// per-run results stay on `runs`.
 #pragma once
 
 #include <cstddef>
@@ -33,12 +34,8 @@ struct ReplicationConfig {
 
 /// Reduced results across replications.
 struct ReplicatedResult {
-  /// Mean response time per user with its 95% confidence interval.
-  std::vector<stats::ConfidenceInterval> user_response;
   /// Overall (job-weighted) mean response time, 95% interval.
   stats::ConfidenceInterval overall_response;
-  /// Mean per-computer utilization across replications.
-  std::vector<double> computer_utilization;
   /// Per-computer sojourn histograms merged across all replications
   /// (cell-by-cell; see obs::Histogram::merge), in replication order.
   /// Empty histograms when the obs layer is compiled out.

@@ -56,12 +56,14 @@ struct SimRunResult {
   /// Busy fraction of each computer over the measured window.
   std::vector<double> computer_utilization;
   /// Mean response time of post-warm-up jobs completed at each computer
-  /// (0 where no job completed) — compare with MM1::mean_response_time.
+  /// (0 where no job completed) — compare with the M/M/1 mean response
+  /// time 1/(mu_i - lambda_i).
   std::vector<double> computer_mean_response;
   /// Post-warm-up completions per computer.
   std::vector<std::uint64_t> computer_jobs;
-  /// Time-average number waiting at each computer — compare with
-  /// MM1::mean_queue_length (Little's law cross-check in the tests).
+  /// Time-average number waiting at each computer — compare with the
+  /// M/M/1 mean queue length lambda_i^2/(mu_i (mu_i - lambda_i)) (Little's
+  /// law cross-check in the tests).
   std::vector<double> computer_mean_queue;
   /// Per-computer sojourn-time histogram (every completed job, including
   /// warm-up — see des::Facility::sojourn_histogram). Quantiles compare

@@ -2,36 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <limits>
-#include <new>
 #include <numeric>
 #include <stdexcept>
 
 #include "core/cost.hpp"
 #include "core/dynamics.hpp"
 #include "workload/configs.hpp"
-
-namespace {
-
-// Counting global operator new/delete: malloc passthrough plus a bump of
-// g_alloc_count, so a test can compare the allocations of two runs.
-std::size_t g_alloc_count = 0;
-
-void* count_alloc(std::size_t n) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return count_alloc(n); }
-void* operator new[](std::size_t n) { return count_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace nashlb::adaptive {
 namespace {
@@ -259,37 +236,6 @@ TEST(Online, SamplePathIsPinned) {
   ASSERT_EQ(r.final_profile.num_computers(), 16u);
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_EQ(r.final_profile.at(0, i), row0[i]) << "computer " << i;
-  }
-}
-
-TEST(Online, SteadyStateJobsDoNotAllocate) {
-  // Table 1 at 30% load and one report window: a run twice as long adds
-  // only jobs, so it must not add allocations. The calendar and the
-  // waiting buffers reach their peak sizes early. The adaptive run puts
-  // its first controller run past the horizon; the static run keeps the
-  // default 5 s period, which must schedule no controller and copy no
-  // meters at all.
-  const core::Instance inst = workload::table1_instance(0.3, 4);
-  const core::StrategyProfile prop =
-      core::StrategyProfile::proportional(inst);
-  for (const bool adapt : {true, false}) {
-    const auto run = [&](double horizon, std::uint64_t& jobs) {
-      OnlineOptions opts;
-      opts.horizon = horizon;
-      if (adapt) opts.update_period = 4.0 * horizon;
-      opts.report_period = 4.0 * horizon;
-      opts.adapt = adapt;
-      const std::size_t before = g_alloc_count;
-      jobs = simulate_online(inst.mu, constant_schedule(inst.phi), prop, opts)
-                 .jobs_completed;
-      return g_alloc_count - before;
-    };
-    std::uint64_t short_jobs = 0;
-    std::uint64_t long_jobs = 0;
-    const std::size_t short_allocs = run(200.0, short_jobs);
-    const std::size_t long_allocs = run(400.0, long_jobs);
-    EXPECT_GT(long_jobs, short_jobs + 20000) << "adapt=" << adapt;
-    EXPECT_EQ(long_allocs, short_allocs) << "adapt=" << adapt;
   }
 }
 

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/cost.hpp"
 #include "schemes/metrics.hpp"
 #include "schemes/registry.hpp"
 #include "simmodel/replication.hpp"
+#include "stats/confidence.hpp"
 #include "workload/configs.hpp"
 
 namespace nashlb {
@@ -49,7 +51,11 @@ TEST_P(SimVsAnalytic, PerUserResponseTracksAnalytic) {
       simmodel::replicate(inst, profile, cfg);
 
   for (std::size_t j = 0; j < analytic.size(); ++j) {
-    EXPECT_NEAR(sim.user_response[j].mean, analytic[j],
+    std::vector<double> means;
+    for (const simmodel::SimRunResult& run : sim.runs) {
+      means.push_back(run.user_mean_response[j]);
+    }
+    EXPECT_NEAR(stats::t_interval(means, 0.95).mean, analytic[j],
                 0.10 * analytic[j])
         << GetParam() << " user " << j;
   }

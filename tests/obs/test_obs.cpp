@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "des/facility.hpp"
@@ -39,6 +40,11 @@ TEST(ObsJson, EscapesControlCharacters) {
 }
 
 // --- histograms ---------------------------------------------------------
+
+// Merging two histograms cannot fail in either twin: replicate() folds
+// every run's histograms into its result with it.
+static_assert(noexcept(std::declval<obs::Histogram&>().merge(
+    std::declval<const obs::Histogram&>())));
 
 TEST(ObsHistogram, LayoutIsMonotoneAndSelfConsistent) {
   using Layout = obs::HistogramLayout;

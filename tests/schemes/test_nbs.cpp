@@ -29,11 +29,12 @@ double nash_product_log(const core::Instance& inst,
 }
 
 TEST(NBS, SolverConvergesToFeasibleProfile) {
+  // solve() throws unless the projected gradient converged.
   const core::Instance inst = instance();
-  NbsTrace trace;
-  const core::StrategyProfile s = NbsScheme().solve_with_trace(inst, trace);
-  EXPECT_TRUE(trace.converged);
-  EXPECT_TRUE(s.is_feasible(inst, 1e-6));
+  EXPECT_NO_THROW({
+    const core::StrategyProfile s = NbsScheme().solve(inst);
+    EXPECT_TRUE(s.is_feasible(inst, 1e-6));
+  });
 }
 
 TEST(NBS, ImprovesNashProductOverProportional) {

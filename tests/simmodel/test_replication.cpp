@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/cost.hpp"
+#include "stats/confidence.hpp"
 #include "support/fixtures.hpp"
 
 namespace nashlb::simmodel {
@@ -24,14 +27,18 @@ TEST(Replication, IntervalsCoverAnalyticTruth) {
   const core::StrategyProfile s = core::StrategyProfile::proportional(inst);
   const ReplicatedResult r = replicate(inst, s, quick_replication_config());
   const std::vector<double> truth = core::user_response_times(inst, s);
-  ASSERT_EQ(r.user_response.size(), 2u);
+  ASSERT_EQ(r.runs.size(), 5u);
   for (std::size_t j = 0; j < 2; ++j) {
+    std::vector<double> means;
+    for (const SimRunResult& run : r.runs) {
+      means.push_back(run.user_mean_response[j]);
+    }
+    const stats::ConfidenceInterval ci = stats::t_interval(means, 0.95);
     // Allow the interval a small numerical margin around the truth.
-    EXPECT_LT(std::abs(r.user_response[j].mean - truth[j]),
-              3.0 * r.user_response[j].half_width + 0.05 * truth[j])
+    EXPECT_LT(std::abs(ci.mean - truth[j]),
+              3.0 * ci.half_width + 0.05 * truth[j])
         << "user " << j;
   }
-  EXPECT_EQ(r.runs.size(), 5u);
   EXPECT_GT(r.total_jobs, 5u * 2000u * 5u);  // ~Phi * horizon * reps
 }
 
@@ -108,9 +115,14 @@ TEST(Replication, UtilizationAveragedAcrossRuns) {
   const core::Instance inst = two_user_instance();
   const core::StrategyProfile s = core::StrategyProfile::proportional(inst);
   const ReplicatedResult r = replicate(inst, s, quick_replication_config(3));
-  ASSERT_EQ(r.computer_utilization.size(), 2u);
-  EXPECT_NEAR(r.computer_utilization[0], 0.4, 0.05);
-  EXPECT_NEAR(r.computer_utilization[1], 0.4, 0.05);
+  ASSERT_EQ(r.runs.size(), 3u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    double mean = 0.0;
+    for (const SimRunResult& run : r.runs) {
+      mean += run.computer_utilization[i] / 3.0;
+    }
+    EXPECT_NEAR(mean, 0.4, 0.05) << "computer " << i;
+  }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 """Golden-finding tests for tools/nashlb_analyzer.py (ctest:
 analyzer_fixtures).
 
-Three layers:
+Four layers:
 
   1. the analyzer's own selftest (every rule must fire and must not
      fire on its synthetic snippets);
@@ -33,14 +33,10 @@ FIXTURES = os.path.join(HERE, "fixtures")
 
 # fixture file -> (virtual path, expected exit code)
 CASES = {
-    "hot_alloc_bad.cpp": ("src/core/hot_alloc_bad.cpp", 1),
     "nondet_bad.cpp": ("src/core/nondet_bad.cpp", 1),
     "contract_bad.hpp": ("src/core/contract_bad.hpp", 1),
-    "merge_bad.hpp": ("src/obs/merge_bad.hpp", 1),
     "waiver_roundtrip.cpp": ("src/core/waiver_roundtrip.cpp", 0),
     "waiver_missing_reason.cpp": ("src/core/waiver_missing_reason.cpp", 1),
-    "wrapper_bad.cpp": ("src/core/dynamics.cpp", 1),
-    "histogram_bounds_bad.cpp": ("src/schemes/histogram_bounds_bad.cpp", 1),
     "raw_concurrency_bad.cpp": ("src/core/raw_concurrency_bad.cpp", 1),
 }
 

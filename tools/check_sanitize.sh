@@ -12,7 +12,9 @@
 # fallback), and the leak checker sees a closure that is never destroyed.
 # test_concurrency runs too: the thread pool and every pooled code path
 # (Jacobi rounds, replications) hand per-worker buffers across the fork
-# and the join.
+# and the join. test_allocations runs too: it replaces the global
+# allocation functions with a counting passthrough, and its counts of
+# the solver's hot paths include the checked build's consistency audit.
 #
 # The tree is configured with -DNASHLB_CHECK=ON so the paper-invariant
 # contract layer (docs/STATIC_ANALYSIS.md) is active under the
@@ -34,7 +36,7 @@ cmake -B "$build" -S "$root" \
   -DNASHLB_BUILD_BENCH=OFF \
   -DNASHLB_BUILD_EXAMPLES=OFF
 cmake --build "$build" --target test_core --target test_util \
-  --target test_des --target test_concurrency \
+  --target test_des --target test_concurrency --target test_allocations \
   -j "$(nproc 2>/dev/null || echo 4)"
 
 # halt_on_error is already the default via -fno-sanitize-recover=all;
@@ -54,5 +56,9 @@ ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
   "$build/tests/test_concurrency"
 
+ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
+  "$build/tests/test_allocations"
+
 echo "check_sanitize: OK (test_core + test_util + test_des +" \
-     "test_concurrency clean under ASan+UBSan with NASHLB_CHECK=ON)"
+     "test_concurrency + test_allocations clean under ASan+UBSan" \
+     "with NASHLB_CHECK=ON)"

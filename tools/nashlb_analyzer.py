@@ -3,25 +3,8 @@
 generic tool can check, run over a C++ tokenizer with scope tracking.
 
 Registered as the `check_analyzer` ctest and a tools/check_all.sh step.
-Six rules, each protecting a guarantee the reproduction rests on
-(docs/STATIC_ANALYSIS.md, "Semantic analysis"):
-
-  hot-path-alloc
-      No allocation in the designated hot set: every `*_into` definition
-      tree-wide plus the steady-state helpers of core/dynamics.cpp,
-      core/load_state.cpp, core/user_classes.cpp (the certificate's
-      probe_gain) and distributed/ring_protocol.cpp (HOT_FILE_FUNCS
-      below). Flags
-      new-expressions, construction of allocating containers
-      (vector/string/function/map/...), push_back/emplace_back on
-      un-reserve()d receivers, make_unique/make_shared/to_string, and
-      calls to the allocating wrappers (best_reply, waterfill_sqrt,
-      waterfill_linear, optimal_fractions), which are also banned
-      anywhere in core/dynamics.cpp and distributed/ring_protocol.cpp.
-      Allocations on throw paths are exempt: error exits are cold by
-      definition. The `_into` layer's whole contract is that a
-      steady-state best-reply round performs zero heap allocations, and
-      no compiler warning says when a stray copy or wrapper breaks it.
+Three rules, each protecting a guarantee the reproduction rests on that
+no test can observe (docs/STATIC_ANALYSIS.md, "Semantic analysis"):
 
   nondeterminism-sources
       No std::random_device, rand()/srand(), time()/clock(), or
@@ -41,22 +24,6 @@ Six rules, each protecting a guarantee the reproduction rests on
       committed report does not list fails too, so a refactor that
       drops a precondition from a core API fails even though every
       test passes. Deleting covered functions is not a regression.
-
-  noexcept-merge
-      (a) src/util/parallel.cpp must keep a catch-all handler that
-      stores std::current_exception() around the chunk-functor
-      invocation, the capture point of the pool's deterministic error
-      propagation; (b) every merge() defined in src/obs must contain no
-      throw-expression and be declared noexcept: a throwing merge
-      inside a worker would std::terminate instead of surfacing as the
-      lowest-chunk rethrow.
-
-  histogram-bounds
-      src/obs/histogram.hpp must declare bucket_count(),
-      bucket_lower_bound() and bucket_upper_bound(), and no file outside
-      src/obs/ may name the layout constants (kMinExponent,
-      kMaxExponent, kBucketsPerOctave): a consumer that recomputes
-      bucket edges drifts the first time the grid changes.
 
   raw-concurrency
       No std::thread/std::jthread/std::async or `#pragma omp` in src/
@@ -98,11 +65,8 @@ import subprocess
 import sys
 
 RULES = (
-    "hot-path-alloc",
     "nondeterminism-sources",
     "contract-coverage",
-    "noexcept-merge",
-    "histogram-bounds",
     "raw-concurrency",
 )
 
@@ -110,38 +74,8 @@ RULES = (
 # Rule configuration
 # ---------------------------------------------------------------------------
 
-# The designated hot set beyond `*_into` definitions: per-move steady-state
-# functions whose zero-allocation property the O(m*n) round complexity
-# (docs/PERFORMANCE.md) depends on. Setup/teardown functions in the same
-# files (run(), best_reply_dynamics(), run_ring_protocol(), ...) allocate
-# once per solve by design and are deliberately not listed.
-HOT_FILE_FUNCS = {
-    "src/core/dynamics.cpp": {"replies_computable"},
-    "src/core/load_state.cpp": {"commit_row", "available_rates",
-                                "user_response_time"},
-    # class_reply_into is hot as a *_into; probe_gain runs 3 x K times
-    # per certificate on one workspace.
-    "src/core/user_classes.cpp": {"probe_gain"},
-    "src/distributed/ring_protocol.cpp": {"update_user"},
-}
-
-# Types whose construction allocates (or may allocate) on the heap.
-ALLOC_TYPE_NAMES = {
-    "vector", "string", "basic_string", "function", "map", "set",
-    "multimap", "multiset", "unordered_map", "unordered_set", "deque",
-    "list", "forward_list", "ostringstream", "istringstream",
-    "stringstream", "shared_ptr",
-}
-ALLOC_CALL_NAMES = {"make_unique", "make_shared", "to_string"}
-# The allocating convenience wrappers over the `_into` layer: banned in
-# the hot set and anywhere in the two hot-loop files.
-ALLOC_WRAPPERS = {"best_reply", "waterfill_sqrt", "waterfill_linear",
-                  "optimal_fractions"}
-WRAPPER_BAN_FILES = ("src/core/dynamics.cpp",
-                     "src/distributed/ring_protocol.cpp")
-
-# Directories rule 3 polices (src-relative path prefixes): the whole
-# library.
+# Directories nondeterminism-sources polices (src-relative path
+# prefixes): the whole library.
 NONDET_DIRS = ("src/",)
 NONDET_FREE_FUNCS = {"rand", "srand", "time", "clock"}
 
@@ -157,13 +91,8 @@ AUDIT_PARAM_NAMES = {
 }
 CONTRACT_CALL_DEPTH = 6
 
-PARALLEL_CPP = "src/util/parallel.cpp"
-PARALLEL_FILES = ("src/util/parallel.hpp", PARALLEL_CPP)
+PARALLEL_FILES = ("src/util/parallel.hpp", "src/util/parallel.cpp")
 OBS_DIR = "src/obs"
-
-HISTOGRAM_HPP = "src/obs/histogram.hpp"
-HISTOGRAM_API = ("bucket_count", "bucket_lower_bound", "bucket_upper_bound")
-HISTOGRAM_CONSTANTS = {"kMinExponent", "kMaxExponent", "kBucketsPerOctave"}
 
 THREAD_NAMES = {"thread", "jthread", "async"}
 SYNC_NAMES = {"mutex", "timed_mutex", "recursive_mutex",
@@ -340,11 +269,10 @@ def match_paren(toks, i, open_ch="(", close_ch=")"):
 
 class FunctionInfo:
     __slots__ = ("name", "qual", "path", "line", "params", "is_definition",
-                 "noexcept_", "body", "calls", "has_contract", "throw_lines",
-                 "access")
+                 "body", "calls", "has_contract", "access")
 
-    def __init__(self, name, qual, path, line, params, is_definition,
-                 noexcept_, body, access="public"):
+    def __init__(self, name, qual, path, line, params, is_definition, body,
+                 access="public"):
         self.name = name
         self.qual = qual
         self.path = path
@@ -352,19 +280,15 @@ class FunctionInfo:
         self.access = access
         self.params = params          # token list between ( )
         self.is_definition = is_definition
-        self.noexcept_ = noexcept_
         self.body = body              # token list between { } (or [])
         self.calls = set()
         self.has_contract = False
-        self.throw_lines = []
         for idx, t in enumerate(body):
             if (t.kind == "id" and t.text not in CPP_KEYWORDS
                     and idx + 1 < len(body) and body[idx + 1].text == "("):
                 self.calls.add(t.text)
                 if t.text in CONTRACT_MACROS:
                     self.has_contract = True
-            elif t.text == "throw":
-                self.throw_lines.append(t.line)
 
 
 def _collect_name(toks, i):
@@ -459,21 +383,18 @@ def _parse_function(toks, i, scopes, path, funcs):
     # identifier or '>' is a brace-init, not the body.
     j = close + 1
     init_list = False
-    noexcept_ = False
     budget = 400
     while j < n and budget:
         budget -= 1
         tt = toks[j].text
         if tt == ";":
-            _record(funcs, toks, i, name, scopes, path, close, False,
-                    noexcept_, [])
+            _record(funcs, toks, i, name, scopes, path, close, False, [])
             return j + 1
         if tt == "=":
             # `= default;` / `= delete;` / pure virtual: declaration-like.
             while j < n and toks[j].text != ";":
                 j += 1
-            _record(funcs, toks, i, name, scopes, path, close, False,
-                    noexcept_, [])
+            _record(funcs, toks, i, name, scopes, path, close, False, [])
             return j + 1
         if tt == "{":
             prev = toks[j - 1].text
@@ -487,11 +408,9 @@ def _parse_function(toks, i, scopes, path, funcs):
             if end is None:
                 return None
             _record(funcs, toks, i, name, scopes, path, close, True,
-                    noexcept_, toks[j + 1:end])
+                    toks[j + 1:end])
             return end + 1
-        if tt == "noexcept":
-            noexcept_ = True
-        elif tt == ":":
+        if tt == ":":
             init_list = True
         elif tt == "(":
             skip = match_paren(toks, j)
@@ -504,8 +423,7 @@ def _parse_function(toks, i, scopes, path, funcs):
     return None
 
 
-def _record(funcs, toks, i, name, scopes, path, close, is_def, noexcept_,
-            body):
+def _record(funcs, toks, i, name, scopes, path, close, is_def, body):
     qual = name
     access = "public"
     for kind, scope_name, scope_access in reversed(scopes):
@@ -516,120 +434,12 @@ def _record(funcs, toks, i, name, scopes, path, close, is_def, noexcept_,
             break
     simple = name.rsplit("::", 1)[-1]
     funcs.append(FunctionInfo(simple, qual, path, toks[i].line,
-                              toks[i + 2:close], is_def, noexcept_, body,
-                              access))
+                              toks[i + 2:close], is_def, body, access))
 
 
 # ---------------------------------------------------------------------------
 # Rules
 # ---------------------------------------------------------------------------
-
-
-def _skip_throw_ranges(body):
-    """Indices of body tokens that sit on a throw path (throw ... ;) —
-    allocation there is cold by definition."""
-    skip = set()
-    i = 0
-    while i < len(body):
-        if body[i].text == "throw":
-            j = i
-            while j < len(body) and body[j].text != ";":
-                skip.add(j)
-                j += 1
-            i = j
-        i += 1
-    return skip
-
-
-def is_hot(func, path):
-    if func.is_definition and func.name.endswith("_into"):
-        return True
-    return func.name in HOT_FILE_FUNCS.get(path, ())
-
-
-def _wrapper_calls(path, toks, where, waivers, out):
-    for idx, t in enumerate(toks[:-1]):
-        if (t.kind == "id" and t.text in ALLOC_WRAPPERS
-                and toks[idx + 1].text == "("
-                and not _is_decl_context(toks, idx)):
-            _emit(out, waivers, path, t.line, "hot-path-alloc",
-                  "allocating wrapper %s() called in %s; use the _into "
-                  "variant with a workspace" % (t.text, where))
-
-
-def rule_hot_path_alloc(path, toks, funcs, waivers, out):
-    banned_file = path in WRAPPER_BAN_FILES
-    if banned_file:
-        _wrapper_calls(path, toks, "hot-loop file", waivers, out)
-    for fn in funcs:
-        if not fn.is_definition or not is_hot(fn, path):
-            continue
-        body = fn.body
-        if not banned_file:
-            _wrapper_calls(path, body, "hot function %s()" % fn.name,
-                           waivers, out)
-        cold = _skip_throw_ranges(body)
-        reserved = set()
-        for idx in range(len(body) - 3):
-            if (body[idx].kind == "id" and body[idx + 1].text == "."
-                    and body[idx + 2].text == "reserve"
-                    and body[idx + 3].text == "("):
-                reserved.add(body[idx].text)
-        for idx, t in enumerate(body):
-            if idx in cold:
-                continue
-            line = t.line
-            if t.text == "new" and (idx == 0 or
-                                    body[idx - 1].text != "operator"):
-                _emit(out, waivers, path, line, "hot-path-alloc",
-                      "new-expression in hot function %s(); hot paths are "
-                      "allocation-free by contract" % fn.name)
-            elif (t.kind == "id" and t.text in ALLOC_CALL_NAMES
-                  and idx + 1 < len(body) and body[idx + 1].text == "("):
-                _emit(out, waivers, path, line, "hot-path-alloc",
-                      "%s() allocates in hot function %s()" %
-                      (t.text, fn.name))
-            elif (t.kind == "id" and t.text in ("push_back", "emplace_back")
-                  and idx + 1 < len(body) and body[idx + 1].text == "("
-                  and idx >= 2 and body[idx - 1].text in (".", "->")):
-                base = body[idx - 2].text
-                if base not in reserved:
-                    _emit(out, waivers, path, line, "hot-path-alloc",
-                          "%s.%s() in hot function %s() without a prior "
-                          "%s.reserve()" % (base, t.text, fn.name, base))
-            elif (t.text == "std" and idx + 2 < len(body)
-                  and body[idx + 1].text == "::"
-                  and body[idx + 2].text in ALLOC_TYPE_NAMES):
-                # Reference/pointer bindings and nested-name uses
-                # (std::vector<T>&, std::vector<T>::iterator) do not
-                # allocate — only value declarations and temporaries do.
-                after = idx + 3
-                if after < len(body) and body[after].text == "<":
-                    close_angle = _match_angle(body, after)
-                    if close_angle is not None:
-                        after = close_angle + 1
-                while after < len(body) and body[after].text == "const":
-                    after += 1
-                if after < len(body) and body[after].text in ("&", "*",
-                                                              "::"):
-                    continue
-                _emit(out, waivers, path, line, "hot-path-alloc",
-                      "allocating type std::%s constructed/named in hot "
-                      "function %s()" % (body[idx + 2].text, fn.name))
-
-
-def _match_angle(toks, i):
-    depth = 0
-    for j in range(i, len(toks)):
-        if toks[j].text == "<":
-            depth += 1
-        elif toks[j].text == ">":
-            depth -= 1
-            if depth == 0:
-                return j
-        elif toks[j].text in (";", "{"):
-            return None
-    return None
 
 
 # Tokens that can directly precede a *call* to a free function; an
@@ -674,58 +484,6 @@ def rule_nondeterminism(path, toks, waivers, out):
                   "std::chrono::%s::now(): clock read in library code; "
                   "timing belongs in bench/ and nashbench/"
                   % toks[i - 2].text)
-
-
-def rule_noexcept_merge(path, toks, funcs, waivers, out):
-    if path == PARALLEL_CPP:
-        captured = False
-        for i, t in enumerate(toks):
-            if t.text == "catch" and i + 3 < len(toks) \
-                    and toks[i + 1].text == "(" \
-                    and toks[i + 2].text == "..." \
-                    and toks[i + 3].text == ")":
-                close = match_paren(toks, i + 4, "{", "}") \
-                    if toks[i + 4].text == "{" else None
-                handler = toks[i + 5:close] if close else []
-                if any(h.text == "current_exception" for h in handler):
-                    captured = True
-        if not captured:
-            _emit(out, waivers, path, 1, "noexcept-merge",
-                  "ThreadPool chunk runner lost its catch(...) handler "
-                  "storing std::current_exception() — the documented "
-                  "capture point for deterministic error propagation")
-        return
-    if not path.startswith(OBS_DIR + "/"):
-        return
-    for fn in funcs:
-        if fn.name != "merge" or not fn.is_definition:
-            continue
-        for line in fn.throw_lines:
-            _emit(out, waivers, path, line, "noexcept-merge",
-                  "throw-expression inside %s(): shard merges must not "
-                  "throw past the pool's capture point" % fn.qual)
-        if not fn.noexcept_:
-            _emit(out, waivers, path, fn.line, "noexcept-merge",
-                  "%s() is not declared noexcept; a throwing merge "
-                  "inside a worker would std::terminate" % fn.qual)
-
-
-def rule_histogram_bounds(path, toks, waivers, out):
-    if path == HISTOGRAM_HPP:
-        declared = {t.text for t, nxt in zip(toks, toks[1:])
-                  if nxt.text == "("}
-        for api in HISTOGRAM_API:
-            if api not in declared:
-                _emit(out, waivers, path, 1, "histogram-bounds",
-                      "HistogramLayout no longer declares %s(); consumers "
-                      "need the programmatic bucket-bounds API" % api)
-    elif not path.startswith(OBS_DIR + "/"):
-        for t in toks:
-            if t.kind == "id" and t.text in HISTOGRAM_CONSTANTS:
-                _emit(out, waivers, path, t.line, "histogram-bounds",
-                      "%s referenced outside src/obs/: derive bucket edges "
-                      "via HistogramLayout::bucket_lower_bound()/"
-                      "bucket_upper_bound() instead" % t.text)
 
 
 def rule_raw_concurrency(path, text, toks, waivers, out):
@@ -876,10 +634,7 @@ def analyze(files):
         toks = tokenize(text)
         funcs = index_file(path, toks)
         index[path] = funcs
-        rule_hot_path_alloc(path, toks, funcs, waivers, findings)
         rule_nondeterminism(path, toks, waivers, findings)
-        rule_noexcept_merge(path, toks, funcs, waivers, findings)
-        rule_histogram_bounds(path, toks, waivers, findings)
         rule_raw_concurrency(path, text, toks, waivers, findings)
     entries, cov_findings = compute_contract_coverage(index, waiver_map)
     findings.extend(cov_findings)
@@ -965,52 +720,6 @@ def coverage_gate(root, report):
 # ---------------------------------------------------------------------------
 
 SELFTEST_SNIPPETS = [
-    # (rule, virtual path, must_trigger, snippet)
-    ("hot-path-alloc", "src/core/snippet.cpp", True, """
-        namespace std { template <class T> struct vector {
-          void push_back(const T&); void reserve(unsigned long); }; }
-        void reply_into(double* out, int n) {
-          std::vector<double> scratch;
-          for (int i = 0; i < n; ++i) out[i] = 0.0;
-        }
-    """),
-    ("hot-path-alloc", "src/core/snippet.cpp", True, """
-        struct Buf { void push_back(double); };
-        void reply_into(Buf& tmp, int n) {
-          for (int i = 0; i < n; ++i) tmp.push_back(1.0);
-        }
-    """),
-    ("hot-path-alloc", "src/core/snippet.cpp", False, """
-        struct Buf { void push_back(double); void reserve(unsigned long); };
-        void reply_into(Buf& tmp, unsigned long n) {
-          tmp.reserve(n);
-          for (unsigned long i = 0; i < n; ++i) tmp.push_back(1.0);
-        }
-    """),
-    ("hot-path-alloc", "src/core/snippet.cpp", False, """
-        namespace std { template <class T> struct vector {
-          void push_back(const T&); }; }
-        std::vector<double> setup_profile(int n) {
-          std::vector<double> out;
-          for (int i = 0; i < n; ++i) out.push_back(0.0);
-          return out;
-        }
-    """),
-    ("hot-path-alloc", "src/core/snippet.cpp", False, """
-        struct err { err(const char*); };
-        void reply_into(double* out, int n) {
-          if (n < 0) throw err("negative");
-          for (int i = 0; i < n; ++i) out[i] = 0.0;
-        }
-    """),
-    ("hot-path-alloc", "src/core/snippet.cpp", False, """
-        namespace std { template <class T> struct vector { T& back(); }; }
-        struct Ws { std::vector<double> scratch; };
-        void reply_into(Ws& ws, int n) {
-          std::vector<double>& buf = ws.scratch;
-          for (int i = 0; i < n; ++i) buf.back() = 0.0;
-        }
-    """),
     ("nondeterminism-sources", "src/core/snippet.cpp", True, """
         namespace std { struct random_device { unsigned operator()(); }; }
         unsigned seed_badly() { std::random_device rd; return rd(); }
@@ -1076,75 +785,12 @@ SELFTEST_SNIPPETS = [
           void check_dimensions(const StrategyProfile& s) {}
         };
     """),
-    ("noexcept-merge", "src/obs/snippet.hpp", True, """
-        struct Shard {};
-        struct EnabledCounter {
-          void merge(const EnabledCounter&) { value_ += 1; }
-          long value_ = 0;
-        };
-    """),
-    ("noexcept-merge", "src/obs/snippet.hpp", True, """
-        struct bad {};
-        struct EnabledTimer {
-          void merge(const EnabledTimer& o) noexcept(false) {
-            if (o.total_ < 0) throw bad{};
-            total_ += o.total_;
-          }
-          double total_ = 0;
-        };
-    """),
-    ("noexcept-merge", "src/obs/snippet.hpp", False, """
-        struct EnabledCounter {
-          void merge(const EnabledCounter&) noexcept { value_ += 1; }
-          long value_ = 0;
-        };
-    """),
     ("waiver-missing-reason", "src/core/snippet.cpp", True, """
         namespace std { struct random_device { unsigned operator()(); }; }
         unsigned seed_badly() {
           std::random_device rd;  // nashlb-analyzer: allow(nondeterminism-sources)
           return rd();
         }
-    """),
-    # The allocating-wrapper ban: inside the hot set anywhere, and
-    # anywhere at all in the two hot-loop files.
-    ("hot-path-alloc", "src/core/snippet.cpp", True, """
-        void reply_into(int j, double* out) { out[0] = best_reply(j); }
-    """),
-    ("hot-path-alloc", "src/core/dynamics.cpp", True, """
-        double seed_profile(int j) { return waterfill_sqrt(j, 1.0); }
-    """),
-    ("hot-path-alloc", "src/core/user_classes.cpp", True, """
-        double probe_gain(int n) { return optimal_fractions(n)[0]; }
-    """),
-    ("hot-path-alloc", "src/core/snippet.cpp", False, """
-        struct Reply {};
-        Reply best_reply(int j);
-        void reply_into(int j, Reply& ws) { best_reply_into(j, ws); }
-        Reply cold_reply(int j) { return best_reply(j); }
-    """),
-    ("histogram-bounds", "src/core/snippet.cpp", True, """
-        int octave() { return kBucketsPerOctave; }
-    """),
-    ("histogram-bounds", "src/obs/histogram.hpp", True, """
-        struct HistogramLayout {
-          static int bucket_count();
-          static double bucket_lower_bound(int k);
-        };
-    """),
-    ("histogram-bounds", "src/obs/histogram.hpp", False, """
-        struct HistogramLayout {
-          static int bucket_count();
-          static double bucket_lower_bound(int k);
-          static double bucket_upper_bound(int k);
-        };
-    """),
-    ("histogram-bounds", "src/obs/histogram.cpp", False, """
-        int octave() { return kBucketsPerOctave; }
-    """),
-    ("histogram-bounds", "src/core/snippet.cpp", False, """
-        // kMinExponent named only in a comment
-        double lo(int k) { return HistogramLayout::bucket_lower_bound(k); }
     """),
     ("raw-concurrency", "src/obs/snippet.hpp", False, """
         struct Probe { std::atomic<long> count_{0}; std::mutex lock_; };
