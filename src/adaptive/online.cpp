@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <memory>
 #include <stdexcept>
 
 #include "core/best_reply.hpp"
-#include "des/facility.hpp"
+#include "des/server_bank.hpp"
 #include "des/simulator.hpp"
 #include "stats/distributions.hpp"
 #include "stats/moments.hpp"
@@ -74,6 +73,9 @@ struct Snapshot {
 
 /// Per-run state shared by the event closures, which carry only a pointer
 /// to it plus the job's own fields, so they fit EventFn's inline storage.
+/// The calendar holds the arrivals, the controller ticks and the segment
+/// boundaries; each job's departure is computed at its arrival by the
+/// computers' des::ServerBank and folded once the clock passes it.
 struct OnlineRun {
   OnlineRun(const std::vector<double>& mu_in, const RateSchedule& schedule_in,
             const core::StrategyProfile& initial,
@@ -83,6 +85,7 @@ struct OnlineRun {
         options(options_in),
         n(mu_in.size()),
         m(schedule_in.phi.front().size()),
+        computers(mu_in.size()),
         result{{}, 0.0, 0, initial, 0},
         computer_arrivals(n, 0.0),
         own_arrivals(m, std::vector<double>(n, 0.0)),
@@ -94,8 +97,6 @@ struct OnlineRun {
     }
     for (std::size_t i = 0; i < n; ++i) {
       service_rng.push_back(streams.stream(0, 10000 + i));
-      computers.push_back(std::make_unique<des::Facility>(
-          sim, "computer-" + std::to_string(i)));
     }
   }
 
@@ -122,6 +123,9 @@ struct OnlineRun {
   }
 
   void arrive(std::size_t user, std::uint64_t gen, des::SimTime t_arrival) {
+    computers.depart_before(t_arrival, [this](const des::ServerBank::Job& job) {
+      depart(job);
+    });
     if (gen != generation[user]) return;
     const std::size_t target =
         sample_row(result.final_profile.row(user), dispatch_rng);
@@ -129,21 +133,19 @@ struct OnlineRun {
     own_arrivals[user][target] += 1.0;
     const double service =
         -std::log(service_rng[target].next_double_open()) / mu[target];
-    auto completion = [this, t_arrival](des::SimTime t_done) {
-      complete(t_arrival, t_done);
-    };
-    static_assert(des::EventFn::fits_inline<decltype(completion)>);
-    computers[target]->request(service, completion);
+    computers.admit(target, t_arrival, service, user);
     spawn_next(user, gen);
   }
 
-  void complete(des::SimTime t_arrival, des::SimTime t_done) {
+  /// Folds a departed job into the report window its departure falls in.
+  void depart(const des::ServerBank::Job& job) {
     ++result.jobs_completed;
-    const double response = t_done - t_arrival;
-    const auto w = static_cast<std::size_t>(t_done / options.report_period);
+    const double response = job.departure - job.arrival;
+    const auto w =
+        static_cast<std::size_t>(job.departure / options.report_period);
     if (window_stats.size() <= w) window_stats.resize(w + 1);
     window_stats[w].add(response);
-    if (t_done >= options.report_period) overall.add(response);
+    if (job.departure >= options.report_period) overall.add(response);
   }
 
   /// A segment boundary: restarts every user's chain at its new rate.
@@ -171,7 +173,7 @@ struct OnlineRun {
   stats::Xoshiro256 dispatch_rng;
   std::vector<stats::Xoshiro256> arrival_rng;
   std::vector<stats::Xoshiro256> service_rng;
-  std::vector<std::unique_ptr<des::Facility>> computers;
+  des::ServerBank computers;
   OnlineResult result;
 
   // --- measurement state -----------------------------------------------
@@ -318,6 +320,8 @@ OnlineResult simulate_online(const std::vector<double>& mu,
     run.schedule_control();
   }
   run.sim.run();
+  run.computers.drain(
+      [&run](const des::ServerBank::Job& job) { run.depart(job); });
 
   OnlineResult& result = run.result;
   for (std::size_t w = 0; w < run.window_stats.size(); ++w) {

@@ -29,7 +29,6 @@ void Facility::request(double service_time, CompletionFn on_complete) {
     }
   }
   push_waiting(std::move(job));
-  note_queue_change();
 }
 
 void Facility::start_service(unsigned server, Job&& job) {
@@ -56,7 +55,6 @@ void Facility::finish_service(unsigned server, SimTime t) {
   // is the lowest-index idle one.
   if (waiting_count_ > 0) {
     Job next = pop_waiting();
-    note_queue_change();
     start_service(server, std::move(next));
   }
   if (job.on_complete) job.on_complete(t);
@@ -88,17 +86,9 @@ void Facility::note_busy_change() {
   busy_tw_.update(sim_.now(), static_cast<double>(busy_));
 }
 
-void Facility::note_queue_change() {
-  queue_tw_.update(sim_.now(), static_cast<double>(waiting_count_));
-}
-
 double Facility::utilization(SimTime now) const noexcept {
   const double avg_busy = busy_tw_.average(now);
   return avg_busy / static_cast<double>(servers_.size());
-}
-
-double Facility::mean_queue_length(SimTime now) const noexcept {
-  return queue_tw_.average(now);
 }
 
 }  // namespace nashlb::des

@@ -3,8 +3,15 @@
 // Mirrors the "facility" concept of Sim++ [4] in the configuration the
 // paper's computers use: one or more servers fed from one FCFS queue,
 // every job run to completion (§4.1). A job goes to the lowest-index idle
-// server, or waits in a FIFO ring buffer. Per-facility statistics:
-// utilization and queue length (time-weighted) and sojourn times.
+// server, or waits in a FIFO ring buffer; each service completion is an
+// event on the Simulator's calendar. Per-facility statistics: utilization
+// (time-weighted) and sojourn times.
+//
+// The library's simulators no longer use it: their computers are a
+// des::ServerBank, which computes each departure at admission. Facility
+// stays as the event-calendar reference that the tests
+// (tests/support/calendar_sim.hpp) and the benchmark's replay compare
+// them against.
 #pragma once
 
 #include <cstddef>
@@ -55,9 +62,6 @@ class Facility {
   /// Time-average utilization (busy server-fraction) up to `now`.
   [[nodiscard]] double utilization(SimTime now) const noexcept;
 
-  /// Time-average number waiting up to `now`.
-  [[nodiscard]] double mean_queue_length(SimTime now) const noexcept;
-
   /// Per-job sojourn (response) time distribution: request to service
   /// completion, one observation per completed job. For the paper's
   /// single-server FCFS facility this is the M/M/1 response time whose
@@ -84,7 +88,6 @@ class Facility {
   void push_waiting(Job&& job);
   Job pop_waiting();
   void note_busy_change();
-  void note_queue_change();
 
   Simulator& sim_;
   std::string name_;
@@ -96,7 +99,6 @@ class Facility {
   std::size_t waiting_count_ = 0;
   unsigned busy_ = 0;
   stats::TimeWeighted busy_tw_;
-  stats::TimeWeighted queue_tw_;
   obs::Histogram sojourn_hist_;
 };
 

@@ -1,7 +1,11 @@
 #include "obs/histogram.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace nashlb::obs {
 
@@ -19,13 +23,58 @@ double HistogramLayout::bucket_upper_bound(std::size_t k) noexcept {
                        static_cast<double>(kBucketsPerOctave));
 }
 
-std::size_t HistogramLayout::bucket_index(double seconds) noexcept {
+std::size_t HistogramLayout::log2_index(double seconds) noexcept {
   if (!(seconds > 0.0) || !std::isfinite(seconds)) return 0;
   const double pos = (std::log2(seconds) - static_cast<double>(kMinExponent)) *
                      static_cast<double>(kBucketsPerOctave);
   if (pos <= 0.0) return 0;
   const auto k = static_cast<std::size_t>(pos);
   return k >= bucket_count() ? bucket_count() - 1 : k;
+}
+
+// The log2 formula above, read from a table of its bucket edges: lower[k]
+// is the smallest double log2_index puts in bucket k or above, found by
+// bisection over the bit patterns of the positive doubles (which order
+// like the doubles), so a lookup returns what log2_index returns.
+// lower[bucket_count()] = +inf stops the steps at the top. Every edge
+// is tabled: the edges of one octave are not those of the next scaled by
+// 2, because log2's rounding near an edge differs from octave to octave.
+std::size_t HistogramLayout::bucket_index(double seconds) noexcept {
+  static const std::array<double, bucket_count() + 1> lower = [] {
+    std::array<double, bucket_count() + 1> edges{};
+    for (std::size_t k = 1; k < bucket_count(); ++k) {
+      auto lo = std::bit_cast<std::uint64_t>(std::exp2(kMinExponent - 1));
+      auto hi = std::bit_cast<std::uint64_t>(std::exp2(kMaxExponent + 1));
+      while (hi - lo > 1) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (log2_index(std::bit_cast<double>(mid)) >= k) {
+          hi = mid;
+        } else {
+          lo = mid;
+        }
+      }
+      edges[k] = std::bit_cast<double>(hi);
+    }
+    edges[bucket_count()] = std::numeric_limits<double>::infinity();
+    return edges;
+  }();
+  if (!(seconds > 0.0) || !std::isfinite(seconds)) return 0;
+  // seconds = 2^e * f with f in [1, 2). Below and above the grid the
+  // formula clamps. Inside it, the top four bits of f give
+  // floor(16 (f - 1)), which is never above the bucket (log2 f >= f - 1
+  // on [1, 2]) and at most 2 below it (16 (log2 f - (f - 1)) < 1.4), so
+  // two steps up the edges, each an add of a comparison, not a branch,
+  // land on it.
+  static_assert(kBucketsPerOctave == 16);
+  const auto bits = std::bit_cast<std::uint64_t>(seconds);
+  const int e = static_cast<int>(bits >> 52) - 1023;
+  if (e < kMinExponent) return 0;
+  if (e >= kMaxExponent) return bucket_count() - 1;
+  std::size_t k = static_cast<std::size_t>(e - kMinExponent) * 16 +
+                  static_cast<std::size_t>((bits >> 48) & 15);
+  k += static_cast<std::size_t>(seconds >= lower[k + 1]);
+  k += static_cast<std::size_t>(seconds >= lower[k + 1]);
+  return k;
 }
 
 namespace detail {

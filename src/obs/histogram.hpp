@@ -46,10 +46,15 @@ struct HistogramLayout {
   [[nodiscard]] static double bucket_lower_bound(std::size_t k) noexcept;
   /// Exclusive upper bound of bucket `k` in seconds.
   [[nodiscard]] static double bucket_upper_bound(std::size_t k) noexcept;
-  /// Index of the bucket containing `seconds` (clamped to the grid).
+  /// Index of the bucket containing `seconds` (clamped to the grid):
+  /// floor((log2(seconds) - kMinExponent) * kBucketsPerOctave), read
+  /// from a table of the bucket edges instead of computing a log2.
   [[nodiscard]] static std::size_t bucket_index(double seconds) noexcept;
 
  private:
+  /// The formula itself, which builds bucket_index's table.
+  [[nodiscard]] static std::size_t log2_index(double seconds) noexcept;
+
   static constexpr int kMinExponent = -30;       ///< 2^-30 s ~ 0.93 ns
   static constexpr int kMaxExponent = 12;        ///< 2^12 s ~ 68 min
   static constexpr int kBucketsPerOctave = 16;   ///< 2^(1/16) ~ +4.4%/bucket

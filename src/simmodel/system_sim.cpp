@@ -1,11 +1,11 @@
 #include "simmodel/system_sim.hpp"
 
 #include <cmath>
-#include <memory>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
-#include "des/facility.hpp"
-#include "des/simulator.hpp"
+#include "des/server_bank.hpp"
 #include "stats/distributions.hpp"
 #include "stats/moments.hpp"
 #include "stats/rng.hpp"
@@ -26,54 +26,71 @@ std::uint64_t stream_id(StreamKind kind, std::size_t index) {
          static_cast<std::uint64_t>(index);
 }
 
-/// Per-run state shared by the event closures, which carry only a pointer
-/// to it plus the job's own fields, so they fit EventFn's inline storage.
+/// A user's next arrival. `draw` numbers the gap draws that scheduled an
+/// arrival, so equal times go in draw order, as on the event calendar.
+struct NextArrival {
+  double time;
+  std::uint64_t draw;
+};
+
+/// The time of a user whose arrivals have passed the horizon.
+constexpr double kNever = std::numeric_limits<double>::infinity();
+
+/// Departures are folded at every kFoldEvery-th arrival. Every job
+/// admitted later departs after that arrival, so the departures before it
+/// are final and the fold order stays the departure order whatever the
+/// batch. Popping them in batches instead of testing the heap's top at
+/// every arrival ran 8% faster at 8 (median of 22 alternations, faster in
+/// 20; Table 1 under PS, 5 x 200 s at each load from 0.1 to 0.9, on a
+/// 2.0 GHz Xeon); the unpredictable exit of the pop loop is the likely
+/// cause, not measured with counters.
+constexpr std::size_t kFoldEvery = 8;
+
 struct Run {
   Run(const core::Instance& inst, const core::StrategyProfile& profile,
       const SimConfig& config);
 
-  /// Draws `user`'s next inter-arrival gap and schedules that arrival,
-  /// unless it falls past the horizon.
-  void schedule_arrival(std::size_t user);
-  void arrive(std::size_t user, des::SimTime t_arrival);
-  void complete(std::size_t user, std::size_t target, des::SimTime t_arrival,
-                des::SimTime t_done);
+  /// Draws `user`'s next inter-arrival gap after `now`; an arrival past
+  /// the horizon ends the user's chain.
+  void draw_arrival(std::size_t user, double now);
+  /// The user whose arrival comes next (time, then draw order): a scan of
+  /// the m users, O(m) per job.
+  [[nodiscard]] std::size_t next_user() const noexcept;
+  void arrive(std::size_t user, double t_arrival);
+  void depart(const des::ServerBank::Job& job);
 
   const SimConfig& config;
-  des::Simulator sim;
-  std::vector<std::unique_ptr<des::Facility>> computers;
+  des::ServerBank computers;
   std::vector<stats::Xoshiro256> arrival_rng;
   std::vector<stats::Xoshiro256> dispatch_rng;
   std::vector<stats::Xoshiro256> service_rng;
   std::vector<stats::Exponential> interarrival;
   std::vector<stats::Exponential> service;
   std::vector<stats::Discrete> dispatch;
+  std::vector<NextArrival> next;
+  std::uint64_t draws = 0;
+  std::vector<double> busy;  // each computer's busy time, sum of D - start
+  std::vector<obs::Histogram> sojourn;
   std::vector<stats::RunningStats> user_stats;
-  std::vector<stats::RunningStats> computer_stats;
   stats::RunningStats overall_stats;
   std::uint64_t jobs_generated = 0;
   std::uint64_t jobs_completed = 0;
+  double end = 0.0;  // the last departure
 };
 
 Run::Run(const core::Instance& inst, const core::StrategyProfile& profile,
          const SimConfig& cfg)
     : config(cfg),
-      user_stats(inst.num_users()),
-      computer_stats(inst.num_computers()) {
+      computers(inst.num_computers()),
+      next(inst.num_users()),
+      busy(inst.num_computers(), 0.0),
+      sojourn(inst.num_computers()),
+      user_stats(inst.num_users()) {
   const std::size_t m = inst.num_users();
   const std::size_t n = inst.num_computers();
   // Per-replication stream family: replication r of the same experiment
   // uses disjoint streams, exactly the paper's replication discipline.
   const stats::RngStreams streams(config.seed);
-
-  // Computers: one single-server FCFS facility each.
-  computers.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    computers.push_back(std::make_unique<des::Facility>(
-        sim, "computer-" + std::to_string(i), 1, des::PreemptPolicy::None));
-  }
-
-  // Per-source RNG state.
   for (std::size_t j = 0; j < m; ++j) {
     arrival_rng.push_back(
         streams.stream(config.replication, stream_id(kArrival, j)));
@@ -102,37 +119,53 @@ Run::Run(const core::Instance& inst, const core::StrategyProfile& profile,
   }
 }
 
-// Job generation: each user is a self-rescheduling arrival process that
-// stops spawning at the horizon; in-flight jobs drain afterwards.
-void Run::schedule_arrival(std::size_t user) {
+// Job generation: each user is a self-renewing arrival process that stops
+// at the horizon; the jobs still pending depart afterwards.
+void Run::draw_arrival(std::size_t user, double now) {
   const double gap = interarrival[user].sample(arrival_rng[user]);
-  if (sim.now() + gap > config.horizon) return;
-  auto arrival = [this, user](des::SimTime t) { arrive(user, t); };
-  static_assert(des::EventFn::fits_inline<decltype(arrival)>);
-  sim.schedule(gap, arrival);
+  // The horizon is tested before the gap, as the calendar did: a gap of
+  // +inf ends the chain, a NaN or negative one is rejected.
+  if (now + gap > config.horizon) {
+    next[user] = {kNever, 0};
+    return;
+  }
+  if (!(gap >= 0.0) || !std::isfinite(gap)) {
+    throw std::invalid_argument(
+        "simulate: inter-arrival gap must be finite and >= 0");
+  }
+  next[user] = {now + gap, draws++};
 }
 
-void Run::arrive(std::size_t user, des::SimTime t_arrival) {
+std::size_t Run::next_user() const noexcept {
+  std::size_t best = 0;
+  for (std::size_t j = 1; j < next.size(); ++j) {
+    if (next[j].time < next[best].time ||
+        (next[j].time == next[best].time && next[j].draw < next[best].draw)) {
+      best = j;
+    }
+  }
+  return best;
+}
+
+void Run::arrive(std::size_t user, double t_arrival) {
   ++jobs_generated;
   const std::size_t target = dispatch[user].sample(dispatch_rng[user]);
   const double service_time = service[target].sample(service_rng[target]);
-  auto completion = [this, user, target, t_arrival](des::SimTime t_done) {
-    complete(user, target, t_arrival, t_done);
-  };
-  static_assert(des::EventFn::fits_inline<decltype(completion)>);
-  computers[target]->request(service_time, completion);
-  schedule_arrival(user);
+  const des::ServerBank::Admission job =
+      computers.admit(target, t_arrival, service_time, user);
+  busy[target] += job.departure - job.start;
+  sojourn[target].record(job.departure - t_arrival);
+  draw_arrival(user, t_arrival);
 }
 
-void Run::complete(std::size_t user, std::size_t target,
-                   des::SimTime t_arrival, des::SimTime t_done) {
+void Run::depart(const des::ServerBank::Job& job) {
   ++jobs_completed;
-  if (t_arrival >= config.warmup) {
-    const double response = t_done - t_arrival;
-    user_stats[user].add(response);
-    computer_stats[target].add(response);
+  end = job.departure;
+  if (job.arrival >= config.warmup) {
+    const double response = job.departure - job.arrival;
+    user_stats[job.user].add(response);
     overall_stats.add(response);
-    if (config.on_sample) config.on_sample(user, response);
+    if (config.on_sample) config.on_sample(job.user, response);
   }
 }
 
@@ -155,10 +188,25 @@ SimRunResult simulate(const core::Instance& inst,
   const std::size_t m = inst.num_users();
   const std::size_t n = inst.num_computers();
   Run run(inst, profile, config);
-  for (std::size_t j = 0; j < m; ++j) run.schedule_arrival(j);
-  run.sim.run();  // drains: generation stops at the horizon
+  for (std::size_t j = 0; j < m; ++j) run.draw_arrival(j, 0.0);
+  // Departures are folded in departure order: those before an arrival in
+  // batches as the clock advances, the rest once generation stops at the
+  // horizon.
+  const auto depart = [&run](const des::ServerBank::Job& job) {
+    run.depart(job);
+  };
+  std::size_t since_fold = 0;
+  for (std::size_t user = run.next_user(); run.next[user].time != kNever;
+       user = run.next_user()) {
+    const double t = run.next[user].time;
+    if (++since_fold == kFoldEvery) {
+      since_fold = 0;
+      run.computers.depart_before(t, depart);
+    }
+    run.arrive(user, t);
+  }
+  run.computers.drain(depart);
 
-  const des::SimTime end = run.sim.now();
   SimRunResult result;
   result.jobs_generated = run.jobs_generated;
   result.jobs_completed = run.jobs_completed;
@@ -169,20 +217,12 @@ SimRunResult simulate(const core::Instance& inst,
     result.user_jobs[j] = run.user_stats[j].count();
   }
   result.overall_mean_response = run.overall_stats.mean();
-  result.end_time = end;
+  result.end_time = run.end;
   result.computer_utilization.assign(n, 0.0);
-  result.computer_mean_response.assign(n, 0.0);
-  result.computer_jobs.assign(n, 0);
-  result.computer_mean_queue.assign(n, 0.0);
-  result.computer_sojourn.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const des::Facility& computer = *run.computers[i];
-    result.computer_utilization[i] = computer.utilization(end);
-    result.computer_mean_response[i] = run.computer_stats[i].mean();
-    result.computer_jobs[i] = run.computer_stats[i].count();
-    result.computer_mean_queue[i] = computer.mean_queue_length(end);
-    result.computer_sojourn.push_back(computer.sojourn_histogram());
+    if (run.end > 0.0) result.computer_utilization[i] = run.busy[i] / run.end;
   }
+  result.computer_sojourn = std::move(run.sojourn);
   return result;
 }
 

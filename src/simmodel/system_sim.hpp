@@ -12,10 +12,19 @@
 //   * each arriving job is dispatched to computer i with probability
 //     s_ji — the strategy profile acts as a probabilistic splitter (an
 //     O(1) alias-table draw);
-//   * each computer is a single-server FCFS des::Facility with
-//     exponential service at rate mu_i;
-//   * per-user and per-computer response-time statistics accumulate after
-//     a warm-up cutoff so transients don't bias the steady-state means.
+//   * each computer is a single-server FCFS queue with exponential
+//     service at rate mu_i. A job's service time is drawn when it
+//     arrives, so its departure is known then (the Lindley recursion
+//     D = max(A, D_prev) + S): the computers are one des::ServerBank, and
+//     the only events are the arrivals. The next one is the smallest of
+//     the m users' next-arrival times, found by a scan that costs O(m)
+//     per job (m = 10 in Table 1);
+//   * per-user response-time statistics accumulate after a warm-up
+//     cutoff so transients don't bias the steady-state means. They are
+//     folded in departure order, so every result is bitwise the one an
+//     event calendar with a completion event per job gives
+//     (tests/support/calendar_sim.hpp, the reference the tests compare
+//     against), up to the tie noted in des/server_bank.hpp.
 #pragma once
 
 #include <cstdint>
@@ -53,27 +62,19 @@ struct SimRunResult {
   std::vector<std::uint64_t> user_jobs;
   /// Job-weighted mean response time over all users.
   double overall_mean_response = 0.0;
-  /// Busy fraction of each computer over the measured window.
+  /// Busy fraction of each computer over [0, end_time]: the sum of its
+  /// jobs' service times (departure - start) over end_time.
   std::vector<double> computer_utilization;
-  /// Mean response time of post-warm-up jobs completed at each computer
-  /// (0 where no job completed) — compare with the M/M/1 mean response
-  /// time 1/(mu_i - lambda_i).
-  std::vector<double> computer_mean_response;
-  /// Post-warm-up completions per computer.
-  std::vector<std::uint64_t> computer_jobs;
-  /// Time-average number waiting at each computer — compare with the
-  /// M/M/1 mean queue length lambda_i^2/(mu_i (mu_i - lambda_i)) (Little's
-  /// law cross-check in the tests).
-  std::vector<double> computer_mean_queue;
-  /// Per-computer sojourn-time histogram (every completed job, including
-  /// warm-up — see des::Facility::sojourn_histogram). Quantiles compare
-  /// with the exact M/M/1 sojourn quantile -ln(1-q)/(mu_i - lambda_i).
-  /// Empty histograms when the obs layer is compiled out.
+  /// Per-computer sojourn-time histogram (every job, including warm-up:
+  /// departure - arrival). Quantiles compare with the exact M/M/1
+  /// sojourn quantile -ln(1-q)/(mu_i - lambda_i). Empty histograms when
+  /// the obs layer is compiled out.
   std::vector<obs::Histogram> computer_sojourn;
   /// Total jobs generated / completed (incl. warm-up).
   std::uint64_t jobs_generated = 0;
   std::uint64_t jobs_completed = 0;
-  /// Time the simulation drained (>= horizon; in-flight jobs finish).
+  /// The last departure: the time the simulation drained (jobs still
+  /// pending at the horizon finish; 0 when no job arrived).
   double end_time = 0.0;
 };
 

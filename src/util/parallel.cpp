@@ -42,7 +42,7 @@ void ThreadPool::run_chunks(std::size_t worker) {
   for (std::size_t c = worker; c < chunks_.size(); c += workers_) {
     try {
       for (std::size_t i = chunks_[c].begin; i < chunks_[c].end; ++i) {
-        (*job_fn_)(i, worker);
+        job_call_(job_body_, i, worker);
       }
     } catch (...) {
       chunk_errors_[c] = std::current_exception();
@@ -66,18 +66,10 @@ void ThreadPool::worker_loop(std::size_t worker) {
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (begin >= end) return;
+void ThreadPool::run_job(std::size_t begin, std::size_t end,
+                         std::size_t grain, const void* body,
+                         Trampoline call) {
   const std::size_t count = end - begin;
-  if (grain == 0) grain = 1;
-  if (workers_ == 1 || count <= grain) {
-    // The serial path: a plain index-order loop, no locks, no threads.
-    for (std::size_t i = begin; i < end; ++i) fn(i, 0);
-    return;
-  }
-
   // Chunking: small enough chunks that uneven per-index cost balances
   // across workers (4 per worker), but never below the caller's grain
   // and never more chunks than indices.
@@ -92,7 +84,8 @@ void ThreadPool::parallel_for(
     chunks_.push_back({lo, hi});
   }
   chunk_errors_.assign(num_chunks, nullptr);
-  job_fn_ = &fn;
+  job_body_ = body;
+  job_call_ = call;
 
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -105,7 +98,8 @@ void ThreadPool::parallel_for(
     std::unique_lock<std::mutex> lock(mutex_);
     job_done_.wait(lock, [&] { return pending_workers_ == 0; });
   }
-  job_fn_ = nullptr;
+  job_body_ = nullptr;
+  job_call_ = nullptr;
 
   // Deterministic error propagation: the lowest-numbered failing chunk
   // wins, regardless of which worker hit it first in wall time.

@@ -33,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -73,15 +72,38 @@ class ThreadPool {
   /// of the same worker are skipped; other workers run to completion).
   ///
   /// Not reentrant: fn must not call parallel_for on the same pool.
+  ///
+  /// fn is called through a const reference and never copied: the
+  /// workers borrow it for the duration of the call, so a call
+  /// allocates nothing for it.
+  template <class Fn>
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
+                    const Fn& fn) {
+    if (begin >= end) return;
+    if (grain == 0) grain = 1;
+    if (workers_ == 1 || end - begin <= grain) {
+      // The serial path: a plain index-order loop, no locks, no threads.
+      for (std::size_t i = begin; i < end; ++i) fn(i, 0);
+      return;
+    }
+    run_job(begin, end, grain, &fn,
+            [](const void* body, std::size_t i, std::size_t worker) {
+              (*static_cast<const Fn*>(body))(i, worker);
+            });
+  }
 
  private:
   struct Chunk {
     std::size_t begin;
     std::size_t end;
   };
+  /// Calls the borrowed body `body` (a const Fn*) for index i on `worker`.
+  using Trampoline = void (*)(const void* body, std::size_t i,
+                              std::size_t worker);
 
+  /// The pooled path of parallel_for, for `end - begin > grain >= 1`.
+  void run_job(std::size_t begin, std::size_t end, std::size_t grain,
+               const void* body, Trampoline call);
   void worker_loop(std::size_t worker);
   void run_chunks(std::size_t worker);
 
@@ -100,7 +122,8 @@ class ThreadPool {
 
   // Per-job data: written by the caller before the wake, read-only
   // while the job runs (chunk exception slots are disjoint per chunk).
-  const std::function<void(std::size_t, std::size_t)>* job_fn_ = nullptr;
+  const void* job_body_ = nullptr;
+  Trampoline job_call_ = nullptr;
   std::vector<Chunk> chunks_;
   std::vector<std::exception_ptr> chunk_errors_;
 };

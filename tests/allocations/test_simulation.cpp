@@ -1,6 +1,6 @@
 // Heap allocations of the simulators' steady-state job path: once the
-// calendar and the waiting buffers reach their peak sizes, a job costs
-// no allocation.
+// calendar and the waiting buffers (the server bank's rings) reach their
+// peak sizes, a job costs no allocation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +10,7 @@
 #include "core/types.hpp"
 #include "des/facility.hpp"
 #include "des/simulator.hpp"
+#include "simmodel/system_sim.hpp"
 #include "stats/distributions.hpp"
 #include "stats/rng.hpp"
 #include "support/alloc_counter.hpp"
@@ -53,6 +54,34 @@ TEST(Simulator, SteadyStateJobsDoNotAllocate) {
 
 }  // namespace
 }  // namespace des
+
+namespace simmodel {
+namespace {
+
+TEST(SystemSim, SteadyStateJobsDoNotAllocate) {
+  // Table 1 at 30% load: a run twice as long adds only jobs, so it must
+  // not add allocations. The server bank's rings start at 16 pending jobs
+  // each and the histograms allocate their buckets at the first record.
+  const core::Instance inst = workload::table1_instance(0.3);
+  const core::StrategyProfile prop =
+      core::StrategyProfile::proportional(inst);
+  const auto run = [&](double horizon, std::uint64_t& jobs) {
+    SimConfig cfg;
+    cfg.horizon = horizon;
+    cfg.warmup = 100.0;
+    return test_support::allocations_in(
+        [&] { jobs = simulate(inst, prop, cfg).jobs_completed; });
+  };
+  std::uint64_t short_jobs = 0;
+  std::uint64_t long_jobs = 0;
+  const std::size_t short_allocs = run(200.0, short_jobs);
+  const std::size_t long_allocs = run(400.0, long_jobs);
+  EXPECT_GT(long_jobs, short_jobs + 20000);
+  EXPECT_EQ(long_allocs, short_allocs);
+}
+
+}  // namespace
+}  // namespace simmodel
 
 namespace adaptive {
 namespace {

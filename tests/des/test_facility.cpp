@@ -97,16 +97,6 @@ TEST(Facility, UtilizationMeasuresBusyFraction) {
   EXPECT_NEAR(f.utilization(sim.now()), 0.5, 1e-12);
 }
 
-TEST(Facility, MeanQueueLengthTimeWeighted) {
-  Simulator sim;
-  Facility f(sim, "cpu");
-  // Two 1s jobs submitted at t=0: queue holds 1 job during [0,1), 0 after.
-  f.request(1.0, [](SimTime) {});
-  f.request(1.0, [](SimTime) {});
-  sim.run();
-  EXPECT_NEAR(f.mean_queue_length(2.0), 0.5, 1e-12);
-}
-
 TEST(Facility, WaitingTimeStats) {
   Simulator sim;
   Facility f(sim, "cpu");
@@ -134,7 +124,6 @@ TEST(Facility, MM1SimulationMatchesTheory) {
   const stats::Exponential interarrival(4.0);
   const stats::Exponential service(10.0);
   stats::RunningStats response;
-  stats::RunningStats waits;  // completion - arrival - service, per job
   constexpr double kHorizon = 20000.0;
 
   std::function<void()> arrive = [&]() {
@@ -142,9 +131,8 @@ TEST(Facility, MM1SimulationMatchesTheory) {
     if (sim.now() + gap > kHorizon) return;
     sim.schedule(gap, [&](SimTime t_arr) {
       const double s = service.sample(svc_rng);
-      f.request(s, [&, t_arr, s](SimTime t_done) {
+      f.request(s, [&, t_arr](SimTime t_done) {
         response.add(t_done - t_arr);
-        waits.add(t_done - t_arr - s);
       });
       arrive();
     });
@@ -155,8 +143,6 @@ TEST(Facility, MM1SimulationMatchesTheory) {
   EXPECT_GT(response.count(), 50000u);
   EXPECT_NEAR(response.mean(), 1.0 / 6.0, 0.01);
   EXPECT_NEAR(f.utilization(sim.now()), 0.4, 0.01);
-  // Little's law on the queue: Lq = lambda * Wq.
-  EXPECT_NEAR(f.mean_queue_length(sim.now()), 4.0 * waits.mean(), 0.05);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <type_traits>
 #include <utility>
@@ -63,6 +65,58 @@ TEST(ObsHistogram, LayoutIsMonotoneAndSelfConsistent) {
   EXPECT_EQ(Layout::bucket_index(0.0), 0u);
   EXPECT_EQ(Layout::bucket_index(-1.0), 0u);
   EXPECT_EQ(Layout::bucket_index(1e300), Layout::bucket_count() - 1);
+}
+
+// The formula bucket_index's edge table was built from, kept here as the
+// reference: bucket k covers [2^(-30 + k/16), 2^(-30 + (k+1)/16)).
+std::size_t log2_formula_index(double seconds) {
+  if (!(seconds > 0.0) || !std::isfinite(seconds)) return 0;
+  const double pos = (std::log2(seconds) - (-30.0)) * 16.0;
+  if (pos <= 0.0) return 0;
+  const auto k = static_cast<std::size_t>(pos);
+  const std::size_t count = obs::HistogramLayout::bucket_count();
+  return k >= count ? count - 1 : k;
+}
+
+TEST(ObsHistogram, BucketIndexMatchesTheLog2Formula) {
+  using Layout = obs::HistogramLayout;
+  const std::size_t count = Layout::bucket_count();
+  ASSERT_EQ(count, 672u);
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  const auto check = [&](double x) {
+    ++checked;
+    const std::size_t got = Layout::bucket_index(x);
+    const std::size_t want = log2_formula_index(x);
+    if (got != want && mismatches++ < 5) {
+      ADD_FAILURE() << std::hexfloat << x << ": table " << got
+                    << ", formula " << want;
+    }
+  };
+  // Every bucket edge and the grid's top, each +-64 ulps.
+  for (std::size_t k = 0; k <= count; ++k) {
+    const double edge = k < count ? Layout::bucket_lower_bound(k)
+                                  : Layout::bucket_upper_bound(count - 1);
+    const auto bits = std::bit_cast<std::uint64_t>(edge);
+    for (std::uint64_t d = 0; d <= 128; ++d) {
+      check(std::bit_cast<double>(bits - 64 + d));
+    }
+  }
+  // Log-uniform values across the grid and past both ends, and random bit
+  // patterns: every sign and exponent, subnormals, infinities and NaNs.
+  stats::Xoshiro256 rng(672);
+  for (int i = 0; i < 1000000; ++i) {
+    check(std::exp2(-40.0 + 60.0 * rng.next_double()));
+    check(std::bit_cast<double>(rng()));
+  }
+  using limits = std::numeric_limits<double>;
+  for (const double x :
+       {0.0, -0.0, -1.0, limits::denorm_min(), -limits::denorm_min(),
+        limits::min(), limits::max(), limits::lowest(), limits::infinity(),
+        -limits::infinity(), limits::quiet_NaN(), -limits::quiet_NaN()}) {
+    check(x);
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << checked << " values";
 }
 
 TEST(ObsHistogram, RecordsCountSumAndExtremes) {

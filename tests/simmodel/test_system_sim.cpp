@@ -77,29 +77,17 @@ TEST(SystemSim, SamplePathIsPinned) {
   EXPECT_EQ(r.jobs_completed, 61497u);
   EXPECT_EQ(r.end_time, 0x1.908a1a69c55e2p+7);
   EXPECT_EQ(r.overall_mean_response, 0x1.468215e135a4ep-4);
-  // {utilization, mean queue length} of each computer.
-  const double computers[16][2] = {
-      {0x1.361a09510ea85p-1, 0x1.f2d5918f2c151p-1},
-      {0x1.33a3e10e60b16p-1, 0x1.a9847d3edb6a8p-1},
-      {0x1.4604af283c47bp-1, 0x1.3aa9c346d6ac4p+0},
-      {0x1.2f733265c9928p-1, 0x1.bcc5e15110766p-1},
-      {0x1.5289733458626p-1, 0x1.7980a77e0d91bp+0},
-      {0x1.2c1d1a431dca9p-1, 0x1.b604c52d6b439p-1},
-      {0x1.38177492650d5p-1, 0x1.c07b02e51d6cfp-1},
-      {0x1.31d409a8dfe41p-1, 0x1.c611e2a3778f7p-1},
-      {0x1.29e74620d753cp-1, 0x1.76180abb4aec5p-1},
-      {0x1.328aaf9d90fe9p-1, 0x1.7dc27ce146cc6p-1},
-      {0x1.336ccfaef0066p-1, 0x1.70b5fe68f8ba2p-1},
-      {0x1.33fab26733839p-1, 0x1.c4a122c6a9b9bp-1},
-      {0x1.3738cac711f2dp-1, 0x1.a8679af3ac991p-1},
-      {0x1.34098b4a91537p-1, 0x1.cdba112ee4fdp-1},
-      {0x1.353284fb81e0cp-1, 0x1.f933b0b152ccbp-1},
-      {0x1.35e59b27a4b85p-1, 0x1.d063b622214e9p-1},
+  const double utilization[16] = {
+      0x1.361a09510ea85p-1, 0x1.33a3e10e60b16p-1, 0x1.4604af283c47bp-1,
+      0x1.2f733265c9928p-1, 0x1.5289733458626p-1, 0x1.2c1d1a431dca9p-1,
+      0x1.38177492650d5p-1, 0x1.31d409a8dfe41p-1, 0x1.29e74620d753cp-1,
+      0x1.328aaf9d90fe9p-1, 0x1.336ccfaef0066p-1, 0x1.33fab26733839p-1,
+      0x1.3738cac711f2dp-1, 0x1.34098b4a91537p-1, 0x1.353284fb81e0cp-1,
+      0x1.35e59b27a4b85p-1,
   };
   ASSERT_EQ(r.computer_utilization.size(), 16u);
   for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(r.computer_utilization[i], computers[i][0]) << "computer " << i;
-    EXPECT_EQ(r.computer_mean_queue[i], computers[i][1]) << "computer " << i;
+    EXPECT_EQ(r.computer_utilization[i], utilization[i]) << "computer " << i;
   }
 }
 
@@ -174,8 +162,9 @@ TEST(SystemSim, ZeroFractionComputersReceiveNoJobs) {
 }
 
 TEST(SystemSim, PerComputerStatsMatchMM1Theory) {
-  // Dedicated computers: computer 0 is an M/M/1 with lambda=4, mu=10
-  // (T = 1/6, Lq = 4/15); computer 1 with lambda=2, mu=5.
+  // Dedicated computers: user i is computer i's only source, so its jobs
+  // are that computer's. Computer 0 is an M/M/1 with lambda=4, mu=10
+  // (T = 1/6); computer 1 with lambda=2, mu=5 (T = 1/3).
   const core::Instance inst = small_instance();
   core::StrategyProfile s(2, 2);
   s.set_row(0, std::vector<double>{1.0, 0.0});
@@ -184,18 +173,21 @@ TEST(SystemSim, PerComputerStatsMatchMM1Theory) {
   cfg.horizon = 30000.0;
   cfg.warmup = 500.0;
   const SimRunResult r = simulate(inst, s, cfg);
-  EXPECT_NEAR(r.computer_mean_response[0], 1.0 / 6.0, 0.01);
-  EXPECT_NEAR(r.computer_mean_response[1], 1.0 / 3.0, 0.02);
-  EXPECT_NEAR(r.computer_mean_queue[0], 4.0 * (0.4 / 6.0), 0.03);
-  EXPECT_GT(r.computer_jobs[0], 2 * r.computer_jobs[1] / 2);
-  // Little's law at each station: L = lambda * T with
-  // L = Lq + utilization and lambda from the completed-job count.
+  EXPECT_NEAR(r.user_mean_response[0], 1.0 / 6.0, 0.01);
+  EXPECT_NEAR(r.user_mean_response[1], 1.0 / 3.0, 0.02);
   for (std::size_t i = 0; i < 2; ++i) {
-    const double lambda = inst.phi[i];
-    const double l_measured =
-        r.computer_mean_queue[i] + r.computer_utilization[i];
-    EXPECT_NEAR(l_measured, lambda * r.computer_mean_response[i],
-                0.05 * l_measured + 0.01)
+    const double measured_seconds = cfg.horizon - cfg.warmup;
+    EXPECT_NEAR(static_cast<double>(r.user_jobs[i]) / measured_seconds,
+                inst.phi[i], 0.03 * inst.phi[i])
+        << "user " << i;
+  }
+  // The M/M/1 identity T = 1/(mu (1 - U)) over the measured busy fraction
+  // ties each computer's busy-time accounting to its jobs' sojourn times.
+  for (std::size_t i = 0; i < 2; ++i) {
+    const double t_from_busy =
+        1.0 / (inst.mu[i] * (1.0 - r.computer_utilization[i]));
+    EXPECT_NEAR(r.user_mean_response[i], t_from_busy,
+                0.05 * t_from_busy)
         << "computer " << i;
   }
 }

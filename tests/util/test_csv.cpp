@@ -18,9 +18,14 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
+// One file per test: ctest runs each test as its own process, in
+// parallel, and a shared path let one test truncate another's output.
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "nashlb_csv_test.csv";
+  std::string path_ =
+      ::testing::TempDir() + "nashlb_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -21,6 +21,9 @@
 #   12. nashbench_selftest  builds the benchmark (nashbench/) against
 #                           this tree in Release and runs its selftests
 #                           (.bench_build/)
+#   13. nashbench_replay    each BENCHMARK.json workload once with
+#                           --trace 1: fails unless every replay is
+#                           bitwise equal to the library's call (~60 s)
 #
 # Unlike a plain `set -e` chain, every step runs even after a failure —
 # one broken gate must not hide the state of the others. The summary
@@ -91,6 +94,20 @@ obs_off_suite() {
     (cd "$root/build-obsoff" && ctest --output-on-failure -j "$jobs" -LE slow)
 }
 
+# The traced run replays each op through the DES and solver calls the
+# library used to make and compares the answers bit for bit; nashbench
+# exits non-zero when one differs. A change to the timed code must pass
+# this before a timing run can count.
+nashbench_replay() {
+    for workload in $(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+                      "$root/BENCHMARK.json"); do
+        python3 "$root/nashbench/run.py" --workload "$workload" --seed 1 \
+          --seconds 2 --trace 1 > /dev/null ||
+        { echo "nashbench_replay: $workload failed" >&2; return 1; }
+    done
+}
+
 all_start=$(date +%s)
 
 run_step check_docs "$root/tools/check_docs.sh" "$root"
@@ -105,6 +122,7 @@ run_step obs_off_suite obs_off_suite
 run_step check_sanitize "$root/tools/check_sanitize.sh" "$root"
 run_step check_tsan "$root/tools/check_tsan.sh" "$root"
 run_step nashbench_selftest python3 "$root/nashbench/run.py" --selftest
+run_step nashbench_replay nashbench_replay
 
 total_secs=$(( $(date +%s) - all_start ))
 printf '\n== check_all: summary ==\n'
